@@ -4,6 +4,8 @@ and how long does a node coast through darkness?
 Run:  python3 demos/05_design_space.py
 """
 
+from pathlib import Path
+
 from luxmote import (
     NodeConfig,
     SweepGrid,
@@ -38,7 +40,9 @@ grid = SweepGrid(
     lux_levels=(10.0, 25.0),
 )
 rows = sweep(grid, cfg)
-write_frontier_csv(rows, "demo_out/frontier.csv", lux_levels=grid.lux_levels)
+out = Path("demo_out")
+out.mkdir(exist_ok=True)
+write_frontier_csv(rows, out / "frontier.csv", lux_levels=grid.lux_levels)
 print(f"\nswept {len(rows)} (capacitance, state) points -> demo_out/frontier.csv")
 
 biggest = max(rows, key=lambda r: r.darkness_survival_s)

@@ -9,6 +9,7 @@ with identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -63,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_duration(args) -> None:
-    if getattr(args, "duration_s", 1.0) <= 0:
-        raise ConfigError(f"--duration-s must be > 0, got {args.duration_s}")
+    if not 0.0 < args.duration_s < math.inf:
+        raise ConfigError(f"--duration-s must be finite and > 0, got {args.duration_s}")
 
 
 def cmd_simulate_node(args) -> int:

@@ -1,14 +1,12 @@
 """Multi-node deployments: per-node simulation, range-gated packet delivery
-to a base station, merged logs and fleet-level metrics.
+to a base station and fleet-level metrics.
 
 Nodes share no energy or radio state, so each is simulated independently with
-a seed derived from the deployment seed and its id; the merged view is a
-deterministic fold over the per-node logs.
+a seed derived from the deployment seed and its id.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import zlib
@@ -30,12 +28,10 @@ __all__ = [
     "compute_metrics",
     "derive_node_seed",
     "link_delivery",
-    "merged_records",
     "node_distance_m",
     "report_summary",
     "run_deployment",
     "write_deployment_report",
-    "write_merged_log_csv",
 ]
 
 
@@ -302,7 +298,7 @@ def report_summary(report: DeploymentReport) -> dict:
 
 
 def write_deployment_report(report: DeploymentReport, out_dir) -> None:
-    """report.json plus one merged-order CSV log per node (when detail was on)."""
+    """report.json plus one CSV log per node (when detail was on)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "report.json").open("w", encoding="utf-8") as fh:
@@ -314,23 +310,3 @@ def write_deployment_report(report: DeploymentReport, out_dir) -> None:
         if log.records:
             write_node_log_csv(log, out / f"{log.node_id}_log.csv")
 
-
-def merged_records(report: DeploymentReport):
-    """All per-node records interleaved by (time, node_id)."""
-    rows = []
-    for log in report.logs:
-        for rec in log.records:
-            rows.append((rec.time_s, log.node_id, rec))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
-
-
-def write_merged_log_csv(report: DeploymentReport, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "node_id", "voltage_v", "lux", "qos", "action", "packets"])
-        for t, nid, rec in merged_records(report):
-            writer.writerow(
-                [repr(rec.time_s), nid, repr(rec.voltage_v), repr(rec.lux), rec.qos, rec.action, rec.packets]
-            )

@@ -209,11 +209,17 @@ def discharge(cap: SupercapState, e_load_j: float, conv: ConverterModel) -> Supe
     """
     if e_load_j < 0:
         raise ValueError(f"e_load_j must be >= 0, got {e_load_j}")
-    e_new = stored_energy(cap) - e_load_j / conv.eta_buck
+    v_new = voltage_after_draw(cap.capacitance_f, cap.voltage_v, e_load_j / conv.eta_buck)
+    return replace(cap, voltage_v=v_new)
+
+
+def voltage_after_draw(capacitance_f: float, voltage_v: float, e_stored_j: float) -> float:
+    """Terminal voltage after drawing ``e_stored_j`` storage-side joules at
+    once; a draw beyond the stored energy drains the element to 0 V."""
+    e_new = 0.5 * capacitance_f * voltage_v**2 - e_stored_j
     if e_new < 0.0:
         e_new = 0.0
-    v_new = math.sqrt(2.0 * e_new / cap.capacitance_f)
-    return replace(cap, voltage_v=v_new)
+    return math.sqrt(2.0 * e_new / capacitance_f)
 
 
 def standby_power(load: LoadModel, conv: ConverterModel) -> float:

@@ -18,17 +18,7 @@ from typing import Optional
 
 from .energy import harvest_power, standby_power
 from .qos import ApplicationMode, interval_for
-from .simulate import NodeConfig
-
-
-def _action_energy_j(config: NodeConfig) -> float:
-    """Load-side energy paid at each periodic wakeup in the node's mode."""
-    load = config.load
-    if config.mode is ApplicationMode.PERIODIC_SENSING:
-        return load.e_sense_tx_j + load.e_controller_step_j
-    if config.mode is ApplicationMode.ADVERTISING:
-        return load.e_advertise_j + load.e_controller_step_j
-    return load.e_controller_step_j
+from .simulate import NodeConfig, action_energy_j
 
 
 def steady_state_power(config: NodeConfig, state: int) -> float:
@@ -38,7 +28,7 @@ def steady_state_power(config: NodeConfig, state: int) -> float:
     if not 1 <= state <= 7:
         raise ValueError(f"state must be in [1, 7], got {state}")
     interval = interval_for(config.table, state, config.mode)
-    p_action_load = _action_energy_j(config) / interval
+    p_action_load = action_energy_j(config) / interval
     return standby_power(config.load, config.converter) + p_action_load / config.converter.eta_buck
 
 

@@ -25,7 +25,8 @@ whenever the voltage sits at the table ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -61,10 +62,18 @@ class QosTable:
 
     Invariants enforced at construction: exactly 7 rows with states 1..7,
     buckets contiguous and non-overlapping covering [2.1, 3.6] V, and all
-    three interval columns strictly decreasing in state.
+    three interval columns strictly decreasing in state.  Derived once after
+    validation: the voltage domain, the bucket lower edges in ascending order
+    and, per application mode, the intervals of states 1..7.
     """
 
     rows: tuple[QosRow, ...]
+    v_min: float = field(init=False, repr=False, compare=False)
+    v_max: float = field(init=False, repr=False, compare=False)
+    lower_edges: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    intervals: dict[ApplicationMode, tuple[float, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         rows = tuple(QosRow(*r) for r in self.rows)
@@ -91,21 +100,25 @@ class QosTable:
             raise ValueError(
                 f"buckets must cover [2.1, 3.6] V, got [{by_voltage[0].v_lo}, {by_voltage[-1].v_hi}]"
             )
-        by_state = sorted(rows, key=lambda r: r.state)
+        # States increase with voltage, so by_voltage is also in state order.
         for col in ("sense_interval_s", "pir_interval_s", "adv_interval_s"):
-            values = [getattr(r, col) for r in by_state]
+            values = [getattr(r, col) for r in by_voltage]
             if any(v <= 0 for v in values):
                 raise ValueError(f"{col}: intervals must be positive")
             if any(b >= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{col}: intervals must strictly decrease with state")
-
-    @property
-    def v_min(self) -> float:
-        return min(r.v_lo for r in self.rows)
-
-    @property
-    def v_max(self) -> float:
-        return max(r.v_hi for r in self.rows)
+        object.__setattr__(self, "v_min", by_voltage[0].v_lo)
+        object.__setattr__(self, "v_max", max(r.v_hi for r in rows))
+        object.__setattr__(self, "lower_edges", tuple(r.v_lo for r in by_voltage))
+        object.__setattr__(
+            self,
+            "intervals",
+            {
+                ApplicationMode.PERIODIC_SENSING: tuple(r.sense_interval_s for r in by_voltage),
+                ApplicationMode.EVENT_DETECTION: tuple(r.pir_interval_s for r in by_voltage),
+                ApplicationMode.ADVERTISING: tuple(r.adv_interval_s for r in by_voltage),
+            },
+        )
 
     def row_for_state(self, state: int) -> QosRow:
         for row in self.rows:
@@ -132,29 +145,23 @@ def lookup_state(table: QosTable, volt: float) -> int:
 
     Domain is [table.v_min, table.v_max]; outside it the node is either dead
     or beyond the table's ceiling and the lookup is a contract violation.
+    Each bucket runs from its lower edge to the next bucket's lower edge; the
+    top bucket includes the ceiling.  Where neighbouring edges differ (by up
+    to 1e-9 V), a gap belongs to the lower bucket, an overlap to the upper.
     """
-    if volt < table.v_min - 1e-12 or volt > table.v_max + 1e-12:
+    if not table.v_min - 1e-12 <= volt <= table.v_max + 1e-12:
         raise ValueError(
             f"voltage {volt} V outside table domain [{table.v_min}, {table.v_max}]"
         )
-    top = max(table.rows, key=lambda r: r.v_hi)
-    if volt >= top.v_hi:
-        return top.state
-    for row in table.rows:
-        if row.v_lo <= volt < row.v_hi:
-            return row.state
-    # Float-tolerance slack just below the bottom bucket.
-    return min(table.rows, key=lambda r: r.v_lo).state
+    # Float-tolerance slack just below the floor counts as the bottom bucket.
+    return bisect_right(table.lower_edges, volt) or 1
 
 
 def interval_for(table: QosTable, state: int, mode: ApplicationMode) -> float:
     """Wakeup / hold-off interval in seconds for a state and application mode."""
-    row = table.row_for_state(state)
-    if mode is ApplicationMode.PERIODIC_SENSING:
-        return row.sense_interval_s
-    if mode is ApplicationMode.EVENT_DETECTION:
-        return row.pir_interval_s
-    return row.adv_interval_s
+    if not 1 <= state <= 7:
+        raise ValueError(f"no such state {state}")
+    return table.intervals[mode][state - 1]
 
 
 def trend(buffer) -> float:
@@ -165,11 +172,11 @@ def trend(buffer) -> float:
     n = len(buffer)
     if n != HISTORY_LEN:
         raise ValueError(f"trend window must have {HISTORY_LEN} entries, got {n}")
-    x_mean = (HISTORY_LEN - 1) / 2.0
+    y0, y1, y2, y3, y4 = buffer
     mean = sum(buffer) / n
-    num = 0.0
-    for i, y in enumerate(buffer):
-        num += (i - x_mean) * (y - mean)
+    # The numerator sum over i of (i - 2) * (y_i - mean), added in index order.
+    num = (0.0 - 2.0 * (y0 - mean) - 1.0 * (y1 - mean) + 0.0 * (y2 - mean)
+           + 1.0 * (y3 - mean) + 2.0 * (y4 - mean))
     return num / _TREND_DEN
 
 
@@ -221,35 +228,42 @@ def step(
         raise ValueError(
             f"controller stepped on a dead node: {volt} V below table floor {table.v_min} V"
         )
-    volt = min(volt, ctrl.v_max)
+    v_max = ctrl.v_max
+    if volt > v_max:
+        volt = v_max
 
     next_qos = ctrl.next_qos
     index = ctrl.index
-    at_max = volt >= ctrl.v_max - V_MAX_TOL
+    at_max = volt >= v_max - V_MAX_TOL
     if index == 0 or at_max:
         next_qos = lookup_state(table, volt)
         index += 1
 
-    light_buf = ctrl.light_buf[1:] + (light,)
-    volt_buf = ctrl.volt_buf[1:] + (volt,)
+    _, l1, l2, l3, l4 = ctrl.light_buf
+    light_buf = (l1, l2, l3, l4, light)
+    _, v1, v2, v3, v4 = ctrl.volt_buf
+    volt_buf = (v1, v2, v3, v4, volt)
 
     if light == 0 or trend(light_buf) < 0:
         next_qos -= 1
     else:
         next_qos += 1
-    if trend(volt_buf) <= 0 and not at_max:
+    # At the ceiling the voltage rule is +1 whatever the trend.
+    if not at_max and trend(volt_buf) <= 0:
         next_qos -= 1
     else:
         next_qos += 1
 
-    next_qos = max(1, min(7, next_qos))
-    new = ControllerState(
-        light_buf=light_buf,
-        volt_buf=volt_buf,
-        index=index,
-        qos=next_qos,
-        next_qos=next_qos,
-        v_max=ctrl.v_max,
+    if next_qos < 1:
+        next_qos = 1
+    elif next_qos > 7:
+        next_qos = 7
+    # The buffers hold 5 entries and the state is clamped, so the new value
+    # skips ControllerState's checks.
+    new = object.__new__(ControllerState)
+    new.__dict__.update(
+        light_buf=light_buf, volt_buf=volt_buf, index=index,
+        qos=next_qos, next_qos=next_qos, v_max=v_max,
     )
     return new, next_qos
 

@@ -7,9 +7,10 @@ evaluation plus the mode's action energy), external events (motion/door
 impulses in event-detection mode), brown-out death and cold-start recovery,
 and light-trace sample boundaries.
 
-Events at equal times are ordered trace sample < death < recovery < external
-< wakeup.  A run is a pure function of (config, traces, duration, seed): no
-wall clock, no global state.
+Events wait on a heap, except a node's one pending wakeup, which has a slot
+of its own.  Events at equal times are ordered trace sample < death <
+recovery < external < wakeup.  A run is a pure function of (config, traces,
+duration, seed): no wall clock, no global state.
 
 Continuous stretches are integrated in closed form: with piecewise-constant
 lux the net storage-side power is constant between regime boundaries (the
@@ -25,7 +26,7 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -37,15 +38,14 @@ from .energy import (
     HarvesterModel,
     LoadModel,
     SupercapState,
-    discharge,
     standby_power,
+    voltage_after_draw,
 )
 from .qos import (
     DEFAULT_TABLE,
     ApplicationMode,
     ControllerState,
     QosTable,
-    interval_for,
     reset,
     step,
 )
@@ -53,18 +53,19 @@ from .traces import Trace
 
 
 class EventKind(IntEnum):
-    """Event types; the numeric value is the tie-break priority at equal times.
+    """Queued event types; the numeric value is the tie-break priority at equal times.
 
     A trace sample at time t takes effect at t, so it dispatches before any
     node event at the same instant; among node events the order is death,
-    recovery, external event, wakeup.
+    recovery, external event, then the wakeup slot.  DROPPED_WAKEUP, a wakeup
+    pending at death, does nothing but end an integration segment.
     """
 
     TRACE_SAMPLE = -1
     DEATH = 0
     RECOVERY = 1
     EXTERNAL_EVENT = 2
-    WAKEUP = 3
+    DROPPED_WAKEUP = 3
 
 
 class SimEvent(NamedTuple):
@@ -213,7 +214,13 @@ class NodeLog:
 
 
 class _Phys:
-    """Per-run physical constants and the continuous-dynamics integrator."""
+    """Per-run physical constants and the continuous-dynamics integrator.
+
+    ``advance(v, alive, p_panel, dt, led)``, the leak-free or the leaky
+    integrator, runs for up to ``dt`` seconds at constant panel power and
+    returns (v_new, seconds_used, crossing) with crossing in (None, "death",
+    "recovery"); a crossing stops it exactly at the crossing point.
+    """
 
     __slots__ = (
         "c",
@@ -229,6 +236,7 @@ class _Phys:
         "p_standby_load",
         "p_standby_storage",
         "i_leak",
+        "advance",
     )
 
     def __init__(self, cfg: NodeConfig):
@@ -246,18 +254,18 @@ class _Phys:
         self.p_standby_load = load.i_standby_a * conv.v_out_v
         self.p_standby_storage = standby_power(load, conv)
         self.i_leak = sc.leak_current_a
+        self.advance = self._advance_exact if self.i_leak == 0.0 else self._advance_stepped
 
-    def advance(self, v, alive, lux, dt, led):
-        """Continuous dynamics for up to ``dt`` seconds at constant lux.
-
-        Returns (v_new, seconds_used, crossing) with crossing in
-        (None, "death", "recovery").  On a crossing the state is advanced
-        exactly to the crossing point and the remaining time is unconsumed.
-        """
-        p_panel = self.p_per_lux * lux
-        if self.i_leak == 0.0:
-            return self._advance_exact(v, alive, p_panel, dt, led)
-        return self._advance_stepped(v, alive, p_panel, dt, led)
+    def pay(self, v, e_stored_j, led):
+        """Draw a storage-side action energy at once; returns the new voltage
+        and books the drain in the ledger."""
+        if e_stored_j == 0.0:
+            return v
+        v_new = voltage_after_draw(self.c, v, e_stored_j)
+        drained = 0.5 * self.c * (v * v - v_new**2)
+        led.drain_stored_j += drained
+        led.load_j += drained * self.eta_buck
+        return v_new
 
     def _advance_exact(self, v, alive, p_panel, dt, led):
         c = self.c
@@ -421,7 +429,7 @@ def integrate_interval(
         idx = int(np.searchsorted(times, now, side="right"))
         lux = float(light.values[max(idx - 1, 0)])
         t_stop = t1 if idx >= n else min(t1, float(times[idx]))
-        v, span, crossing = phys.advance(v, alive, lux, t_stop - now, led)
+        v, span, crossing = phys.advance(v, alive, phys.p_per_lux * lux, t_stop - now, led)
         now += span
         if crossing is not None:
             return v, now, crossing
@@ -431,12 +439,22 @@ def integrate_interval(
 _SENSOR_TEMP_C = 21.0  # synthesized constant; physical sensing is out of scope
 
 
+def action_energy_j(config: NodeConfig) -> float:
+    """Load-side energy paid at each periodic wakeup in the node's mode."""
+    load = config.load
+    if config.mode is ApplicationMode.PERIODIC_SENSING:
+        return load.e_sense_tx_j + load.e_controller_step_j
+    if config.mode is ApplicationMode.ADVERTISING:
+        return load.e_advertise_j + load.e_controller_step_j
+    return load.e_controller_step_j  # event detection: only the controller runs
+
+
 class _NodeSim:
     """Event loop for a single node; see run_node."""
 
     def __init__(self, config, light, events, duration_s, seed, detail):
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {duration_s}")
+        if not 0.0 < duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
         if events is not None and config.mode is not ApplicationMode.EVENT_DETECTION:
             raise ValueError(
                 f"node {config.node_id}: events trace given but mode is {config.mode.value}"
@@ -447,20 +465,27 @@ class _NodeSim:
         self.mode = config.mode
         self.duration = float(duration_s)
         self.detail = detail
+        eta_buck = config.converter.eta_buck
+        self.e_wakeup = action_energy_j(config) / eta_buck
+        self.e_event = config.load.e_event_detect_j / eta_buck
+        self.intervals = config.table.intervals[config.mode]
+        self.holdoffs = config.table.intervals[ApplicationMode.EVENT_DETECTION]
+        self.pinned_qos = config.pinned_qos
         self.v = config.supercap.voltage_v
         self.alive = self.v >= config.supercap.v_cutoff
         self.ctrl = ControllerState(v_max=config.table.v_max)
         self.qos = config.pinned_qos if config.pinned_qos is not None else self.ctrl.qos
         self.lux = light.value_at(0.0)
+        self.p_panel = self.phys.p_per_lux * self.lux
         self.now = 0.0
-        self.gen = 0
+        # The one pending wakeup of a live node (infinite when there is none).
+        self.next_wake = 0.0 if self.alive else math.inf
         self._seq = 0
         self.heap: list[SimEvent] = []
         self.last_notification = -math.inf
         self.pending_events: list[float] = []
         self._last_packet_t = None
         self.died_at = None if self.alive else 0.0
-        self._cap = config.supercap
         self.log = NodeLog(
             node_id=config.node_id,
             mode=config.mode,
@@ -470,8 +495,6 @@ class _NodeSim:
             initial_voltage_v=self.v,
         )
 
-        if self.alive:
-            self._push(0.0, EventKind.WAKEUP, self.gen)
         for t in light.times_s:
             if 0.0 < t < self.duration:
                 self._push(float(t), EventKind.TRACE_SAMPLE, float(light.value_at(t)))
@@ -485,43 +508,40 @@ class _NodeSim:
         heapq.heappush(self.heap, SimEvent(t, kind, self._seq, payload))
 
     def run(self) -> NodeLog:
-        while True:
-            if self.heap and self.heap[0].time_s < self.duration:
-                t_next = self.heap[0].time_s
-            else:
-                t_next = self.duration
-            if not self._advance_to(t_next):
-                continue  # a death/recovery got queued at the crossing time
-            if not self.heap or self.heap[0].time_s >= self.duration:
-                if self.now >= self.duration:
-                    break
-                continue
-            ev = heapq.heappop(self.heap)
-            self._dispatch(ev)
-        return self._finalize()
-
-    def _advance_to(self, t_target) -> bool:
+        heap = self.heap
+        duration = self.duration
+        advance = self.phys.advance
         led = self.log.ledger
-        while self.now < t_target:
-            v, span, crossing = self.phys.advance(
-                self.v, self.alive, self.lux, t_target - self.now, led
-            )
-            self.v = v
-            self.now += span
+        while True:
+            t_event = heap[0].time_s if heap else math.inf
+            t_wake = self.next_wake
+            # The heap wins ties: every queued kind precedes a wakeup.
+            t_next = t_event if t_event <= t_wake else t_wake
+            t_stop = t_next if t_next < duration else duration
+            crossing = None
+            while self.now < t_stop:
+                self.v, span, crossing = advance(
+                    self.v, self.alive, self.p_panel, t_stop - self.now, led
+                )
+                self.now += span
+                if crossing is not None:
+                    break
+            # A crossing queues its event at the crossing time; look again.
             if crossing == "death":
                 self._push(self.now, EventKind.DEATH, None)
-                return False
-            if crossing == "recovery":
+            elif crossing == "recovery":
                 self._push(self.now, EventKind.RECOVERY, None)
-                return False
-        return True
+            elif t_next >= duration:
+                break
+            elif t_event <= t_wake:
+                self._dispatch(heapq.heappop(heap))
+            else:
+                self._wakeup(t_wake)
+        return self._finalize()
 
     def _dispatch(self, ev: SimEvent):
         kind = ev.kind
-        if kind is EventKind.WAKEUP:
-            if self.alive and ev.payload == self.gen:
-                self._wakeup(ev.time_s)
-        elif kind is EventKind.EXTERNAL_EVENT:
+        if kind is EventKind.EXTERNAL_EVENT:
             self._external(ev.time_s, ev.payload)
         elif kind is EventKind.DEATH:
             if self.alive:
@@ -529,20 +549,10 @@ class _NodeSim:
         elif kind is EventKind.RECOVERY:
             if not self.alive:
                 self._recover(ev.time_s)
-        else:  # TRACE_SAMPLE
+        elif kind is EventKind.TRACE_SAMPLE:
             self.lux = ev.payload
+            self.p_panel = self.phys.p_per_lux * self.lux
             self._record(ev.time_s, "sample", 0)
-
-    def _pay(self, e_load_j) -> None:
-        """Draw an action energy atomically; updates the ledger."""
-        if e_load_j == 0.0:
-            return
-        before = replace(self._cap, voltage_v=self.v)
-        after = discharge(before, e_load_j, self.cfg.converter)
-        drained = 0.5 * self.phys.c * (self.v * self.v - after.voltage_v**2)
-        self.log.ledger.drain_stored_j += drained
-        self.log.ledger.load_j += drained * self.phys.eta_buck
-        self.v = after.voltage_v
 
     def _emit_packet(self, t) -> None:
         log = self.log
@@ -563,24 +573,17 @@ class _NodeSim:
             )
 
     def _wakeup(self, t):
-        if self.cfg.pinned_qos is not None:
-            qos = self.cfg.pinned_qos
-        else:
+        qos = self.pinned_qos
+        if qos is None:
             self.ctrl, qos = step(self.ctrl, self.v, self.lux, self.table)
         self.qos = qos
-        self.log.qos_histogram[qos] += 1
-        self.log.controller_steps += 1
+        log = self.log
+        log.qos_histogram[qos] += 1
+        log.controller_steps += 1
 
-        load = self.cfg.load
-        if self.mode is ApplicationMode.PERIODIC_SENSING:
-            e_action = load.e_sense_tx_j + load.e_controller_step_j
-        elif self.mode is ApplicationMode.ADVERTISING:
-            e_action = load.e_advertise_j + load.e_controller_step_j
-        else:  # event detection: the wakeup only runs the controller
-            e_action = load.e_controller_step_j
-        self._pay(e_action)
-
+        self.v = self.phys.pay(self.v, self.e_wakeup, log.ledger)
         if self.v < self.phys.v_cutoff:
+            self.next_wake = math.inf
             self._push(t, EventKind.DEATH, None)
             self._record(t, "wakeup", 0)
             return
@@ -589,7 +592,7 @@ class _NodeSim:
         if self.mode is not ApplicationMode.EVENT_DETECTION:
             self._emit_packet(t)
             emitted = 1
-        self._push(t + interval_for(self.table, qos, self.mode), EventKind.WAKEUP, self.gen)
+        self.next_wake = t + self.intervals[qos - 1]
         self._record(t, "wakeup", emitted)
 
     def _external(self, t, payload):
@@ -597,12 +600,12 @@ class _NodeSim:
             self.log.events_missed_dead += 1
             return
         self.log.events_detected += 1
-        self._pay(self.cfg.load.e_event_detect_j)
+        self.v = self.phys.pay(self.v, self.e_event, self.log.ledger)
         if self.v < self.phys.v_cutoff:
             self._push(t, EventKind.DEATH, None)
             self._record(t, "event", 0)
             return
-        holdoff = interval_for(self.table, self.qos, ApplicationMode.EVENT_DETECTION)
+        holdoff = self.holdoffs[self.qos - 1]
         if t - self.last_notification >= holdoff:
             self._emit_packet(t)
             self.log.notifications_emitted += 1
@@ -618,7 +621,11 @@ class _NodeSim:
 
     def _die(self, t):
         self.alive = False
-        self.gen += 1
+        if self.next_wake < math.inf:
+            # Its time stays an integration boundary, which keeps results
+            # bit-identical to an event loop that queues every wakeup.
+            self._push(self.next_wake, EventKind.DROPPED_WAKEUP, None)
+            self.next_wake = math.inf
         self.died_at = t
         self.log.deaths += 1
         self._record(t, "death", 0)
@@ -630,7 +637,7 @@ class _NodeSim:
         self.died_at = None
         self.ctrl = reset(self.ctrl)
         self._record(t, "recovery", 0)
-        self._push(t, EventKind.WAKEUP, self.gen)
+        self.next_wake = t
 
     def _record(self, t, action, packets):
         if self.detail:

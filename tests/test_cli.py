@@ -89,6 +89,20 @@ class TestSimulateNode:
         assert code == 1
         assert "duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf"])
+    def test_nonfinite_duration(self, tmp_path, capsys, duration):
+        code = main(
+            [
+                "simulate-node",
+                "--config", NODE_CONFIG,
+                "--light-trace", LIGHT_TRACE,
+                "--duration-s", duration,
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "--duration-s" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -161,6 +175,19 @@ class TestSimulateDeployment:
             ]
         )
         assert code == 1
+
+    def test_nan_duration(self, tmp_path, capsys):
+        code = main(
+            [
+                "simulate-deployment",
+                "--config", DEPLOY_CONFIG,
+                "--trace-dir", TRACE_DIR,
+                "--duration-s", "nan",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "--duration-s" in capsys.readouterr().err
 
 
 class TestExplore:

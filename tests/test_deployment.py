@@ -207,20 +207,3 @@ class TestDistance:
         node = NodeConfig(position_m=(3.0, 4.0))
         assert node_distance_m(node, (0.0, 0.0)) == pytest.approx(5.0)
 
-
-class TestMergedLog:
-    def test_records_interleaved_by_time_then_node(self, tmp_path):
-        from luxmote.deployment import merged_records, write_merged_log_csv
-
-        config = small_fleet(3)
-        traces = {n.node_id: OFFICE for n in config.nodes}
-        report = run_deployment(config, traces, duration_s=600.0, detail=True)
-        rows = merged_records(report)
-        assert len(rows) == sum(len(l.records) for l in report.logs)
-        keys = [(t, nid) for t, nid, _ in rows]
-        assert keys == sorted(keys)
-        out = tmp_path / "merged.csv"
-        write_merged_log_csv(report, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "time_s,node_id,voltage_v,lux,qos,action,packets"
-        assert len(lines) == 1 + len(rows)

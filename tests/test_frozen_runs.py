@@ -1,0 +1,191 @@
+"""Exact results of three fixed runs, pinned bit for bit.
+
+The expected values come from an event loop that queued every wakeup on its
+heap, so they check that keeping the one pending wakeup in a slot changes no
+result.  Each scenario covers a brown-out and a recovery: (a) an advertising
+node at 300 lux; (b) an event-detection node under dense motion events,
+which dies with a wakeup pending; (c) a node pinned at QoS state 7, which
+also dies with wakeups pending.  Floats are compared by ``repr``, detail
+records by the SHA-256 of their ``repr`` lines.
+"""
+
+import hashlib
+
+import pytest
+
+from luxmote.energy import LoadModel, SupercapState
+from luxmote.qos import ApplicationMode
+from luxmote.simulate import NodeConfig, ledger_summary, run_node
+from luxmote.traces import Trace
+
+
+def _advertising():
+    cfg = NodeConfig(
+        node_id="adv",
+        mode=ApplicationMode.ADVERTISING,
+        supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5),
+    )
+    return run_node(cfg, Trace.constant(300.0), duration_s=25_000.0)
+
+
+def _event_detection():
+    cfg = NodeConfig(
+        node_id="pir",
+        mode=ApplicationMode.EVENT_DETECTION,
+        supercap=SupercapState(capacitance_f=0.05, voltage_v=2.6),
+        load=LoadModel(e_event_detect_j=2e-3),
+    )
+    times = [5.0 * k for k in range(1, 4000)]
+    events = Trace(times, [1.0] * len(times))
+    light = Trace([0.0, 3000.0, 6000.0, 12000.0], [150.0, 0.0, 150.0, 0.0])
+    return run_node(cfg, light, events, duration_s=20_000.0)
+
+
+def _pinned():
+    cfg = NodeConfig(
+        node_id="pin",
+        pinned_qos=7,
+        supercap=SupercapState(capacitance_f=0.01, voltage_v=3.0),
+    )
+    light = Trace([0.0, 1000.0], [100.0, 10.0])
+    return run_node(cfg, light, duration_s=30_000.0)
+
+
+SCENARIOS = {
+    "advertising": _advertising,
+    "event_detection": _event_detection,
+    "pinned": _pinned,
+}
+
+
+def _frozen(value):
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: _frozen(item) for key, item in value.items()}
+    return value
+
+
+def _records_sha256(log):
+    text = "".join(f"{tuple(rec)!r}\n" for rec in log.records)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_matches_recorded_results(name):
+    log = SCENARIOS[name]()
+    expected = EXPECTED[name]
+    assert _frozen(ledger_summary(log)) == expected["summary"]
+    assert log.qos_histogram == expected["qos_histogram"]
+    assert len(log.records) == expected["records"]
+    assert _records_sha256(log) == expected["records_sha256"]
+
+
+EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
+                             'mode': 'advertising',
+                             'duration_s': '25000.0',
+                             'seed': 0,
+                             'initial_voltage_v': '2.5',
+                             'final_voltage_v': '2.157145945306243',
+                             'alive_at_end': True,
+                             'uptime_fraction': '0.516128223650228',
+                             'dead_seconds': '12096.7944087443',
+                             'deaths': 1,
+                             'recoveries': 1,
+                             'controller_steps': 129021,
+                             'packets_emitted': 129020,
+                             'qos_histogram': {'1': 0,
+                                               '2': 0,
+                                               '3': 0,
+                                               '4': 2,
+                                               '5': 0,
+                                               '6': 2,
+                                               '7': 129017},
+                             'events_detected': 0,
+                             'events_missed_dead': 0,
+                             'notifications_emitted': 0,
+                             'events_unnotified': 0,
+                             'ledger': {'harvest_panel_j': '1.7437499999950306',
+                                        'harvest_stored_j': '1.394999999995745',
+                                        'drain_stored_j': '2.1933606853229795',
+                                        'load_j': '1.974024616782349',
+                                        'leak_j': '0.0',
+                                        'conversion_loss_j': '0.5680860685399161',
+                                        'throughput_j': '3.588360685318724'},
+                             'energy_residual_j': '2.816635813474022e-12',
+                             'energy_residual_relative': '7.849366494839534e-13'},
+                 'qos_histogram': [0, 0, 0, 0, 2, 0, 2, 129017],
+                 'records': 129023,
+                 'records_sha256': '054d387f78dac89d352958dee47e8c458ed04d89dfe376245cea1d0c4d3dfdef'},
+ 'event_detection': {'summary': {'node_id': 'pir',
+                                 'mode': 'event_detection',
+                                 'duration_s': '20000.0',
+                                 'seed': 0,
+                                 'initial_voltage_v': '2.6',
+                                 'final_voltage_v': '2.2723431336908435',
+                                 'alive_at_end': False,
+                                 'uptime_fraction': '0.03183792270480479',
+                                 'dead_seconds': '19363.241545903904',
+                                 'deaths': 7,
+                                 'recoveries': 6,
+                                 'controller_steps': 30,
+                                 'packets_emitted': 24,
+                                 'qos_histogram': {'1': 0,
+                                                   '2': 0,
+                                                   '3': 0,
+                                                   '4': 6,
+                                                   '5': 1,
+                                                   '6': 6,
+                                                   '7': 17},
+                                 'events_detected': 130,
+                                 'events_missed_dead': 3869,
+                                 'notifications_emitted': 24,
+                                 'events_unnotified': 3,
+                                 'ledger': {'harvest_panel_j': '0.3138750000000056',
+                                            'harvest_stored_j': '0.25109999999998905',
+                                            'drain_stored_j': '0.2910114170692078',
+                                            'load_j': '0.26191027536228645',
+                                            'leak_j': '0.0',
+                                            'conversion_loss_j': '0.09187614170693792',
+                                            'throughput_j': '0.5421114170691969'},
+                                 'energy_residual_j': '1.6785184353551585e-14',
+                                 'energy_residual_relative': '3.096260994519706e-14'},
+                     'qos_histogram': [0, 0, 0, 0, 6, 1, 6, 17],
+                     'records': 176,
+                     'records_sha256': '5e225ef47f4e38ecbd3da0d7eb24afa9ca17ab3793b0598abbb23e731ef56b51'},
+ 'pinned': {'summary': {'node_id': 'pin',
+                        'mode': 'periodic_sensing',
+                        'duration_s': '30000.0',
+                        'seed': 0,
+                        'initial_voltage_v': '3.0',
+                        'final_voltage_v': '2.1417720641261657',
+                        'alive_at_end': True,
+                        'uptime_fraction': '0.5149295101553107',
+                        'dead_seconds': '14552.114695340677',
+                        'deaths': 4,
+                        'recoveries': 4,
+                        'controller_steps': 776,
+                        'packets_emitted': 773,
+                        'qos_histogram': {'1': 0,
+                                          '2': 0,
+                                          '3': 0,
+                                          '4': 0,
+                                          '5': 0,
+                                          '6': 0,
+                                          '7': 776},
+                        'events_detected': 0,
+                        'events_missed_dead': 0,
+                        'notifications_emitted': 0,
+                        'events_unnotified': 0,
+                        'ledger': {'harvest_panel_j': '0.09067500000000067',
+                                   'harvest_stored_j': '0.07254000000000083',
+                                   'drain_stored_j': '0.09460406212664493',
+                                   'load_j': '0.085143655913979',
+                                   'leak_j': '0.0',
+                                   'conversion_loss_j': '0.027595406212665777',
+                                   'throughput_j': '0.16714406212664576'},
+                        'energy_residual_j': '3.885780586188048e-16',
+                        'energy_residual_relative': '2.3248092314782774e-15'},
+            'qos_histogram': [0, 0, 0, 0, 0, 0, 0, 776],
+            'records': 785,
+            'records_sha256': '0554a1b4352b44600e349eeb65f8493130df0f8e96b9dae365c9e6bcccceb39b'}}

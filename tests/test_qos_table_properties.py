@@ -1,0 +1,93 @@
+"""Property tests for the lookups that QosTable precomputes at construction.
+
+Tables are drawn from what the validator accepts: bucket edges shared
+exactly between neighbours, rows listed in any order, interval columns
+strictly decreasing with state.  Voltages are drawn on the edges and
+between them.
+"""
+
+import pytest
+
+from luxmote.qos import ApplicationMode, QosRow, QosTable, interval_for, lookup_state
+
+from reference_controller import table_state
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+COLUMNS = {
+    ApplicationMode.PERIODIC_SENSING: "sense_interval_s",
+    ApplicationMode.EVENT_DETECTION: "pir_interval_s",
+    ApplicationMode.ADVERTISING: "adv_interval_s",
+}
+
+
+@st.composite
+def tables(draw):
+    interior = draw(
+        st.lists(
+            st.floats(2.1, 3.6, exclude_min=True, exclude_max=True),
+            min_size=6,
+            max_size=6,
+            unique=True,
+        )
+    )
+    edges = [2.1] + sorted(interior) + [3.6]
+    columns = [
+        sorted(
+            draw(st.lists(st.floats(1e-3, 1e4), min_size=7, max_size=7, unique=True)),
+            reverse=True,
+        )
+        for _ in COLUMNS
+    ]
+    rows = [
+        QosRow(s, edges[s - 1], edges[s], *(col[s - 1] for col in columns))
+        for s in range(1, 8)
+    ]
+    return QosTable(rows=tuple(draw(st.permutations(rows)))), edges
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(tables(), st.data())
+def test_lookup_state_matches_reference(drawn, data):
+    table, edges = drawn
+    volt = data.draw(st.one_of(st.sampled_from(edges), st.floats(2.1, 3.6)))
+    assert lookup_state(table, volt) == table_state(table.rows, volt)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(tables())
+def test_interval_for_reads_the_row(drawn):
+    table, _ = drawn
+    for row in table.rows:
+        for mode, column in COLUMNS.items():
+            assert interval_for(table, row.state, mode) == getattr(row, column)
+
+
+def _table_with_edges(pairs):
+    """A valid table over buckets given as (v_lo, v_hi) pairs by state."""
+    return QosTable(
+        rows=tuple(
+            QosRow(s, lo, hi, 800.0 - 100 * s, 800.0 - 100 * s, 8.0 - s)
+            for s, (lo, hi) in enumerate(pairs, start=1)
+        )
+    )
+
+
+EDGES = [2.1, 2.4, 2.6, 2.8, 3.0, 3.2, 3.4, 3.6]
+
+
+def test_gap_between_buckets_belongs_to_lower_bucket():
+    pairs = list(zip(EDGES, EDGES[1:]))
+    pairs[2] = (2.6, 2.8 - 5e-10)  # state 3 ends just short of state 4
+    table = _table_with_edges(pairs)
+    assert lookup_state(table, 2.8 - 2.5e-10) == 3
+    assert lookup_state(table, 2.8) == 4
+
+
+def test_overlap_between_buckets_belongs_to_upper_bucket():
+    pairs = list(zip(EDGES, EDGES[1:]))
+    pairs[2] = (2.6, 2.8 + 5e-10)  # state 3 reaches into state 4
+    table = _table_with_edges(pairs)
+    assert lookup_state(table, 2.8 - 1e-12) == 3
+    assert lookup_state(table, 2.8 + 2.5e-10) == 4

@@ -159,6 +159,11 @@ class TestRunNodeBasics:
         with pytest.raises(ValueError):
             run_node(NodeConfig(), OFFICE, duration_s=0.0)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_duration_must_be_finite(self, duration):
+        with pytest.raises(ValueError, match="duration_s"):
+            run_node(NodeConfig(), OFFICE, duration_s=duration)
+
     def test_events_require_event_mode(self):
         with pytest.raises(ValueError, match="events trace"):
             run_node(NodeConfig(), OFFICE, Trace.constant(1.0), duration_s=10.0)
