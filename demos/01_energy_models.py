@@ -8,13 +8,13 @@ from luxmote import (
     ConverterModel,
     HarvesterModel,
     LoadModel,
+    NodeConfig,
     SupercapState,
-    charge,
+    Trace,
     discharge,
     harvest_power,
-    input_efficiency,
+    run_node,
     standby_power,
-    stored_energy,
 )
 
 cap = SupercapState(capacitance_f=1.0, voltage_v=3.0)
@@ -23,27 +23,32 @@ panel = HarvesterModel()
 load = LoadModel()
 
 print("=== storage element ===")
-print(f"1 F at {cap.voltage_v} V holds {stored_energy(cap):.3f} J")
+print(f"1 F at {cap.voltage_v} V holds {cap.energy_j:.3f} J")
 print(f"usable down to the {cap.v_cutoff} V brown-out: "
-      f"{stored_energy(cap) - 0.5 * cap.v_cutoff**2:.3f} J")
+      f"{cap.energy_j - 0.5 * cap.v_cutoff**2:.3f} J")
 
 print("\n=== indoor panel (linear in lux) ===")
 for lux in (0, 100, 300, 600, 1000):
     print(f"  {lux:5d} lux -> {harvest_power(panel, lux) * 1e6:8.2f} uW raw panel output")
 
 print("\n=== converter input path ===")
-print("the boost charger is efficient above 1.8 V; below that the cold-start")
-print("path barely moves energy, which is why brown-outs are so costly:")
-for v in (1.0, 1.5, 1.79, 1.8, 2.5, 3.6):
-    print(f"  storage at {v:4.2f} V -> input efficiency {input_efficiency(conv, v):.0%}")
+print(f"the boost charger passes {conv.eta_boost:.0%} of the panel output once the")
+print(f"storage is at or above {conv.v_boost_min} V; below that the cold-start path")
+print(f"passes only {conv.eta_cold:.0%}, which is why brown-outs are so costly.")
+light = Trace.constant(300.0)
+for v in (1.0, 1.8):
+    empty = NodeConfig(supercap=SupercapState(voltage_v=v), converter=conv, harvester=panel)
+    dead_s = run_node(empty, light, duration_s=5 * 86400.0, detail=False).dead_seconds
+    print(f"  from {v:.1f} V to the 2.4 V restart at 300 lux: {dead_s / 3600.0:6.1f} h")
 
-print("\n=== a day of charging at 300 lux ===")
-state = cap
-p_panel = harvest_power(panel, 300.0)
+print("\n=== a day at 300 lux: charging while sensing ===")
+node = NodeConfig(supercap=cap, converter=conv, harvester=panel, load=load)
 for hour in range(0, 25, 4):
+    v = cap.voltage_v
     if hour:
-        state = charge(state, p_panel, 4 * 3600.0, conv)
-    print(f"  t = {hour:2d} h: {state.voltage_v:.3f} V")
+        v = run_node(node, light, duration_s=hour * 3600.0, detail=False).final_voltage_v
+    print(f"  t = {hour:2d} h: {v:.3f} V")
+state = SupercapState(capacitance_f=cap.capacitance_f, voltage_v=v)
 
 print("\n=== paying for work ===")
 print(f"standby draw (storage side): {standby_power(load, conv) * 1e6:.2f} uW")

@@ -37,7 +37,7 @@ config = NodeConfig(
     supercap=SupercapState(capacitance_f=0.4, voltage_v=3.1, v_rated=3.6),
 )
 
-log = run_node(config, light, duration_s=48 * H, seed=1)
+log = run_node(config, light, duration_s=48 * H)
 
 print(f"node {log.node_id}: {log.controller_steps} controller evaluations, "
       f"{log.packets_emitted} packets")

@@ -49,9 +49,7 @@ traces = {
     "stairwell": bright,
 }
 
-report = run_deployment(
-    config, traces, {"door-pir": motion}, duration_s=3 * 86400.0, seed=7
-)
+report = run_deployment(config, traces, {"door-pir": motion}, duration_s=3 * 86400.0)
 
 agg = report.metrics
 print(f"{len(agg.per_node)} nodes over 3 days: "

@@ -8,13 +8,11 @@ and a design-space explorer for lifetime/service/light trade-offs.
 """
 
 from .deployment import (
-    DeliveryModel,
     DeploymentConfig,
     DeploymentReport,
     Metrics,
     NodeMetrics,
     compute_metrics,
-    derive_node_seed,
     link_delivery,
     run_deployment,
     write_deployment_report,
@@ -24,12 +22,9 @@ from .energy import (
     HarvesterModel,
     LoadModel,
     SupercapState,
-    charge,
     discharge,
     harvest_power,
-    input_efficiency,
     standby_power,
-    stored_energy,
 )
 from .explore import (
     SweepGrid,
@@ -59,9 +54,7 @@ from .simulate import (
     LogRecord,
     NodeConfig,
     NodeLog,
-    Packet,
     SimEvent,
-    integrate_interval,
     ledger_summary,
     run_node,
     write_ledger_json,

@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--light-trace", required=True, help="light trace CSV (time_s,value)")
     node.add_argument("--events-trace", help="event impulse trace CSV (event-detection mode)")
     node.add_argument("--duration-s", required=True, type=float)
-    node.add_argument("--seed", type=int, default=0)
     node.add_argument("--out", required=True, help="output directory")
 
     dep = sub.add_parser("simulate-deployment", help="run a multi-node deployment")
@@ -50,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory holding <node_id>_light.csv and optional <node_id>_events.csv",
     )
     dep.add_argument("--duration-s", required=True, type=float)
-    dep.add_argument("--seed", type=int, default=0)
     dep.add_argument("--out", required=True, help="output directory")
 
     exp = sub.add_parser("explore", help="sweep the design space to a frontier CSV")
@@ -78,7 +76,6 @@ def cmd_simulate_node(args) -> int:
         light,
         events,
         duration_s=args.duration_s,
-        seed=args.seed,
         detail=True,
     )
     out = Path(args.out)
@@ -111,7 +108,6 @@ def cmd_simulate_deployment(args) -> int:
         light_traces,
         event_traces,
         duration_s=args.duration_s,
-        seed=args.seed,
         detail=True,
     )
     write_deployment_report(report, args.out)

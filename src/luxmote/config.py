@@ -2,9 +2,10 @@
 
 One file describes either a single node or a whole deployment; a third schema
 describes an exploration grid.  Every domain invariant is enforced at load
-time and violations name the offending field.  All sections and keys are
-optional and fall back to the model defaults; unknown keys are rejected so
-typos fail loudly.
+time and violations name the offending field.  Numbers must be finite:
+``NaN``, ``Infinity`` and literals that overflow to infinity (``1e999``) are
+rejected with their JSON path.  All sections and keys are optional and fall
+back to the model defaults; unknown keys are rejected so typos fail loudly.
 
 Node schema (all keys optional unless noted):
 
@@ -15,8 +16,8 @@ Node schema (all keys optional unless noted):
       "v_on": 2.4,
       "pinned_qos": null | 1..7,
       "supercap":  {"capacitance_f", "voltage_v", "v_rated", "v_cutoff", "leak_current_a"},
-      "harvester": {"i_ref_a", "v_ref_v", "lux_ref", "scaling"},
-      "converter": {"v_boost_min", "eta_boost", "eta_cold", "eta_buck", "i_out_max_a", "v_out_v"},
+      "harvester": {"i_ref_a", "v_ref_v", "lux_ref"},
+      "converter": {"v_boost_min", "eta_boost", "eta_cold", "eta_buck", "v_out_v"},
       "load":      {"i_standby_a", "e_sense_tx_j", "e_event_detect_j", "e_advertise_j", "e_controller_step_j"},
       "table":     [[state, v_lo, v_hi, sense_s, pir_s, adv_s], ... 7 rows]
     }
@@ -26,7 +27,6 @@ Deployment schema:
     {
       "base_station_m": [x, y],
       "radio_range_m": 30.0,
-      "delivery_model": "hard_range",
       "nodes": [ <node schema>, ... ]
     }
 
@@ -41,9 +41,10 @@ Sweep-grid schema:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from .deployment import DeliveryModel, DeploymentConfig
+from .deployment import DeploymentConfig
 from .energy import ConverterModel, HarvesterModel, LoadModel, SupercapState
 from .explore import SweepGrid
 from .qos import ApplicationMode, QosTable
@@ -139,7 +140,7 @@ def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
     return _build(NodeConfig, kwargs, where)
 
 
-_DEPLOYMENT_KEYS = ("base_station_m", "radio_range_m", "delivery_model", "nodes")
+_DEPLOYMENT_KEYS = ("base_station_m", "radio_range_m", "nodes")
 
 
 def parse_deployment_config(obj: dict, where: str = "deployment") -> DeploymentConfig:
@@ -154,14 +155,6 @@ def parse_deployment_config(obj: dict, where: str = "deployment") -> DeploymentC
         kwargs["base_station_m"] = (float(pos[0]), float(pos[1]))
     if "radio_range_m" in obj:
         kwargs["radio_range_m"] = float(obj["radio_range_m"])
-    if "delivery_model" in obj:
-        try:
-            kwargs["delivery_model"] = DeliveryModel(obj["delivery_model"])
-        except ValueError:
-            raise ConfigError(
-                f"{where}.delivery_model: {obj['delivery_model']!r} is not one of "
-                f"{[m.value for m in DeliveryModel]}"
-            ) from None
     nodes = obj.get("nodes", [])
     if not isinstance(nodes, list):
         raise ConfigError(f"{where}.nodes: must be a list")
@@ -204,9 +197,20 @@ def _load_json(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    # json accepts NaN and +-Infinity, and turns 1e999 into inf.
+    stack = [(obj, str(path))]
+    while stack:
+        value, where = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: must be a finite number, got {value}")
+        if isinstance(value, dict):
+            stack.extend((v, f"{where}.{k}") for k, v in value.items())
+        elif isinstance(value, list):
+            stack.extend((v, f"{where}[{i}]") for i, v in enumerate(value))
+    return obj
 
 
 def load_node_config(path) -> NodeConfig:

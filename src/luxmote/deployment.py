@@ -1,32 +1,28 @@
 """Multi-node deployments: per-node simulation, range-gated packet delivery
 to a base station and fleet-level metrics.
 
-Nodes share no energy or radio state, so each is simulated independently with
-a seed derived from the deployment seed and its id.
+Nodes share no energy or radio state, so each is simulated independently; a
+node's outcome in a deployment equals its outcome when run alone.  Delivery
+is hard-range: every packet of a node within the radio range reaches the
+base station, none of a node beyond it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .simulate import NodeConfig, NodeLog, Packet, ledger_summary, run_node
-from .traces import Trace
+from .simulate import NodeConfig, NodeLog, ledger_summary, run_node
 
 __all__ = [
-    "DeliveryModel",
     "DeploymentConfig",
     "DeploymentReport",
     "Metrics",
     "NodeMetrics",
-    "Packet",
     "compute_metrics",
-    "derive_node_seed",
     "link_delivery",
     "node_distance_m",
     "report_summary",
@@ -35,23 +31,11 @@ __all__ = [
 ]
 
 
-class DeliveryModel(Enum):
-    """How emitted packets reach the base station.
-
-    HARD_RANGE: delivered iff the node is within the radio range (boundary
-    inclusive), nothing beyond.  The enum exists so a probabilistic loss
-    model can be added without interface changes.
-    """
-
-    HARD_RANGE = "hard_range"
-
-
 @dataclass(frozen=True)
 class DeploymentConfig:
     nodes: tuple[NodeConfig, ...] = ()
     base_station_m: tuple[float, float] = (0.0, 0.0)
     radio_range_m: float = 30.0
-    delivery_model: DeliveryModel = DeliveryModel.HARD_RANGE
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -82,11 +66,6 @@ def node_distance_m(config: NodeConfig, base_station_m) -> float:
         config.position_m[0] - base_station_m[0],
         config.position_m[1] - base_station_m[1],
     )
-
-
-def derive_node_seed(seed: int, node_id: str) -> int:
-    """Per-node seed: deployment seed XOR a stable hash of the node id."""
-    return seed ^ zlib.crc32(node_id.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -130,7 +109,6 @@ class Metrics:
 @dataclass
 class DeploymentReport:
     duration_s: float
-    seed: int
     radio_range_m: float
     base_station_m: tuple[float, float]
     metrics: Metrics
@@ -208,15 +186,13 @@ def run_deployment(
     event_traces: Optional[dict] = None,
     *,
     duration_s: float,
-    seed: int = 0,
     detail: bool = False,
 ) -> DeploymentReport:
     """Simulate every node independently and aggregate.
 
     ``light_traces`` maps node_id to a light Trace (one per node, required);
     ``event_traces`` maps node_id to an impulse Trace for event-detection
-    nodes.  Per-node seeds are derived from ``seed`` and the node id, so the
-    per-node outcome is identical to running that node alone.
+    nodes.  Each node's outcome is identical to running that node alone.
     """
     event_traces = event_traces or {}
     missing = [n.node_id for n in config.nodes if n.node_id not in light_traces]
@@ -232,7 +208,6 @@ def run_deployment(
             light_traces[node.node_id],
             event_traces.get(node.node_id),
             duration_s=duration_s,
-            seed=derive_node_seed(seed, node.node_id),
             detail=detail,
         )
         logs.append(log)
@@ -243,7 +218,6 @@ def run_deployment(
 
     return DeploymentReport(
         duration_s=float(duration_s),
-        seed=seed,
         radio_range_m=config.radio_range_m,
         base_station_m=config.base_station_m,
         metrics=compute_metrics(logs, delivered, distances),
@@ -277,7 +251,6 @@ def report_summary(report: DeploymentReport) -> dict:
     agg = report.metrics
     return {
         "duration_s": report.duration_s,
-        "seed": report.seed,
         "radio_range_m": report.radio_range_m,
         "base_station_m": list(report.base_station_m),
         "aggregate": {

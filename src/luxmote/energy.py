@@ -3,6 +3,8 @@ efficiency with cold-start, and load accounting.
 
 All state transitions are value-semantic: operations take a state and return
 a new one, so node models can be evaluated from any number of threads.
+Charging over time, with the cold-start and rated-voltage regimes, has one
+implementation: the simulator's integrator (``simulate._Phys``).
 
 Sign conventions and units: energies in joules, powers in watts, currents in
 amperes, voltages in volts.  "Storage-side" quantities are measured at the
@@ -72,15 +74,12 @@ class HarvesterModel:
     i_ref_a: float = 46.5e-6
     v_ref_v: float = 1.5
     lux_ref: float = 300.0
-    scaling: str = "linear"
 
     def __post_init__(self):
         if self.i_ref_a < 0 or self.v_ref_v < 0:
             raise ValueError("harvester reference point must be non-negative")
         if self.lux_ref <= 0:
             raise ValueError(f"lux_ref must be > 0, got {self.lux_ref}")
-        if self.scaling != "linear":
-            raise ValueError(f"unknown scaling law {self.scaling!r}")
 
     @property
     def p_ref_w(self) -> float:
@@ -95,15 +94,13 @@ class ConverterModel:
     The input (boost) path is efficient once the storage element is above
     ``v_boost_min``; below that the charger falls back to a cold-start mode
     with drastically worse efficiency, which is why the hardware switches
-    chargers.  The output (buck) path regulates ``v_out_v`` and supports up
-    to ``i_out_max_a``.
+    chargers.  The output (buck) path regulates ``v_out_v``.
     """
 
     v_boost_min: float = 1.8
     eta_boost: float = 0.80
     eta_cold: float = 0.05
     eta_buck: float = 0.90
-    i_out_max_a: float = 0.110
     v_out_v: float = 3.0
 
     def __post_init__(self):
@@ -118,8 +115,6 @@ class ConverterModel:
             )
         if self.v_boost_min < 0:
             raise ValueError(f"v_boost_min must be >= 0, got {self.v_boost_min}")
-        if self.i_out_max_a <= 0:
-            raise ValueError(f"i_out_max_a must be > 0, got {self.i_out_max_a}")
         if self.v_out_v <= 0:
             raise ValueError(f"v_out_v must be > 0, got {self.v_out_v}")
 
@@ -152,51 +147,12 @@ class LoadModel:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def stored_energy(cap: SupercapState) -> float:
-    """Energy held by the storage element: 0.5 * C * V^2 joules."""
-    return 0.5 * cap.capacitance_f * cap.voltage_v**2
-
-
 def harvest_power(model: HarvesterModel, lux: float) -> float:
     """Panel output power in watts at the given illuminance, before converter
     losses.  Linear in lux through the reference point: zero at zero lux."""
     if lux < 0:
         raise ValueError(f"lux must be non-negative, got {lux}")
     return model.p_ref_w * (lux / model.lux_ref)
-
-
-def input_efficiency(conv: ConverterModel, v_storage: float) -> float:
-    """Input-path efficiency at the given storage voltage.
-
-    Two-level step function: the efficient boost path at or above
-    ``v_boost_min`` (boundary inclusive), cold-start below it.
-    """
-    if v_storage < 0:
-        raise ValueError(f"v_storage must be non-negative, got {v_storage}")
-    return conv.eta_boost if v_storage >= conv.v_boost_min else conv.eta_cold
-
-
-def charge(
-    cap: SupercapState, p_panel_w: float, dt_s: float, conv: ConverterModel
-) -> SupercapState:
-    """Accumulate harvested energy over ``dt_s`` seconds of constant panel power.
-
-    The input efficiency is evaluated from the voltage at the start of the
-    step, so steps must be short enough that the efficiency regime does not
-    change inside one (the simulator guarantees this by splitting at the
-    cold-start threshold).  The voltage clamps at ``v_rated``; energy beyond
-    the clamp is discarded.  Self-discharge is not applied here.
-    """
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be > 0, got {dt_s}")
-    if p_panel_w < 0:
-        raise ValueError(f"p_panel_w must be >= 0, got {p_panel_w}")
-    eta = input_efficiency(conv, cap.voltage_v)
-    e_in = eta * p_panel_w * dt_s
-    v_new = math.sqrt(cap.voltage_v**2 + 2.0 * e_in / cap.capacitance_f)
-    if v_new > cap.v_rated:
-        v_new = cap.v_rated
-    return replace(cap, voltage_v=v_new)
 
 
 def discharge(cap: SupercapState, e_load_j: float, conv: ConverterModel) -> SupercapState:

@@ -4,8 +4,9 @@ capacitance and service level.
 
 The steady-state view deliberately ignores controller transients: it asks
 "is service level s sustainable at this light level", which is the operating
-point the adaptive controller converges to.  The simulator-consistency tests
-tie the two together.
+point the adaptive controller converges to.  Every quantity is a closed form
+of the linear panel model and that steady-state draw.  The
+simulator-consistency tests tie the two together.
 """
 
 from __future__ import annotations
@@ -32,37 +33,19 @@ def steady_state_power(config: NodeConfig, state: int) -> float:
     return standby_power(config.load, config.converter) + p_action_load / config.converter.eta_buck
 
 
-def min_lux_for_perpetual(config: NodeConfig, state: int, resolution_lux: float = 0.1) -> float:
+def min_lux_for_perpetual(config: NodeConfig, state: int) -> float:
     """Smallest constant illuminance at which the boost-path harvest covers
-    the steady-state draw of ``state``.
-
-    Bisection over [0, 10 * lux_ref] with automatic bracket doubling, to
-    ``resolution_lux``.  (With the linear panel model this equals the closed
-    inversion lux_ref * P / (eta_boost * P_ref); the bisection is kept as the
-    generic path for other scaling laws and is cross-checked against the
-    closed form in tests.)
+    the steady-state draw of ``state``: lux_ref * P / (eta_boost * P_ref),
+    the inversion of the linear panel model.  Infinite when the panel yields
+    no power but the node draws some.
     """
     demand = steady_state_power(config, state)
-    eta = config.converter.eta_boost
-
-    def surplus(lux: float) -> float:
-        return eta * harvest_power(config.harvester, lux) - demand
-
-    if surplus(0.0) >= 0.0:
+    if demand == 0.0:
         return 0.0
-    hi = 10.0 * config.harvester.lux_ref
-    while surplus(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("no illuminance satisfies the demand (non-monotone model?)")
-    lo = 0.0
-    while hi - lo > resolution_lux:
-        mid = 0.5 * (lo + hi)
-        if surplus(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    p_ref = config.harvester.p_ref_w
+    if p_ref == 0.0:
+        return math.inf
+    return config.harvester.lux_ref * demand / (config.converter.eta_boost * p_ref)
 
 
 def darkness_survival_s(config: NodeConfig, state: int, v_start: Optional[float] = None) -> float:

@@ -10,7 +10,8 @@ and light-trace sample boundaries.
 Events wait on a heap, except a node's one pending wakeup, which has a slot
 of its own.  Events at equal times are ordered trace sample < death <
 recovery < external < wakeup.  A run is a pure function of (config, traces,
-duration, seed): no wall clock, no global state.
+duration): nothing in it is random, and there is no wall clock and no global
+state.
 
 Continuous stretches are integrated in closed form: with piecewise-constant
 lux the net storage-side power is constant between regime boundaries (the
@@ -30,8 +31,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .energy import (
     ConverterModel,
@@ -108,17 +107,6 @@ class NodeConfig:
         object.__setattr__(self, "position_m", (float(self.position_m[0]), float(self.position_m[1])))
 
 
-@dataclass(frozen=True)
-class Packet:
-    """What the node radios out: synthesized readings plus its own health."""
-
-    node_id: str
-    timestamp_s: float
-    readings: dict
-    qos_state: int
-    voltage_v: float
-
-
 class LogRecord(NamedTuple):
     time_s: float
     voltage_v: float
@@ -166,13 +154,11 @@ class NodeLog:
     node_id: str
     mode: ApplicationMode
     duration_s: float
-    seed: int
     capacitance_f: float
     initial_voltage_v: float
     final_voltage_v: float = 0.0
     alive_at_end: bool = True
     records: list = field(default_factory=list)
-    packets: list = field(default_factory=list)
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     qos_histogram: list = field(default_factory=lambda: [0] * 8)  # index 1..7
     controller_steps: int = 0
@@ -401,44 +387,6 @@ class _Phys:
         return hi
 
 
-def integrate_interval(
-    config: NodeConfig,
-    voltage_v: float,
-    alive: bool,
-    t0: float,
-    t1: float,
-    light: Trace,
-    ledger: Optional[EnergyLedger] = None,
-):
-    """Continuous integration over (t0, t1) with no discrete node events inside.
-
-    Applies harvest at sample-held lux, the standby draw while alive, and
-    self-discharge.  Returns (voltage, t_reached, crossing): crossing is None
-    when t1 was reached, otherwise "death" or "recovery" with t_reached the
-    crossing time (exact for leak-free storage, within 1 ms otherwise).
-    """
-    if not t0 < t1:
-        raise ValueError(f"need t0 < t1, got {t0} >= {t1}")
-    phys = _Phys(config)
-    led = ledger if ledger is not None else EnergyLedger()
-    now = t0
-    v = voltage_v
-    times = light.times_s
-    n = len(times)
-    while now < t1:
-        idx = int(np.searchsorted(times, now, side="right"))
-        lux = float(light.values[max(idx - 1, 0)])
-        t_stop = t1 if idx >= n else min(t1, float(times[idx]))
-        v, span, crossing = phys.advance(v, alive, phys.p_per_lux * lux, t_stop - now, led)
-        now += span
-        if crossing is not None:
-            return v, now, crossing
-    return v, t1, None
-
-
-_SENSOR_TEMP_C = 21.0  # synthesized constant; physical sensing is out of scope
-
-
 def action_energy_j(config: NodeConfig) -> float:
     """Load-side energy paid at each periodic wakeup in the node's mode."""
     load = config.load
@@ -452,14 +400,13 @@ def action_energy_j(config: NodeConfig) -> float:
 class _NodeSim:
     """Event loop for a single node; see run_node."""
 
-    def __init__(self, config, light, events, duration_s, seed, detail):
+    def __init__(self, config, light, events, duration_s, detail):
         if not 0.0 < duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
         if events is not None and config.mode is not ApplicationMode.EVENT_DETECTION:
             raise ValueError(
                 f"node {config.node_id}: events trace given but mode is {config.mode.value}"
             )
-        self.cfg = config
         self.phys = _Phys(config)
         self.table = config.table
         self.mode = config.mode
@@ -490,7 +437,6 @@ class _NodeSim:
             node_id=config.node_id,
             mode=config.mode,
             duration_s=self.duration,
-            seed=seed,
             capacitance_f=config.supercap.capacitance_f,
             initial_voltage_v=self.v,
         )
@@ -561,16 +507,6 @@ class _NodeSim:
             log.packet_gap_sum_s += t - self._last_packet_t
             log.packet_gap_count += 1
         self._last_packet_t = t
-        if self.detail:
-            log.packets.append(
-                Packet(
-                    node_id=self.cfg.node_id,
-                    timestamp_s=t,
-                    readings={"light_lux": self.lux, "temperature_c": _SENSOR_TEMP_C},
-                    qos_state=self.qos,
-                    voltage_v=self.v,
-                )
-            )
 
     def _wakeup(self, t):
         qos = self.pinned_qos
@@ -661,18 +597,17 @@ def run_node(
     events: Optional[Trace] = None,
     *,
     duration_s: float,
-    seed: int = 0,
     detail: bool = True,
 ) -> NodeLog:
     """Simulate one node over [0, duration_s).
 
     ``light`` drives the harvester (lux, sample-and-hold); ``events`` is only
     meaningful in event-detection mode and raises otherwise.  ``detail``
-    controls whether per-event records and packet objects are kept (summary
-    counters and the energy ledger are always maintained).  Deterministic
-    given (config, traces, duration, seed).
+    controls whether per-event records are kept (summary counters and the
+    energy ledger are always maintained).  Deterministic given (config,
+    traces, duration).
     """
-    return _NodeSim(config, light, events, duration_s, seed, detail).run()
+    return _NodeSim(config, light, events, duration_s, detail).run()
 
 
 def write_node_log_csv(log: NodeLog, path) -> None:
@@ -702,7 +637,6 @@ def ledger_summary(log: NodeLog) -> dict:
         "node_id": log.node_id,
         "mode": log.mode.value,
         "duration_s": log.duration_s,
-        "seed": log.seed,
         "initial_voltage_v": log.initial_voltage_v,
         "final_voltage_v": log.final_voltage_v,
         "alive_at_end": log.alive_at_end,

@@ -24,7 +24,6 @@ class TestSimulateNode:
                 "--config", NODE_CONFIG,
                 "--light-trace", LIGHT_TRACE,
                 "--duration-s", "3600",
-                "--seed", "0",
                 "--out", str(out),
             ]
         )
@@ -113,7 +112,6 @@ class TestSimulateNode:
                     "--config", NODE_CONFIG,
                     "--light-trace", LIGHT_TRACE,
                     "--duration-s", "1800",
-                    "--seed", "7",
                     "--out", str(out),
                 ]
             )
@@ -135,7 +133,6 @@ class TestSimulateDeployment:
                 "--config", DEPLOY_CONFIG,
                 "--trace-dir", TRACE_DIR,
                 "--duration-s", "600",
-                "--seed", "0",
                 "--out", str(out),
             ]
         )
@@ -212,6 +209,16 @@ class TestExplore:
         code = main(["explore", "--config", str(grid), "--out", str(tmp_path / "o.csv")])
         assert code == 1
 
+    def test_dead_panel_gives_infinite_threshold(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            json.dumps({"qos_states": [7], "node": {"harvester": {"i_ref_a": 0.0}}})
+        )
+        out = tmp_path / "dead.csv"
+        assert main(["explore", "--config", str(grid), "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[3] == "inf"
+
     def test_rerun_byte_identical(self, tmp_path):
         blobs = []
         for name in ("a.csv", "b.csv"):
@@ -247,6 +254,21 @@ class TestValidateConfig:
         path.write_text(json.dumps({"supercap": {"capacitance_f": -2.0}}))
         assert main(["validate-config", "--config", str(path)]) == 1
         assert "capacitance_f" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "template, field",
+        [
+            ('{"supercap": {"capacitance_f": %s}}', "supercap.capacitance_f"),
+            ('{"lux_levels": [10.0, %s]}', "lux_levels[1]"),
+        ],
+    )
+    def test_nonfinite_number_names_field(self, tmp_path, capsys, literal, template, field):
+        path = tmp_path / "bad.json"
+        path.write_text(template % literal)
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}.{field}: must be a finite number" in err
 
 
 class TestArgumentErrors:

@@ -1,6 +1,7 @@
 """Config loading: schema validation with field-level diagnostics."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from luxmote.config import (
 from luxmote.deployment import DeploymentConfig
 from luxmote.qos import ApplicationMode
 from luxmote.simulate import NodeConfig
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, name, obj):
@@ -112,11 +116,12 @@ class TestDeploymentConfigParse:
             parse_deployment_config(obj)
 
     def test_bad_delivery_model(self):
-        with pytest.raises(ConfigError, match="hard_range"):
-            parse_deployment_config({"delivery_model": "lossy"})
+        # delivery is always hard-range; the retired key fails as unknown
+        with pytest.raises(ConfigError, match="unknown key.*delivery_model"):
+            parse_deployment_config({"delivery_model": "hard_range"})
 
     def test_bundled_deployment_loads(self):
-        cfg = load_deployment_config("configs/deployment_15node.json")
+        cfg = load_deployment_config(REPO / "configs" / "deployment_15node.json")
         assert len(cfg.nodes) == 15
         assert cfg.radio_range_m == 30.0
         ids = sorted(n.node_id for n in cfg.nodes)
@@ -130,7 +135,7 @@ class TestSweepGridParse:
         assert base == NodeConfig()
 
     def test_bundled_grid_loads(self):
-        grid, base = load_sweep_grid("configs/sweep_default.json")
+        grid, base = load_sweep_grid(REPO / "configs" / "sweep_default.json")
         assert grid.capacitances_f == (0.5, 1.0, 2.0)
         assert grid.lux_levels == (10.0, 25.0, 50.0)
 

@@ -2,10 +2,11 @@
 and the sweep frontier."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState
+from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState, harvest_power
 from luxmote.explore import (
     SweepGrid,
     darkness_survival_s,
@@ -87,32 +88,37 @@ class TestMinLux:
         assert got == pytest.approx(300.0 * 5.5 / 69.75, abs=0.1)
 
     def test_bisection_matches_closed_form(self):
+        # at the threshold the boost-path harvest exactly covers the draw
         for cfg in (NodeConfig(), self.ideal()):
             for state in range(1, 8):
                 demand = steady_state_power(cfg, state)
-                closed = (
-                    cfg.harvester.lux_ref
-                    * demand
-                    / (cfg.converter.eta_boost * cfg.harvester.p_ref_w)
-                )
-                assert min_lux_for_perpetual(cfg, state) == pytest.approx(closed, abs=0.1)
+                lux = min_lux_for_perpetual(cfg, state)
+                harvest = cfg.converter.eta_boost * harvest_power(cfg.harvester, lux)
+                assert harvest == pytest.approx(demand, rel=1e-12)
 
     def test_zero_demand_needs_no_light(self):
         cfg = NodeConfig(load=LoadModel(i_standby_a=0.0, e_sense_tx_j=0.0))
         assert min_lux_for_perpetual(cfg, 7) == 0.0
+
+    def test_dead_panel_needs_infinite_light(self):
+        dead = NodeConfig(harvester=HarvesterModel(i_ref_a=0.0))
+        assert min_lux_for_perpetual(dead, 7) == math.inf
+        idle = replace(dead, load=LoadModel(i_standby_a=0.0, e_sense_tx_j=0.0))
+        assert min_lux_for_perpetual(idle, 7) == 0.0
 
     def test_monotone_in_state(self):
         values = [min_lux_for_perpetual(NodeConfig(), s) for s in range(1, 8)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_bracket_doubles_for_dim_panels(self):
+        # a dim panel needs far more than its reference illuminance
         dim = NodeConfig(
             harvester=HarvesterModel(i_ref_a=1e-7),
             converter=ConverterModel(eta_boost=1.0, eta_buck=1.0),
         )
         demand = steady_state_power(dim, 7)
         closed = 300.0 * demand / (1e-7 * 1.5)
-        assert closed > 3000.0  # beyond the initial bracket
+        assert closed > 3000.0  # ten times lux_ref
         assert min_lux_for_perpetual(dim, 7) == pytest.approx(closed, abs=0.1)
 
 

@@ -84,7 +84,6 @@ def test_run_matches_recorded_results(name):
 EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                              'mode': 'advertising',
                              'duration_s': '25000.0',
-                             'seed': 0,
                              'initial_voltage_v': '2.5',
                              'final_voltage_v': '2.157145945306243',
                              'alive_at_end': True,
@@ -120,7 +119,6 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
  'event_detection': {'summary': {'node_id': 'pir',
                                  'mode': 'event_detection',
                                  'duration_s': '20000.0',
-                                 'seed': 0,
                                  'initial_voltage_v': '2.6',
                                  'final_voltage_v': '2.2723431336908435',
                                  'alive_at_end': False,
@@ -156,7 +154,6 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
  'pinned': {'summary': {'node_id': 'pin',
                         'mode': 'periodic_sensing',
                         'duration_s': '30000.0',
-                        'seed': 0,
                         'initial_voltage_v': '3.0',
                         'final_voltage_v': '2.1417720641261657',
                         'alive_at_end': True,

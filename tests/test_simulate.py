@@ -11,7 +11,7 @@ from luxmote.qos import DEFAULT_TABLE, ApplicationMode, interval_for
 from luxmote.simulate import (
     EnergyLedger,
     NodeConfig,
-    integrate_interval,
+    _Phys,
     ledger_summary,
     run_node,
 )
@@ -38,11 +38,19 @@ def residual_ok(log):
     assert log.energy_residual_relative <= 1e-6, ledger_summary(log)
 
 
+def advance(cfg, v, alive, lux, dt, ledger=None):
+    """One integrator call at constant lux with no discrete events inside:
+    (voltage, seconds used, crossing), crossing None, "death" or "recovery"."""
+    phys = _Phys(cfg)
+    led = ledger if ledger is not None else EnergyLedger()
+    return phys.advance(v, alive, phys.p_per_lux * lux, dt, led)
+
+
 class TestIntegrateInterval:
     def test_darkness_standby_closed_form(self):
         cfg = constant_load_config(3e-6, v0=3.6)
         for t1 in (100.0, 3600.0, 86400.0):
-            v, t, crossing = integrate_interval(cfg, 3.6, True, 0.0, t1, DARK)
+            v, t, crossing = advance(cfg, 3.6, True, 0.0, t1)
             expected = math.sqrt(3.6**2 - 2.0 * 3e-6 * t1)
             assert crossing is None and t == t1
             assert v == pytest.approx(expected, rel=1e-2)
@@ -50,7 +58,7 @@ class TestIntegrateInterval:
 
     def test_death_crossing_time(self):
         cfg = constant_load_config(1e-4, v0=3.0)
-        v, t, crossing = integrate_interval(cfg, 3.0, True, 0.0, 1e6, DARK)
+        v, t, crossing = advance(cfg, 3.0, True, 0.0, 1e6)
         assert crossing == "death"
         assert t == pytest.approx(0.5 * (3.0**2 - 2.1**2) / 1e-4, rel=1e-9)
         assert v == pytest.approx(2.1, abs=1e-9)
@@ -61,9 +69,7 @@ class TestIntegrateInterval:
         cfg = NodeConfig()
         p_standby = 1e-6 * 3.0 / 0.9
         balance_lux = 300.0 * p_standby / P_IN_300LUX
-        v, t, crossing = integrate_interval(
-            cfg, 3.0, True, 0.0, 86400.0, Trace.constant(balance_lux)
-        )
+        v, t, crossing = advance(cfg, 3.0, True, balance_lux, 86400.0)
         assert crossing is None
         assert abs(v - 3.0) <= 1e-6
 
@@ -73,43 +79,40 @@ class TestIntegrateInterval:
         cfg = NodeConfig(supercap=SupercapState(voltage_v=1.0))
         t_cold = 0.5 * (1.8**2 - 1.0**2) / (0.05 * 69.75e-6)
         t_boost = 0.5 * (2.4**2 - 1.8**2) / P_IN_300LUX
-        v, t, crossing = integrate_interval(cfg, 1.0, False, 0.0, 1e6, OFFICE)
+        v, t, crossing = advance(cfg, 1.0, False, 300.0, 1e6)
         assert crossing == "recovery"
         assert v == pytest.approx(2.4, abs=1e-12)
         assert t == pytest.approx(t_cold + t_boost, rel=1e-9)
 
     def test_dead_node_in_darkness_holds(self):
         cfg = NodeConfig(supercap=SupercapState(voltage_v=1.5))
-        v, t, crossing = integrate_interval(cfg, 1.5, False, 0.0, 1e5, DARK)
+        v, t, crossing = advance(cfg, 1.5, False, 0.0, 1e5)
         assert crossing is None and v == 1.5
 
     def test_charge_clamps_at_rated(self):
         cfg = NodeConfig(load=LoadModel(i_standby_a=0.0))
-        v, t, crossing = integrate_interval(cfg, 5.4, True, 0.0, 1e7, Trace.constant(1000.0))
+        v, t, crossing = advance(cfg, 5.4, True, 1000.0, 1e7)
         assert crossing is None
         assert v == 5.5
 
     def test_ledger_matches_energy_delta(self):
         cfg = NodeConfig()
         led = EnergyLedger()
-        v, _, _ = integrate_interval(cfg, 3.0, True, 0.0, 3600.0, OFFICE, ledger=led)
+        v, _, _ = advance(cfg, 3.0, True, 300.0, 3600.0, ledger=led)
         delta = 0.5 * (v**2 - 3.0**2)
         assert delta == pytest.approx(led.net_stored_j(), rel=1e-12)
 
     def test_piecewise_trace_segments(self):
         # 1 h light then 1 h dark equals the two closed forms chained
         cfg = constant_load_config(3e-6, v0=3.0)
-        trace = Trace.from_samples([(0.0, 300.0), (3600.0, 0.0)])
         p_in = 69.75e-6 * 0.8
         v_mid = math.sqrt(3.0**2 + 2.0 * (p_in - 3e-6) * 3600.0)
         v_end = math.sqrt(v_mid**2 - 2.0 * 3e-6 * 3600.0)
-        v, t, crossing = integrate_interval(cfg, 3.0, True, 0.0, 7200.0, trace)
+        v, _, crossing = advance(cfg, 3.0, True, 300.0, 3600.0)
+        assert crossing is None
+        v, _, crossing = advance(cfg, v, True, 0.0, 3600.0)
         assert crossing is None
         assert v == pytest.approx(v_end, rel=1e-12)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_interval(NodeConfig(), 3.0, True, 10.0, 10.0, DARK)
 
 
 class TestLeakPath:
@@ -118,7 +121,7 @@ class TestLeakPath:
             supercap=SupercapState(voltage_v=3.0, leak_current_a=1e-5),
             load=LoadModel(i_standby_a=0.0),
         )
-        v, t, crossing = integrate_interval(cfg, 3.0, True, 0.0, 10_000.0, DARK)
+        v, t, crossing = advance(cfg, 3.0, True, 0.0, 10_000.0)
         assert crossing is None
         assert v == pytest.approx(3.0 - 1e-5 * 10_000.0, rel=1e-9)
 
@@ -128,7 +131,7 @@ class TestLeakPath:
             load=LoadModel(i_standby_a=0.0),
         )
         t_expected = (3.0 - 2.1) / 1e-5
-        v, t, crossing = integrate_interval(cfg, 3.0, True, 0.0, 2e5, DARK)
+        v, t, crossing = advance(cfg, 3.0, True, 0.0, 2e5)
         assert crossing == "death"
         assert abs(t - t_expected) <= 2e-3
         assert v <= 2.1
@@ -141,14 +144,14 @@ class TestLeakPath:
             converter=base.converter,
             load=base.load,
         )
-        v_exact, _, _ = integrate_interval(base, 3.4, True, 0.0, 86400.0, DARK)
-        v_stepped, _, _ = integrate_interval(leaky, 3.4, True, 0.0, 86400.0, DARK)
+        v_exact, _, _ = advance(base, 3.4, True, 0.0, 86400.0)
+        v_stepped, _, _ = advance(leaky, 3.4, True, 0.0, 86400.0)
         assert v_stepped == pytest.approx(v_exact, rel=1e-2)
 
     def test_leak_ledger_conserves(self):
         cfg = NodeConfig(supercap=SupercapState(voltage_v=3.2, leak_current_a=5e-6))
         led = EnergyLedger()
-        v, _, _ = integrate_interval(cfg, 3.2, True, 0.0, 7200.0, OFFICE, ledger=led)
+        v, _, _ = advance(cfg, 3.2, True, 300.0, 7200.0, ledger=led)
         delta = 0.5 * (v**2 - 3.2**2)
         assert delta == pytest.approx(led.net_stored_j(), abs=1e-9)
         assert led.leak_j > 0
@@ -201,31 +204,30 @@ class TestRunNodeBasics:
     def test_determinism(self):
         trace = Trace.from_samples([(0.0, 300.0), (1800.0, 0.0), (3600.0, 120.0)])
         cfg = NodeConfig(supercap=SupercapState(voltage_v=3.1))
-        a = run_node(cfg, trace, duration_s=7200.0, seed=42)
-        b = run_node(cfg, trace, duration_s=7200.0, seed=42)
+        a = run_node(cfg, trace, duration_s=7200.0)
+        b = run_node(cfg, trace, duration_s=7200.0)
         assert a.records == b.records
-        assert a.packets == b.packets
         assert ledger_summary(a) == ledger_summary(b)
 
     def test_detail_off_keeps_counters(self):
         cfg = NodeConfig(supercap=SupercapState(voltage_v=3.1))
         full = run_node(cfg, OFFICE, duration_s=7200.0, detail=True)
         slim = run_node(cfg, OFFICE, duration_s=7200.0, detail=False)
-        assert slim.records == [] and slim.packets == []
+        assert slim.records == []
         assert ledger_summary(full) == ledger_summary(slim)
 
     def test_packet_contents(self):
+        # a packet is the record of the wakeup that emitted it: time, level,
+        # lux and the node's post-action storage voltage
         cfg = NodeConfig(node_id="n42", supercap=SupercapState(voltage_v=3.5))
         log = run_node(cfg, OFFICE, duration_s=30.0)
-        pkt = log.packets[0]
-        assert pkt.node_id == "n42"
-        assert pkt.timestamp_s == 0.0
-        assert pkt.qos_state == 7
-        assert pkt.readings["light_lux"] == 300.0
-        assert "temperature_c" in pkt.readings
-        # voltage in the packet is the node's post-action storage voltage
+        assert log.node_id == "n42"
         rec = log.records[0]
-        assert pkt.voltage_v == rec.voltage_v
+        assert (rec.time_s, rec.action, rec.packets) == (0.0, "wakeup", 1)
+        assert rec.qos == 7
+        assert rec.lux == 300.0
+        e_paid = 50e-6 / 0.9
+        assert rec.voltage_v == pytest.approx(math.sqrt(3.5**2 - 2.0 * e_paid), rel=1e-12)
 
     def test_advertising_mode_pays_advertise_energy(self):
         # lit room but a dead panel: the controller holds state 7 while the
