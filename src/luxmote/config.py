@@ -4,8 +4,9 @@ One file describes either a single node or a whole deployment; a third schema
 describes an exploration grid.  Every domain invariant is enforced at load
 time and violations name the offending field.  Numbers must be finite:
 ``NaN``, ``Infinity`` and literals that overflow to infinity (``1e999``) are
-rejected with their JSON path.  All sections and keys are optional and fall
-back to the model defaults; unknown keys are rejected so typos fail loudly.
+rejected with their JSON path, and so is a document nested too deeply for
+the parser.  All sections and keys are optional and fall back to the model
+defaults; unknown keys are rejected so typos fail loudly.
 
 Node schema (all keys optional unless noted):
 
@@ -200,6 +201,8 @@ def _load_json(path) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     # json accepts NaN and +-Infinity, and turns 1e999 into inf.
     stack = [(obj, str(path))]
     while stack:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .energy import require_finite
 from .simulate import NodeConfig, NodeLog, ledger_summary, run_node
 
 __all__ = [
@@ -39,6 +40,7 @@ class DeploymentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        require_finite(self)
         if self.radio_range_m <= 0:
             raise ValueError(f"radio_range_m must be > 0, got {self.radio_range_m}")
         if len(self.base_station_m) != 2:

@@ -16,7 +16,18 @@ rail.  The buck converter sits between them, so a load-side joule costs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+
+def require_finite(model) -> None:
+    """Reject a dataclass whose float fields, or float entries of its tuple
+    or list fields, are NaN or infinite; the message names the field.
+    Comparisons with NaN are false, so range checks alone let NaN through."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        for x in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,7 @@ class SupercapState:
     leak_current_a: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.capacitance_f <= 0:
             raise ValueError(f"capacitance_f must be > 0, got {self.capacitance_f}")
         if not 0.0 <= self.voltage_v <= self.v_rated:
@@ -76,6 +88,7 @@ class HarvesterModel:
     lux_ref: float = 300.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.i_ref_a < 0 or self.v_ref_v < 0:
             raise ValueError("harvester reference point must be non-negative")
         if self.lux_ref <= 0:
@@ -104,6 +117,7 @@ class ConverterModel:
     v_out_v: float = 3.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("eta_boost", "eta_cold", "eta_buck"):
             eta = getattr(self, name)
             if not 0.0 < eta <= 1.0:
@@ -136,6 +150,7 @@ class LoadModel:
     e_controller_step_j: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in (
             "i_standby_a",
             "e_sense_tx_j",

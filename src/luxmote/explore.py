@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .energy import harvest_power, standby_power
+from .energy import harvest_power, require_finite, standby_power
 from .qos import ApplicationMode, interval_for
 from .simulate import NodeConfig, action_energy_j
 
@@ -75,11 +75,16 @@ def survival_at_lux_s(config: NodeConfig, state: int, lux: float, v_start: Optio
     return 0.5 * sc.capacitance_f * (v0**2 - sc.v_cutoff**2) / deficit
 
 
+def _survival_column(lux: float) -> str:
+    return f"survival_at_{lux:g}lux_s"
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Grid for the frontier sweep: one row per (capacitance, state) pair.
 
-    ``lux_levels``, when non-empty, adds a survival-time column per level.
+    ``lux_levels``, when non-empty, adds a survival-time column per level;
+    levels whose column names coincide are rejected.
     """
 
     capacitances_f: tuple[float, ...] = (1.0,)
@@ -91,6 +96,7 @@ class SweepGrid:
         object.__setattr__(self, "capacitances_f", tuple(float(c) for c in self.capacitances_f))
         object.__setattr__(self, "qos_states", tuple(int(s) for s in self.qos_states))
         object.__setattr__(self, "lux_levels", tuple(float(x) for x in self.lux_levels))
+        require_finite(self)
         if not self.capacitances_f or not self.qos_states:
             raise ValueError("sweep grid needs at least one capacitance and one state")
         if any(c <= 0 for c in self.capacitances_f):
@@ -99,6 +105,14 @@ class SweepGrid:
             raise ValueError("qos states must be in [1, 7]")
         if any(x < 0 for x in self.lux_levels):
             raise ValueError("lux levels must be >= 0")
+        named = {}
+        for lux in self.lux_levels:
+            column = _survival_column(lux)
+            if column in named:
+                raise ValueError(
+                    f"lux_levels: {named[column]!r} and {lux!r} both name the column {column}"
+                )
+            named[column] = lux
 
 
 @dataclass(frozen=True)
@@ -146,7 +160,7 @@ def write_frontier_csv(rows: list[SweepRow], path, lux_levels=()) -> None:
     plus one survival_at_<lux>lux_s column per requested lux level."""
     path = Path(path)
     header = ["capacitance_f", "qos_state", "mode", "min_lux", "darkness_survival_s"]
-    header += [f"survival_at_{lux:g}lux_s" for lux in lux_levels]
+    header += [_survival_column(lux) for lux in lux_levels]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

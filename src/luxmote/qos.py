@@ -25,6 +25,7 @@ whenever the voltage sits at the table ceiling.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -103,8 +104,8 @@ class QosTable:
         # States increase with voltage, so by_voltage is also in state order.
         for col in ("sense_interval_s", "pir_interval_s", "adv_interval_s"):
             values = [getattr(r, col) for r in by_voltage]
-            if any(v <= 0 for v in values):
-                raise ValueError(f"{col}: intervals must be positive")
+            if not all(0 < v < math.inf for v in values):
+                raise ValueError(f"{col}: intervals must be positive and finite")
             if any(b >= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{col}: intervals must strictly decrease with state")
         object.__setattr__(self, "v_min", by_voltage[0].v_lo)
@@ -266,6 +267,28 @@ def step(
         qos=next_qos, next_qos=next_qos, v_max=v_max,
     )
     return new, next_qos
+
+
+def is_fixed_point(ctrl: ControllerState, light: float, table: QosTable) -> bool:
+    """True when ``step(ctrl, v, light, table)`` returns state 7 for every
+    voltage ``v`` in the table's domain, and leaves this predicate true.
+
+    That holds once the controller has been seeded, its target is 7, and the
+    light is positive with a history full of that same reading: a constant
+    history has zero trend, so the light rule gives +1 and the clamp at 7
+    swallows the voltage rule.  At the ceiling ``step`` re-seeds from the
+    table and then adds 2, which still reaches 7 when the state at
+    ``v_max - V_MAX_TOL`` is 5 or higher (it is 7 in the shipped table).  Repeated steps at this light keep the target, the seeding and
+    the light history, so the state stays 7 until the light changes or the
+    controller is reset; only the voltage history and the seed counter move.
+    """
+    return (
+        ctrl.index > 0
+        and ctrl.next_qos == 7
+        and light > 0
+        and ctrl.light_buf == (light,) * HISTORY_LEN
+        and lookup_state(table, max(ctrl.v_max - V_MAX_TOL, table.v_min)) >= 5
+    )
 
 
 def reset(ctrl: ControllerState) -> ControllerState:

@@ -270,6 +270,21 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert f"{path}.{field}: must be a finite number" in err
 
+    def test_deeply_nested_json_names_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate-config", "--config", str(path)]) == 1
+        assert f"{path}: invalid JSON: nested too deeply" in capsys.readouterr().err
+
+    def test_colliding_lux_columns_rejected(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text('{"qos_states": [7], "lux_levels": [10.0, 10.000001]}')
+        out = tmp_path / "frontier.csv"
+        assert main(["explore", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: lux_levels: 10.0 and 10.000001 both name the column" in err
+        assert not out.exists()
+
 
 class TestArgumentErrors:
     def test_unknown_command_maps_to_one(self, capsys):

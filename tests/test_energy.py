@@ -14,6 +14,8 @@ from luxmote.energy import (
     harvest_power,
     standby_power,
 )
+from luxmote.deployment import DeploymentConfig
+from luxmote.explore import SweepGrid
 from luxmote.simulate import EnergyLedger, NodeConfig, _Phys
 
 
@@ -62,6 +64,33 @@ class TestSupercapState:
     def test_invariant_violations_raise(self, kwargs):
         with pytest.raises(ValueError):
             SupercapState(**kwargs)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SupercapState(capacitance_f=NAN), "capacitance_f"),
+        (lambda: SupercapState(voltage_v=NAN), "voltage_v"),
+        (lambda: SupercapState(v_rated=INF), "v_rated"),
+        (lambda: SupercapState(leak_current_a=NAN), "leak_current_a"),
+        (lambda: HarvesterModel(i_ref_a=NAN), "i_ref_a"),
+        (lambda: HarvesterModel(lux_ref=INF), "lux_ref"),
+        (lambda: ConverterModel(v_boost_min=NAN), "v_boost_min"),
+        (lambda: ConverterModel(v_out_v=-INF), "v_out_v"),
+        (lambda: LoadModel(i_standby_a=NAN), "i_standby_a"),
+        (lambda: LoadModel(e_controller_step_j=INF), "e_controller_step_j"),
+        (lambda: NodeConfig(v_on=NAN), "v_on"),
+        (lambda: NodeConfig(position_m=(0.0, INF)), "position_m"),
+        (lambda: DeploymentConfig(radio_range_m=NAN), "radio_range_m"),
+        (lambda: SweepGrid(lux_levels=(10.0, NAN)), "lux_levels"),
+    ],
+)
+def test_nonfinite_field_rejected_by_name(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build()
 
 
 class TestHarvester:

@@ -187,6 +187,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepGrid(capacitances_f=(-1.0,))
 
+    @pytest.mark.parametrize("levels", [(10.0, 10.000001), (25.0, 25.0)])
+    def test_levels_sharing_a_column_rejected(self, levels):
+        # frontier columns are named with {lux:g}, so these would collide
+        with pytest.raises(ValueError, match="lux_levels: .* both name the column"):
+            SweepGrid(lux_levels=levels)
+
     def test_csv_format(self, tmp_path):
         grid = SweepGrid(capacitances_f=(1.0,), qos_states=(1, 7), lux_levels=(10.0,))
         rows = sweep(grid)

@@ -1,0 +1,205 @@
+"""Runs without per-event detail against the same runs with it.
+
+Without detail, a leak-free node skips stretches of wakeups in closed form
+while its controller is at a fixed point; with detail every wakeup is
+dispatched one at a time, so the detailed run is the reference.  Counters
+and the QoS histogram must agree exactly, floats to 1e-9 relative, except
+where rounding settles an exact tie (see run_compare.py).
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import luxmote.simulate as simulate
+from luxmote.energy import LoadModel, SupercapState
+from luxmote.qos import DEFAULT_TABLE, ApplicationMode
+from luxmote.simulate import NodeConfig, ledger_summary, run_node
+from luxmote.traces import Trace
+from run_compare import assert_same_run
+
+
+def both(cfg, light, events=None, *, duration_s):
+    full = run_node(cfg, light, events, duration_s=duration_s, detail=True)
+    slim = run_node(cfg, light, events, duration_s=duration_s, detail=False)
+    assert slim.records == []
+
+    def rerun(scale):
+        cap = cfg.supercap
+        nudged = replace(cap, voltage_v=min(cap.voltage_v * scale, cap.v_rated))
+        return run_node(
+            replace(cfg, supercap=nudged), light, events, duration_s=duration_s, detail=True
+        )
+
+    assert_same_run(full, slim, rerun)
+    return full, slim
+
+
+def count_steps(monkeypatch):
+    """Count the controller evaluations the simulator really performs."""
+    calls = []
+    real = simulate.step
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("duration, wakeups", [(3600.0, 36_001), (4500.0, 45_001)])
+def test_advertising_at_400_lux_keeps_every_wakeup(duration, wakeups):
+    # Wakeup times must be built by repeated addition, as the event loop
+    # does: computing t + k * T instead can lose the last wakeup, one that
+    # repeated addition of 0.1 s puts just before the end of the run.
+    cfg = NodeConfig(mode=ApplicationMode.ADVERTISING)
+    full, slim = both(cfg, Trace.constant(400.0), duration_s=duration)
+    assert full.controller_steps == slim.controller_steps == wakeups
+
+
+@pytest.mark.parametrize("lux, v_low, v_high", [(400.0, 5.4, 5.47), (2000.0, 5.4999, 5.5)])
+def test_advertising_from_rated_voltage(lux, v_low, v_high):
+    # At 400 lux a period recharges less than a wakeup costs, so the node
+    # drains from v_rated; at 2000 lux every period returns to the clamp.
+    # Pinned, the node may skip from its very first wakeup.
+    cfg = NodeConfig(
+        mode=ApplicationMode.ADVERTISING, pinned_qos=7, supercap=SupercapState(voltage_v=5.5)
+    )
+    full, _ = both(cfg, Trace.constant(lux), duration_s=2000.0)
+    assert v_low < full.final_voltage_v <= v_high
+
+
+def test_advertising_node_skips_its_drains(monkeypatch):
+    cfg = NodeConfig(
+        mode=ApplicationMode.ADVERTISING,
+        supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5),
+    )
+    full, _ = both(cfg, Trace.constant(300.0), duration_s=40_000.0)
+    assert full.deaths == 2
+    calls = count_steps(monkeypatch)
+    slim = run_node(cfg, Trace.constant(300.0), duration_s=40_000.0, detail=False)
+    assert slim.controller_steps == full.controller_steps
+    assert len(calls) < slim.controller_steps / 100
+
+
+def test_slow_drain_dies_at_the_same_wakeup():
+    # At 600 lux a period recharges most of an advertisement's cost, so the
+    # energy before each wakeup falls by less than one payment: a skip must
+    # stop a whole payment above the cutoff, not only one period's drift.
+    cfg = NodeConfig(
+        mode=ApplicationMode.ADVERTISING,
+        supercap=SupercapState(capacitance_f=0.1, voltage_v=2.5),
+    )
+    full, _ = both(cfg, Trace.constant(600.0), duration_s=4000.0)
+    assert full.deaths == 2
+
+
+def test_fleet_node_skips_charge_and_clamp(monkeypatch):
+    # A 1 F sensing node at 300 lux charges to v_rated and stays pinned there.
+    cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5))
+    full, _ = both(cfg, Trace.constant(300.0), duration_s=4 * 86_400.0)
+    assert full.final_voltage_v == cfg.supercap.v_rated
+    calls = count_steps(monkeypatch)
+    run_node(cfg, Trace.constant(300.0), duration_s=4 * 86_400.0, detail=False)
+    assert len(calls) < 100
+
+
+def test_histories_refill_before_the_light_changes():
+    # A motion event's payment leaves a dip in the voltage history just
+    # before a skip.  The light drop at 1100 s makes the next step read the
+    # voltage trend; only a history refilled after the skip reads it rising.
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        supercap=SupercapState(capacitance_f=0.05, voltage_v=3.0),
+        load=LoadModel(e_event_detect_j=10e-3),
+    )
+    light = Trace([0.0, 1100.0], [300.0, 150.0])
+    full, _ = both(cfg, light, Trace([1003.0], [1.0]), duration_s=1500.0)
+    assert full.qos_histogram[7] == full.controller_steps
+
+
+def test_leaky_storage_keeps_the_event_path(monkeypatch):
+    cfg = NodeConfig(supercap=SupercapState(voltage_v=3.0, leak_current_a=1e-6))
+    full = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=True)
+    calls = count_steps(monkeypatch)
+    slim = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=False)
+    assert ledger_summary(full) == ledger_summary(slim)
+    assert len(calls) == slim.controller_steps
+
+
+@pytest.mark.parametrize("pinned", [1, 4, 7])
+def test_pinned_node_through_light_steps(pinned):
+    cfg = NodeConfig(pinned_qos=pinned, supercap=SupercapState(capacitance_f=0.01, voltage_v=3.0))
+    light = Trace([0.0, 1000.0, 9000.0], [100.0, 10.0, 0.0])
+    both(cfg, light, duration_s=30_000.0)
+
+
+def test_event_detection_between_motion_events():
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        supercap=SupercapState(capacitance_f=0.05, voltage_v=2.6),
+        load=LoadModel(e_event_detect_j=2e-3, e_controller_step_j=1e-6),
+    )
+    times = [700.0 * k + 3.0 for k in range(1, 40)]
+    events = Trace(times, [1.0] * len(times))
+    light = Trace([0.0, 9000.0, 15000.0], [300.0, 0.0, 150.0])
+    both(cfg, light, events, duration_s=30_000.0)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+LUX = [0.0, 40.0, 150.0, 300.0, 400.0, 2000.0]
+
+
+@st.composite
+def scenarios(draw):
+    mode = draw(st.sampled_from(list(ApplicationMode)))
+    pinned = draw(st.one_of(st.none(), st.integers(1, 7)))
+    capacitance = draw(st.sampled_from([0.02, 0.1, 0.47, 1.0, 2.5]))
+    voltage = draw(st.floats(2.2, 5.5))
+    cfg = NodeConfig(
+        mode=mode,
+        pinned_qos=pinned,
+        supercap=SupercapState(capacitance_f=capacitance, voltage_v=voltage),
+    )
+    # A whole number of wakeup periods of the fastest state the node can
+    # reach, at most 20,000 of them.
+    interval = DEFAULT_TABLE.intervals[mode][(pinned or 7) - 1]
+    duration = draw(st.integers(1, 20_000)) * interval
+    light_times = draw(
+        st.lists(st.floats(0.0, duration, exclude_max=True), max_size=3, unique=True)
+    )
+    light = Trace.from_samples(
+        [(0.0, draw(st.sampled_from(LUX)))]
+        + [(t, draw(st.sampled_from(LUX))) for t in sorted(light_times) if t > 0.0]
+    )
+    events = None
+    if mode is ApplicationMode.EVENT_DETECTION:
+        times = draw(st.lists(st.floats(0.0, duration, exclude_max=True), max_size=8, unique=True))
+        if times:
+            events = Trace(sorted(times), [1.0] * len(times))
+    return cfg, light, events, duration
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(scenarios())
+def test_summary_run_matches_detailed_run(scenario):
+    cfg, light, events, duration = scenario
+    both(cfg, light, events, duration_s=duration)
+
+
+def test_tie_at_the_cutoff_matches_a_nudged_detailed_run():
+    # Found by the property test: from 3.2 V on 0.02 F in the dark, each 5 s
+    # period drains exactly 1/1749 of the energy above the cutoff, so death
+    # falls on a wakeup in exact arithmetic.  The detailed run dies 0.3 ns
+    # before it; the summary run, whose energy differs by rounding, reaches
+    # the wakeup alive and dies paying for it.
+    cfg = NodeConfig(
+        mode=ApplicationMode.ADVERTISING,
+        pinned_qos=1,
+        supercap=SupercapState(capacitance_f=0.02, voltage_v=3.2),
+    )
+    full, slim = both(cfg, Trace.constant(0.0), duration_s=8750.0)
+    assert (full.controller_steps, slim.controller_steps) == (1749, 1750)

@@ -73,6 +73,14 @@ class TestQosTable:
         with pytest.raises(ValueError, match="strictly decrease"):
             QosTable(rows=tuple(rows))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_interval_rejected(self, value):
+        # a NaN wakeup interval made the event loop spin at a NaN time
+        rows = list(EXPECTED_TABLE)
+        rows[0] = (7, 3.4, 3.6, value, 10.0, 0.1)
+        with pytest.raises(ValueError, match="sense_interval_s: intervals must be positive and finite"):
+            QosTable(rows=tuple(rows))
+
     def test_coverage_must_be_full_span(self):
         rows = [(s, lo + 0.1, hi + 0.1 if s != 7 else hi, a, b, c) for s, lo, hi, a, b, c in EXPECTED_TABLE]
         with pytest.raises(ValueError):

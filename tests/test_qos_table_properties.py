@@ -1,4 +1,5 @@
-"""Property tests for the lookups that QosTable precomputes at construction.
+"""Property tests for the lookups that QosTable precomputes at construction,
+and for the controller's fixed-point predicate.
 
 Tables are drawn from what the validator accepts: bucket edges shared
 exactly between neighbours, rows listed in any order, interval columns
@@ -8,7 +9,18 @@ between them.
 
 import pytest
 
-from luxmote.qos import ApplicationMode, QosRow, QosTable, interval_for, lookup_state
+from luxmote.qos import (
+    DEFAULT_TABLE,
+    HISTORY_LEN,
+    ApplicationMode,
+    ControllerState,
+    QosRow,
+    QosTable,
+    interval_for,
+    is_fixed_point,
+    lookup_state,
+    step,
+)
 
 from reference_controller import table_state
 
@@ -91,3 +103,53 @@ def test_overlap_between_buckets_belongs_to_upper_bucket():
     table = _table_with_edges(pairs)
     assert lookup_state(table, 2.8 - 1e-12) == 3
     assert lookup_state(table, 2.8 + 2.5e-10) == 4
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    st.one_of(st.just((DEFAULT_TABLE, None)), tables()),
+    st.one_of(st.sampled_from([0.1, 300.0]), st.floats(1e-6, 2000.0)),
+    st.tuples(*[st.floats(0.0, 5.5)] * HISTORY_LEN),
+    st.integers(1, 9),
+    st.integers(1, 7),
+    st.data(),
+)
+def test_fixed_point_holds_for_fifty_steps(drawn, light, volt_buf, index, qos, data):
+    table = drawn[0]
+    ctrl = ControllerState(
+        light_buf=(light,) * HISTORY_LEN, volt_buf=volt_buf, index=index, qos=qos, next_qos=7
+    )
+    # Only tables that re-seed at or above state 5 at the ceiling qualify.
+    hypothesis.assume(is_fixed_point(ctrl, light, table))
+    volts = data.draw(st.lists(st.floats(table.v_min, 5.5), min_size=50, max_size=50))
+    for volt in volts:
+        ctrl, qos = step(ctrl, volt, light, table)
+        assert qos == 7
+        assert is_fixed_point(ctrl, light, table)
+
+
+def test_fixed_point_needs_seeding_target_and_steady_light():
+    seeded = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, qos=7, next_qos=7)
+    assert is_fixed_point(seeded, 300.0, DEFAULT_TABLE)
+    assert not is_fixed_point(seeded, 299.0, DEFAULT_TABLE)
+    unlit = ControllerState(light_buf=(0.0,) * HISTORY_LEN, index=1, qos=7, next_qos=7)
+    assert not is_fixed_point(unlit, 0.0, DEFAULT_TABLE)
+    fresh = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=0, qos=7, next_qos=7)
+    assert not is_fixed_point(fresh, 300.0, DEFAULT_TABLE)
+    lower = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, qos=6, next_qos=6)
+    assert not is_fixed_point(lower, 300.0, DEFAULT_TABLE)
+    warming = ControllerState(
+        light_buf=(0.0, 300.0, 300.0, 300.0, 300.0), index=1, qos=7, next_qos=7
+    )
+    assert not is_fixed_point(warming, 300.0, DEFAULT_TABLE)
+
+
+def test_fixed_point_rejects_tables_that_reseed_low_at_the_ceiling():
+    # States 5 to 7 fit within the 10 mV ceiling tolerance, so a re-seed
+    # just inside it lands in state 4 and the step returns 6, not 7.
+    pairs = list(zip(EDGES, EDGES[1:]))
+    pairs[3:] = [(2.8, 3.591), (3.591, 3.594), (3.594, 3.597), (3.597, 3.6)]
+    table = _table_with_edges(pairs)
+    ctrl = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, qos=7, next_qos=7)
+    assert not is_fixed_point(ctrl, 300.0, table)
+    assert step(ctrl, 3.5905, 300.0, table)[1] == 6

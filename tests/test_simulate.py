@@ -16,6 +16,7 @@ from luxmote.simulate import (
     run_node,
 )
 from luxmote.traces import Trace
+from run_compare import assert_same_run
 
 DARK = Trace.constant(0.0)
 OFFICE = Trace.constant(300.0)
@@ -214,7 +215,7 @@ class TestRunNodeBasics:
         full = run_node(cfg, OFFICE, duration_s=7200.0, detail=True)
         slim = run_node(cfg, OFFICE, duration_s=7200.0, detail=False)
         assert slim.records == []
-        assert ledger_summary(full) == ledger_summary(slim)
+        assert_same_run(full, slim)
 
     def test_packet_contents(self):
         # a packet is the record of the wakeup that emitted it: time, level,
