@@ -69,6 +69,29 @@ def _build(cls, section: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _number(value, where: str) -> float:
+    # bool is an int in Python, but a JSON true is not a number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: must be a number, got {value!r}")
+    return float(value)
+
+
+def _mode(value, where: str) -> ApplicationMode:
+    try:
+        return ApplicationMode(value)
+    except ValueError:
+        raise ConfigError(
+            f"{where}: {value!r} is not one of {[m.value for m in ApplicationMode]}"
+        ) from None
+
+
+def _point(obj: dict, key: str, where: str) -> tuple[float, float]:
+    pos = obj[key]
+    if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
+        raise ConfigError(f"{where}.{key}: must be [x, y]")
+    return (_number(pos[0], f"{where}.{key}[0]"), _number(pos[1], f"{where}.{key}[1]"))
+
+
 def _section(obj: dict, key: str, cls, where: str):
     section = obj.get(key, {})
     if not isinstance(section, dict):
@@ -103,22 +126,16 @@ def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
             raise ConfigError(f"{where}.node_id: must be a non-empty string")
         kwargs["node_id"] = obj["node_id"]
     if "mode" in obj:
-        try:
-            kwargs["mode"] = ApplicationMode(obj["mode"])
-        except ValueError:
-            raise ConfigError(
-                f"{where}.mode: {obj['mode']!r} is not one of "
-                f"{[m.value for m in ApplicationMode]}"
-            ) from None
+        kwargs["mode"] = _mode(obj["mode"], f"{where}.mode")
     if "position_m" in obj:
-        pos = obj["position_m"]
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-            raise ConfigError(f"{where}.position_m: must be [x, y]")
-        kwargs["position_m"] = (float(pos[0]), float(pos[1]))
+        kwargs["position_m"] = _point(obj, "position_m", where)
     if "v_on" in obj:
-        kwargs["v_on"] = float(obj["v_on"])
-    if "pinned_qos" in obj and obj["pinned_qos"] is not None:
-        kwargs["pinned_qos"] = int(obj["pinned_qos"])
+        kwargs["v_on"] = _number(obj["v_on"], f"{where}.v_on")
+    if obj.get("pinned_qos") is not None:
+        qos = obj["pinned_qos"]
+        if isinstance(qos, bool) or not isinstance(qos, int) or not 1 <= qos <= 7:
+            raise ConfigError(f"{where}.pinned_qos: must be null or an integer 1..7, got {qos!r}")
+        kwargs["pinned_qos"] = qos
 
     kwargs["supercap"] = _section(obj, "supercap", SupercapState, where)
     kwargs["harvester"] = _section(obj, "harvester", HarvesterModel, where)
@@ -150,12 +167,9 @@ def parse_deployment_config(obj: dict, where: str = "deployment") -> DeploymentC
     _check_keys(obj, _DEPLOYMENT_KEYS, where)
     kwargs = {}
     if "base_station_m" in obj:
-        pos = obj["base_station_m"]
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-            raise ConfigError(f"{where}.base_station_m: must be [x, y]")
-        kwargs["base_station_m"] = (float(pos[0]), float(pos[1]))
+        kwargs["base_station_m"] = _point(obj, "base_station_m", where)
     if "radio_range_m" in obj:
-        kwargs["radio_range_m"] = float(obj["radio_range_m"])
+        kwargs["radio_range_m"] = _number(obj["radio_range_m"], f"{where}.radio_range_m")
     nodes = obj.get("nodes", [])
     if not isinstance(nodes, list):
         raise ConfigError(f"{where}.nodes: must be a list")
@@ -179,13 +193,7 @@ def parse_sweep_grid(obj: dict, where: str = "grid") -> tuple[SweepGrid, NodeCon
                 raise ConfigError(f"{where}.{key}: must be a list")
             kwargs[key] = tuple(obj[key])
     if "mode" in obj:
-        try:
-            kwargs["mode"] = ApplicationMode(obj["mode"])
-        except ValueError:
-            raise ConfigError(
-                f"{where}.mode: {obj['mode']!r} is not one of "
-                f"{[m.value for m in ApplicationMode]}"
-            ) from None
+        kwargs["mode"] = _mode(obj["mode"], f"{where}.mode")
     grid = _build(SweepGrid, kwargs, where)
     base = parse_node_config(obj.get("node", {}), where=f"{where}.node")
     return grid, base

@@ -270,6 +270,38 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert f"{path}.{field}: must be a finite number" in err
 
+    @pytest.mark.parametrize("value", ["7.9", "7.0", "true", '"7"', "0", "8"])
+    def test_pinned_qos_must_be_an_integer_in_range(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.json"
+        path.write_text('{"pinned_qos": %s}' % value)
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}.pinned_qos: must be null or an integer 1..7, got {json.loads(value)!r}" in err
+
+    @pytest.mark.parametrize("value", ["null", "1", "7"])
+    def test_pinned_qos_accepts_null_and_integers(self, tmp_path, value):
+        path = tmp_path / "node.json"
+        path.write_text('{"pinned_qos": %s}' % value)
+        assert main(["validate-config", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("bad", ['"a"', "null", "true"])
+    @pytest.mark.parametrize(
+        "template, field",
+        [
+            ('{"position_m": [%s, 1]}', "position_m[0]"),
+            ('{"v_on": %s}', "v_on"),
+            ('{"nodes": [], "base_station_m": [0, %s]}', "base_station_m[1]"),
+            ('{"nodes": [], "radio_range_m": %s}', "radio_range_m"),
+            ('{"nodes": [{"position_m": [1, %s]}]}', "nodes[0].position_m[1]"),
+        ],
+    )
+    def test_non_number_names_field(self, tmp_path, capsys, bad, template, field):
+        path = tmp_path / "bad.json"
+        path.write_text(template % bad)
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}.{field}: must be a number, got {json.loads(bad)!r}" in err
+
     def test_deeply_nested_json_names_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

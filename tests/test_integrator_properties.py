@@ -1,0 +1,62 @@
+"""Property tests of the continuous-dynamics integrator ``_Phys.advance``,
+leak-free and leaky.
+
+Draws cover leak currents 0 and 1e-10..1e-4 A, light from darkness to
+bright sun, live and dead nodes, and starting voltages on the thresholds and
+between them: a live node from the cutoff to the rated voltage, a dead one
+from 0 V to the recovery threshold.
+"""
+
+import pytest
+
+from luxmote.energy import SupercapState
+from luxmote.simulate import EnergyLedger, NodeConfig, _Phys
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+LEAKS = st.one_of(st.just(0.0), st.floats(1e-10, 1e-4))
+LUX = st.one_of(st.just(0.0), st.floats(1e-3, 1e5))
+
+
+@st.composite
+def calls(draw):
+    cfg = NodeConfig(
+        supercap=SupercapState(
+            capacitance_f=draw(st.floats(0.01, 10.0)), leak_current_a=draw(LEAKS)
+        )
+    )
+    phys = _Phys(cfg)
+    alive = draw(st.booleans())
+    lo, hi = (phys.v_cutoff, phys.v_rated) if alive else (0.0, phys.v_on)
+    marks = [m for m in (0.0, phys.v_boost, phys.v_cutoff, phys.v_on, phys.v_rated) if lo <= m <= hi]
+    v = draw(st.one_of(st.sampled_from(marks), st.floats(lo, hi)))
+    p_panel = phys.p_per_lux * draw(LUX)
+    dt = draw(st.floats(1e-3, 1e7))
+    return phys, v, alive, p_panel, dt
+
+
+@hypothesis.settings(max_examples=400, deadline=1000)
+@hypothesis.given(calls())
+def test_advance_invariants(call):
+    phys, v0, alive, p_panel, dt = call
+    led = EnergyLedger()
+    # Returning at all is the termination check: the regime loop and the
+    # Newton solve are both bounded.
+    v, used, crossing = phys.advance(v0, alive, p_panel, dt, led)
+    assert 0.0 <= used <= dt
+    assert 0.0 <= v <= phys.v_rated
+    if crossing == "death":
+        assert alive and v == phys.v_cutoff
+    elif crossing == "recovery":
+        assert not alive and v == phys.v_on
+    else:
+        assert crossing is None and used == dt
+    # Conservation per call, relative to the larger of the energy moved and
+    # the energy stored: the state is a float voltage, so stored energy is
+    # resolved to a few ulps of itself.
+    delta = 0.5 * phys.c * (v * v - v0 * v0)
+    scale = max(led.throughput_j, 0.5 * phys.c * max(v, v0) ** 2, 1e-30)
+    assert abs(delta - led.net_stored_j()) <= 1e-9 * scale
+    if not phys.i_leak:
+        assert led.leak_j == 0.0

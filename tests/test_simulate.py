@@ -6,7 +6,13 @@ import math
 
 import pytest
 
-from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState
+from luxmote.energy import (
+    ConverterModel,
+    HarvesterModel,
+    LoadModel,
+    SupercapState,
+    voltage_after_draw,
+)
 from luxmote.qos import DEFAULT_TABLE, ApplicationMode, interval_for
 from luxmote.simulate import (
     EnergyLedger,
@@ -134,10 +140,10 @@ class TestLeakPath:
         t_expected = (3.0 - 2.1) / 1e-5
         v, t, crossing = advance(cfg, 3.0, True, 0.0, 2e5)
         assert crossing == "death"
-        assert abs(t - t_expected) <= 2e-3
-        assert v <= 2.1
+        assert t == pytest.approx(t_expected, rel=1e-9)
+        assert v == 2.1
 
-    def test_tiny_leak_matches_leak_free_within_one_percent(self):
+    def test_tiny_leak_matches_leak_free(self):
         base = constant_load_config(3e-6, v0=3.4)
         leaky = constant_load_config(3e-6, v0=3.4)
         leaky = NodeConfig(
@@ -145,9 +151,87 @@ class TestLeakPath:
             converter=base.converter,
             load=base.load,
         )
-        v_exact, _, _ = advance(base, 3.4, True, 0.0, 86400.0)
-        v_stepped, _, _ = advance(leaky, 3.4, True, 0.0, 86400.0)
-        assert v_stepped == pytest.approx(v_exact, rel=1e-2)
+        v_free, _, _ = advance(base, 3.4, True, 0.0, 86400.0)
+        v_leaky, _, _ = advance(leaky, 3.4, True, 0.0, 86400.0)
+        assert v_leaky == pytest.approx(v_free, rel=1e-6)
+
+    @pytest.mark.parametrize("i_leak, t_death", [(1e-6, 687373.7370181479), (1e-5, 133992.4938894242)])
+    def test_dark_death_matches_closed_form(self, i_leak, t_death):
+        # C·V·dV/dt = -P - I·V from 3.6 V to the 2.1 V cutoff, P the default
+        # standby draw; t_death from a 40-digit mpmath evaluation of
+        # t(V) = (C/I)(V0 - V) - (C·P/I²)·ln((P - I·V)/(P - I·V0)).
+        cfg = NodeConfig(supercap=SupercapState(voltage_v=3.6, leak_current_a=i_leak))
+        v, t, crossing = advance(cfg, 3.6, True, 0.0, 1e7)
+        assert crossing == "death" and v == 2.1
+        assert t == pytest.approx(t_death, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "i_leak, capacitance, alive, lux, v0, span",
+        [
+            # 6 time constants C·(p/I)/I towards p/I = 2.6 V, from above and below
+            (2e-5, 1.0, True, 300.0, 3.0, 8e5),
+            (2e-5, 1.0, True, 300.0, 2.2, 8e5),
+            # dark: p < 0, no equilibrium above 0 V
+            (1e-4, 1.0, True, 0.0, 3.6, 5000.0),
+            # dead under dim light: a drain onto p/I = 1.2 mV, far below v0
+            (1e-5, 0.02, False, 1.0, 1.5, 3100.0),
+            # a tiny leak barely bends the leak-free charge
+            (1e-10, 1.0, True, 300.0, 3.0, 3600.0),
+        ],
+    )
+    def test_voltage_after_span_matches_mpmath(self, i_leak, capacitance, alive, lux, v0, span):
+        mpmath = pytest.importorskip("mpmath")
+        cfg = NodeConfig(
+            supercap=SupercapState(capacitance_f=capacitance, voltage_v=v0, leak_current_a=i_leak)
+        )
+        phys = _Phys(cfg)
+        eta = phys.eta_boost if v0 >= phys.v_boost else phys.eta_cold
+        p = eta * phys.p_per_lux * lux - (phys.p_standby_storage if alive else 0.0)
+        v, t, crossing = advance(cfg, v0, alive, lux, span)
+        assert crossing is None and t == span
+        with mpmath.workdps(50):
+            c, i, pm, v0m = (mpmath.mpf(x) for x in (phys.c, i_leak, p, v0))
+            v_lim = max(pm / i, 0)
+
+            def t_minus_span(vv):
+                return (c / i) * (v0m - vv) - (c * pm / i**2) * mpmath.log((pm - i * vv) / (pm - i * v0m)) - span
+
+            # Bracketed between the start and a point 1e-30 of the way short
+            # of the limit the voltage tends to.
+            end = v_lim + (v0m - v_lim) / mpmath.mpf(10) ** 30
+            ref = mpmath.findroot(t_minus_span, (v0m, end), solver="anderson")
+        assert v == pytest.approx(float(ref), rel=1e-11)
+
+    @pytest.mark.parametrize("i_leak", [1e-30, 1e-200])
+    def test_vanishing_leak_gives_the_leak_free_result(self, i_leak):
+        # At 1e-200 A, x = ln((p/I - V)/(p/I - v)) is ~1e-195 and its square
+        # underflows; the closed form must not lose the quadratic term.
+        def both(v0, alive, lux, dt):
+            leaky = NodeConfig(supercap=SupercapState(voltage_v=v0, leak_current_a=i_leak))
+            return advance(NodeConfig(), v0, alive, lux, dt), advance(leaky, v0, alive, lux, dt)
+
+        free, leaky = both(1.0, False, 300.0, 1e6)  # cold-start path, boost path, recovery
+        assert leaky[2] == free[2] == "recovery" and leaky[0] == 2.4
+        assert leaky[1] == pytest.approx(free[1], rel=1e-12)
+        free, leaky = both(3.0, True, 300.0, 3600.0)
+        assert leaky[0] == pytest.approx(free[0], rel=1e-12)
+
+    def test_start_on_the_equilibrium_within_rounding(self):
+        # p/I can round to v while p - I·v does not round to 0, and the two
+        # may even differ in sign; such a segment holds instead of dividing
+        # by the zero gap to the equilibrium.
+        phys = _Phys(NodeConfig(supercap=SupercapState(leak_current_a=3e-6)))
+        hits = 0
+        for k in range(1, 400):
+            p_panel = k * 1e-7
+            p = phys.eta_boost * p_panel - phys.p_standby_storage
+            v = p / phys.i_leak
+            if phys.v_cutoff < v < phys.v_rated and p - phys.i_leak * v != 0.0:
+                hits += 1
+                led = EnergyLedger()
+                assert phys.advance(v, True, p_panel, 100.0, led) == (v, 100.0, None)
+                assert led.leak_j == pytest.approx(phys.i_leak * v * 100.0, rel=1e-12)
+        assert hits > 0
 
     def test_leak_ledger_conserves(self):
         cfg = NodeConfig(supercap=SupercapState(voltage_v=3.2, leak_current_a=5e-6))
@@ -156,6 +240,15 @@ class TestLeakPath:
         delta = 0.5 * (v**2 - 3.2**2)
         assert delta == pytest.approx(led.net_stored_j(), abs=1e-9)
         assert led.leak_j > 0
+
+
+def test_run_checks_its_own_conservation(monkeypatch):
+    def pay_unbooked(self, v, e_stored_j, led):
+        return voltage_after_draw(self.c, v, e_stored_j) if e_stored_j else v
+
+    monkeypatch.setattr(_Phys, "pay", pay_unbooked)
+    with pytest.raises(RuntimeError, match=r"node n1: conservation residual .* > 1e-6"):
+        run_node(NodeConfig(node_id="n1"), OFFICE, duration_s=3600.0)
 
 
 class TestRunNodeBasics:
