@@ -9,9 +9,9 @@ from pathlib import Path
 from luxmote import (
     NodeConfig,
     SweepGrid,
-    darkness_survival_s,
     min_lux_for_perpetual,
     steady_state_power,
+    survival_at_lux_s,
     sweep,
     write_frontier_csv,
 )
@@ -26,7 +26,7 @@ for state in range(1, 8):
     row = cfg.table.row_for_state(state)
     p = steady_state_power(cfg, state)
     lux = min_lux_for_perpetual(cfg, state)
-    days = darkness_survival_s(cfg, state) / DAY
+    days = survival_at_lux_s(cfg, state, 0.0) / DAY
     print(f"{state:5d} {row.sense_interval_s:8.0f}s {p * 1e6:11.2f} uW "
           f"{lux:8.1f} {days:13.1f} d")
 

@@ -29,7 +29,6 @@ from .energy import (
 from .explore import (
     SweepGrid,
     SweepRow,
-    darkness_survival_s,
     min_lux_for_perpetual,
     steady_state_power,
     survival_at_lux_s,
@@ -50,17 +49,14 @@ from .qos import (
 )
 from .simulate import (
     EnergyLedger,
-    EventKind,
-    LogRecord,
     NodeConfig,
     NodeLog,
-    SimEvent,
     ledger_summary,
     run_node,
     write_ledger_json,
     write_node_log_csv,
 )
-from .traces import Trace, TraceError, load_trace_csv, write_trace_csv
+from .traces import Trace, TraceError, load_trace_csv
 from .config import (
     ConfigError,
     load_any_config,

@@ -96,9 +96,10 @@ def _section(obj: dict, key: str, cls, where: str):
     section = obj.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{where}.{key}: must be an object")
-    fields = cls.__dataclass_fields__
-    _check_keys(section, fields, f"{where}.{key}")
-    return _build(cls, section, f"{where}.{key}")
+    where = f"{where}.{key}"
+    _check_keys(section, cls.__dataclass_fields__, where)
+    numbers = {name: _number(value, f"{where}.{name}") for name, value in section.items()}
+    return _build(cls, numbers, where)
 
 
 _NODE_KEYS = (
@@ -145,13 +146,18 @@ def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
         rows = obj["table"]
         if not isinstance(rows, list):
             raise ConfigError(f"{where}.table: must be a list of 7 rows")
+        cells = []
         for i, row in enumerate(rows):
             if not (isinstance(row, (list, tuple)) and len(row) == 6):
                 raise ConfigError(
                     f"{where}.table[{i}]: each row is [state, v_lo, v_hi, sense_s, pir_s, adv_s]"
                 )
+            if isinstance(row[0], bool) or not isinstance(row[0], int):
+                raise ConfigError(f"{where}.table[{i}][0]: must be an integer, got {row[0]!r}")
+            numbers = (_number(x, f"{where}.table[{i}][{j}]") for j, x in enumerate(row[1:], 1))
+            cells.append((row[0], *numbers))
         try:
-            kwargs["table"] = QosTable(rows=tuple(tuple(row) for row in rows))
+            kwargs["table"] = QosTable(rows=tuple(cells))
         except ValueError as exc:
             raise ConfigError(f"{where}.table: {exc}") from None
 

@@ -4,9 +4,11 @@ capacitance and service level.
 
 The steady-state view deliberately ignores controller transients: it asks
 "is service level s sustainable at this light level", which is the operating
-point the adaptive controller converges to.  Every quantity is a closed form
-of the linear panel model and that steady-state draw.  The
-simulator-consistency tests tie the two together.
+point the adaptive controller converges to.  It also averages each wakeup's
+payment over its interval, so ``min_lux`` is a threshold on the mean draw,
+not on the dips after each payment.  The storage leak enters both the
+threshold and the survival times, which come from the simulator's own
+crossing-time solve; the differential tests tie the two together.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .energy import harvest_power, require_finite, standby_power
+from .energy import require_finite, standby_power
 from .qos import ApplicationMode, interval_for
-from .simulate import NodeConfig, action_energy_j
+from .simulate import NodeConfig, _Phys, action_energy_j
 
 
 def steady_state_power(config: NodeConfig, state: int) -> float:
@@ -35,11 +37,14 @@ def steady_state_power(config: NodeConfig, state: int) -> float:
 
 def min_lux_for_perpetual(config: NodeConfig, state: int) -> float:
     """Smallest constant illuminance at which the boost-path harvest covers
-    the steady-state draw of ``state``: lux_ref * P / (eta_boost * P_ref),
-    the inversion of the linear panel model.  Infinite when the panel yields
-    no power but the node draws some.
-    """
-    demand = steady_state_power(config, state)
+    the steady-state draw P of ``state`` and the leak I at the cutoff, so that
+    a pinned node's leak equilibrium sits at or above it: lux_ref *
+    (P + I * v_cutoff) / (eta_boost * P_ref).  P averages the payments over
+    their intervals, so the dip after a payment can still kill a node just
+    above this threshold.  Infinite when the panel yields no power but the
+    node draws some."""
+    sc = config.supercap
+    demand = steady_state_power(config, state) + sc.leak_current_a * sc.v_cutoff
     if demand == 0.0:
         return 0.0
     p_ref = config.harvester.p_ref_w
@@ -48,31 +53,20 @@ def min_lux_for_perpetual(config: NodeConfig, state: int) -> float:
     return config.harvester.lux_ref * demand / (config.converter.eta_boost * p_ref)
 
 
-def darkness_survival_s(config: NodeConfig, state: int, v_start: Optional[float] = None) -> float:
-    """Zero-light survival time of a node pinned at ``state``, starting from
-    ``v_start`` (default: the table ceiling) down to the brown-out cutoff:
-    0.5 * C * (V0^2 - Vcut^2) / P_steady."""
-    v0 = config.table.v_max if v_start is None else v_start
-    sc = config.supercap
-    energy = 0.5 * sc.capacitance_f * (v0**2 - sc.v_cutoff**2)
-    p = steady_state_power(config, state)
-    if p == 0.0:
-        return math.inf
-    return energy / p
-
-
 def survival_at_lux_s(config: NodeConfig, state: int, lux: float, v_start: Optional[float] = None) -> float:
-    """Survival under constant illuminance: infinite when the harvest covers
-    the steady-state draw, otherwise the deficit drains the same energy
-    budget as darkness survival."""
-    deficit = steady_state_power(config, state) - config.converter.eta_boost * harvest_power(
-        config.harvester, lux
-    )
-    if deficit <= 0.0:
-        return math.inf
-    v0 = config.table.v_max if v_start is None else v_start
-    sc = config.supercap
-    return 0.5 * sc.capacitance_f * (v0**2 - sc.v_cutoff**2) / deficit
+    """Seconds a node pinned at ``state`` under constant ``lux`` takes from
+    ``v_start`` (default: the table ceiling, or v_rated if lower) to the
+    cutoff, by the simulator's crossing-time solve at eta_boost * P_panel -
+    P_steady, leak included and payments averaged as in ``min_lux``.
+    Infinite from ``min_lux`` up."""
+    if not lux >= 0.0:
+        raise ValueError(f"lux must be non-negative, got {lux}")
+    phys = _Phys(config)
+    v0 = min(config.table.v_max, phys.v_rated) if v_start is None else v_start
+    if not phys.v_cutoff <= v0 <= phys.v_rated:
+        raise ValueError(f"v_start must lie in [v_cutoff, v_rated], got {v0}")
+    p = phys.eta_boost * (phys.p_per_lux * lux) - steady_state_power(config, state)
+    return phys.crossing_s(v0, p, phys.v_cutoff)
 
 
 def _survival_column(lux: float) -> str:
@@ -140,16 +134,15 @@ def sweep(grid: SweepGrid, base: Optional[NodeConfig] = None) -> list[SweepRow]:
             supercap=replace(base.supercap, capacitance_f=c),
         )
         for state in grid.qos_states:
+            dark, *lit = (survival_at_lux_s(cfg, state, lux) for lux in (0.0, *grid.lux_levels))
             rows.append(
                 SweepRow(
                     capacitance_f=c,
                     qos_state=state,
                     mode=grid.mode.value,
                     min_lux=min_lux_for_perpetual(cfg, state),
-                    darkness_survival_s=darkness_survival_s(cfg, state),
-                    survival_at_lux_s=tuple(
-                        survival_at_lux_s(cfg, state, lux) for lux in grid.lux_levels
-                    ),
+                    darkness_survival_s=dark,
+                    survival_at_lux_s=tuple(lit),
                 )
             )
     return rows

@@ -109,11 +109,3 @@ def load_trace_csv(path) -> Trace:
         raise TraceError(f"{path}: no samples")
     return Trace(times_s=np.array(times), values=np.array(values))
 
-
-def write_trace_csv(trace: Trace, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "value"])
-        for t, v in zip(trace.times_s, trace.values):
-            writer.writerow([repr(float(t)), repr(float(v))])

@@ -302,6 +302,60 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert f"{path}.{field}: must be a number, got {json.loads(bad)!r}" in err
 
+    @pytest.mark.parametrize("bad", ["true", '"1"', "null", "[1]"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("supercap", "capacitance_f"),
+            ("supercap", "leak_current_a"),
+            ("harvester", "lux_ref"),
+            ("converter", "eta_boost"),
+            ("load", "i_standby_a"),
+        ],
+    )
+    def test_model_field_must_be_a_number(self, tmp_path, capsys, bad, section, field):
+        path = tmp_path / "bad.json"
+        path.write_text('{"%s": {"%s": %s}}' % (section, field, bad))
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}.{section}.{field}: must be a number, got {json.loads(bad)!r}" in err
+
+    TABLE = [
+        [7, 3.4, 3.6, 20.0, 10.0, 0.1],
+        [6, 3.2, 3.4, 40.0, 20.0, 0.2],
+        [5, 3.0, 3.2, 60.0, 30.0, 0.4],
+        [4, 2.8, 3.0, 120.0, 60.0, 0.64],
+        [3, 2.6, 2.8, 240.0, 120.0, 0.9],
+        [2, 2.4, 2.6, 300.0, 300.0, 2.0],
+        [1, 2.1, 2.4, 600.0, 600.0, 5.0],
+    ]
+
+    def test_table_accepts_integer_cells(self, tmp_path):
+        rows = [[state, v_lo, v_hi, int(a), int(b), c] for state, v_lo, v_hi, a, b, c in self.TABLE]
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps({"table": rows}))
+        assert main(["validate-config", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "i, j, bad, message",
+        [
+            (0, 0, "a", "must be an integer"),
+            (0, 0, 7.0, "must be an integer"),
+            (6, 0, True, "must be an integer"),
+            (0, 1, "3.4", "must be a number"),
+            (3, 2, None, "must be a number"),
+            (6, 5, False, "must be a number"),
+        ],
+    )
+    def test_table_cell_type_names_cell(self, tmp_path, capsys, i, j, bad, message):
+        rows = [list(row) for row in self.TABLE]
+        rows[i][j] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"table": rows}))
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}.table[{i}][{j}]: {message}, got {bad!r}" in err
+
     def test_deeply_nested_json_names_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

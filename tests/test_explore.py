@@ -9,15 +9,15 @@ import pytest
 from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState, harvest_power
 from luxmote.explore import (
     SweepGrid,
-    darkness_survival_s,
     min_lux_for_perpetual,
     steady_state_power,
     survival_at_lux_s,
     sweep,
     write_frontier_csv,
 )
-from luxmote.qos import ApplicationMode
-from luxmote.simulate import NodeConfig
+from luxmote.qos import ApplicationMode, interval_for
+from luxmote.simulate import NodeConfig, run_node
+from luxmote.traces import Trace
 
 # eta_buck = 1 so the arithmetic in the frozen expectations stays bare
 IDEAL_BUCK = NodeConfig(
@@ -122,10 +122,18 @@ class TestMinLux:
         assert min_lux_for_perpetual(dim, 7) == pytest.approx(closed, abs=0.1)
 
 
+def leaky_oracle_node(leak_a=1e-6):
+    """1 F from 3.6 V pinned at state 7: the frontier's leak oracle."""
+    return NodeConfig(
+        pinned_qos=7,
+        supercap=SupercapState(capacitance_f=1.0, voltage_v=3.6, leak_current_a=leak_a),
+    )
+
+
 class TestSurvival:
     def test_darkness_survival_state_one(self):
         # 0.5*(3.6^2-2.1^2)/3.083 uW = 1.386e6 s (about 16 days)
-        got = darkness_survival_s(IDEAL_BUCK, 1)
+        got = survival_at_lux_s(IDEAL_BUCK, 1, 0.0)
         assert got == pytest.approx(4.275 / 3.0833333e-6, rel=1e-6)
         assert got == pytest.approx(1.3864865e6, rel=1e-4)
 
@@ -135,8 +143,8 @@ class TestSurvival:
         big = dataclasses.replace(
             IDEAL_BUCK, supercap=SupercapState(capacitance_f=2.0, voltage_v=3.0)
         )
-        assert darkness_survival_s(big, 4) == pytest.approx(
-            2.0 * darkness_survival_s(IDEAL_BUCK, 4), rel=1e-12
+        assert survival_at_lux_s(big, 4, 0.0) == pytest.approx(
+            2.0 * survival_at_lux_s(IDEAL_BUCK, 4, 0.0), rel=1e-12
         )
 
     def test_survival_at_lux_infinite_above_threshold(self):
@@ -147,9 +155,66 @@ class TestSurvival:
 
     def test_darkness_survival_matches_survival_at_zero_lux(self):
         cfg = NodeConfig()
-        assert survival_at_lux_s(cfg, 3, 0.0) == pytest.approx(
-            darkness_survival_s(cfg, 3), rel=1e-12
-        )
+        rows = sweep(SweepGrid(capacitances_f=(1.0,), qos_states=(1, 3, 7)), cfg)
+        for row in rows:
+            assert row.darkness_survival_s == survival_at_lux_s(cfg, row.qos_state, 0.0)
+
+    def test_leaky_darkness_survival_closed_form(self):
+        # t(V) = (C/I)(V0 - V) - (C p/I^2) ln((p - I V)/(p - I V0)) at p = -P_steady
+        cfg = leaky_oracle_node()
+        c, i, v0, vc = 1.0, 1e-6, 3.6, 2.1
+        p = -steady_state_power(cfg, 7)
+        closed = (c / i) * (v0 - vc) - (c * p / i**2) * math.log((p - i * vc) / (p - i * v0))
+        got = survival_at_lux_s(cfg, 7, 0.0)
+        assert got == pytest.approx(closed, rel=1e-9)
+        assert got == pytest.approx(474_662.78, abs=0.01)
+        # the leak-free formula would give 699,545 s: 47 % optimistic
+        assert survival_at_lux_s(leaky_oracle_node(0.0), 7, 0.0) == pytest.approx(699_545, abs=1.0)
+
+    def test_leaky_darkness_survival_matches_simulated_death(self):
+        cfg = leaky_oracle_node()
+        interval = interval_for(cfg.table, 7, cfg.mode)
+        expected = survival_at_lux_s(cfg, 7, 0.0)
+        log = run_node(cfg, Trace.constant(0.0), duration_s=expected + 3 * interval)
+        (death,) = [r.time_s for r in log.records if r.action == "death"]
+        assert abs(death - expected) <= 2 * interval
+
+    def test_leaky_min_lux_covers_leak_at_cutoff(self):
+        cfg = leaky_oracle_node()
+        p = steady_state_power(cfg, 7)
+        closed = 300.0 * (p + 1e-6 * 2.1) / (0.8 * cfg.harvester.p_ref_w)
+        assert min_lux_for_perpetual(cfg, 7) == pytest.approx(closed, rel=1e-12)
+        assert min_lux_for_perpetual(cfg, 7) == pytest.approx(44.15, abs=0.005)
+        assert min_lux_for_perpetual(leaky_oracle_node(0.0), 7) == pytest.approx(32.86, abs=0.005)
+
+    @pytest.mark.parametrize("leak_a", [0.0, 1e-9, 1e-6, 1e-5])
+    @pytest.mark.parametrize("mode", list(ApplicationMode))
+    @pytest.mark.parametrize("state", [1, 4, 7])
+    def test_min_lux_is_the_survival_boundary(self, leak_a, mode, state):
+        cfg = replace(leaky_oracle_node(leak_a), mode=mode, pinned_qos=state)
+        lux = min_lux_for_perpetual(cfg, state)
+        assert survival_at_lux_s(cfg, state, lux * (1 + 1e-6)) == math.inf
+        assert 0.0 < survival_at_lux_s(cfg, state, lux * (1 - 1e-3)) < math.inf
+
+    @pytest.mark.parametrize("v_start", [2.0, 9.0, math.nan, -math.inf, math.inf])
+    def test_start_voltage_outside_cutoff_to_rated_rejected(self, v_start):
+        with pytest.raises(ValueError, match="v_start"):
+            survival_at_lux_s(NodeConfig(), 7, 0.0, v_start=v_start)
+
+    def test_start_voltage_bounds_accepted(self):
+        cfg = NodeConfig()
+        assert survival_at_lux_s(cfg, 7, 0.0, v_start=2.1) == 0.0
+        assert survival_at_lux_s(cfg, 7, 0.0, v_start=5.5) > survival_at_lux_s(cfg, 7, 0.0)
+
+    def test_default_start_is_capped_at_the_rated_voltage(self):
+        low = NodeConfig(supercap=SupercapState(v_rated=3.0, voltage_v=2.5))
+        assert low.table.v_max == 3.6
+        assert survival_at_lux_s(low, 7, 0.0) == survival_at_lux_s(low, 7, 0.0, v_start=3.0)
+
+    @pytest.mark.parametrize("lux", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_lux_rejected(self, lux):
+        with pytest.raises(ValueError, match="lux"):
+            survival_at_lux_s(NodeConfig(), 7, lux)
 
 
 class TestSweep:

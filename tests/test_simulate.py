@@ -242,6 +242,43 @@ class TestLeakPath:
         assert led.leak_j > 0
 
 
+class TestCrossingTime:
+    """``_Phys.crossing_s``, the one time-to-threshold solve of the
+    integrator and the explorer."""
+
+    def phys(self, i_leak):
+        return _Phys(NodeConfig(supercap=SupercapState(leak_current_a=i_leak)))
+
+    def test_leak_free_is_energy_over_power(self):
+        assert self.phys(0.0).crossing_s(3.6, -2e-5, 2.1) == (0.5 * 2.1**2 - 0.5 * 3.6**2) / -2e-5
+        assert self.phys(0.0).crossing_s(2.1, 2e-5, 3.6) == (0.5 * 3.6**2 - 0.5 * 2.1**2) / 2e-5
+
+    @pytest.mark.parametrize("i_leak", [0.0, 1e-6])
+    def test_never_reached(self, i_leak):
+        phys = self.phys(i_leak)
+        assert phys.crossing_s(3.0, 1e-3, 2.1) == math.inf  # charging away from it
+        assert phys.crossing_s(3.0, -1e-5, 3.6) == math.inf  # draining away from it
+        assert phys.crossing_s(3.0, 0.0, 3.6) == math.inf
+
+    def test_leak_alone_is_linear(self):
+        assert self.phys(1e-6).crossing_s(3.6, 0.0, 2.1) == pytest.approx(1.5e6, rel=1e-15)
+
+    def test_equilibrium_at_the_threshold_is_never_reached(self):
+        phys = self.phys(1e-6)
+        assert phys.crossing_s(3.6, 2.1e-6, 2.1) == math.inf  # p/I = 2.1 V exactly
+        assert phys.crossing_s(3.6, 2.0e-6, 2.1) < math.inf
+        assert phys.crossing_s(2.2, 3.0e-6, 3.0) == math.inf
+        assert phys.crossing_s(2.2, 3.1e-6, 3.0) < math.inf
+
+    @pytest.mark.parametrize("i_leak", [0.0, 1e-9, 1e-6, 1e-5])
+    def test_advance_stops_at_the_crossing_time(self, i_leak):
+        phys = self.phys(i_leak)
+        p_panel = phys.p_per_lux * 5.0
+        t = phys.crossing_s(3.6, phys.eta_boost * p_panel - phys.p_standby_storage, 2.1)
+        v, used, crossing = phys.advance(3.6, True, p_panel, 1e9, EnergyLedger())
+        assert (v, used, crossing) == (2.1, t, "death")
+
+
 def test_run_checks_its_own_conservation(monkeypatch):
     def pay_unbooked(self, v, e_stored_j, led):
         return voltage_after_draw(self.c, v, e_stored_j) if e_stored_j else v
@@ -249,6 +286,17 @@ def test_run_checks_its_own_conservation(monkeypatch):
     monkeypatch.setattr(_Phys, "pay", pay_unbooked)
     with pytest.raises(RuntimeError, match=r"node n1: conservation residual .* > 1e-6"):
         run_node(NodeConfig(node_id="n1"), OFFICE, duration_s=3600.0)
+
+
+@pytest.mark.parametrize("samples", [1, 1000])
+def test_dead_node_in_near_darkness_passes_its_conservation_check(samples):
+    # Each step harvests ~1e-15 J, below what the stored 2 J resolves: the
+    # residual is rounding of the voltage state, a fraction of an ulp per step.
+    light = Trace.from_samples([(60.0 * i, 1e-9 * (1 + i % 7)) for i in range(samples)])
+    cfg = NodeConfig(supercap=SupercapState(voltage_v=2.0))
+    log = run_node(cfg, light, duration_s=60.0 * samples + 60.0, detail=False)
+    assert log.deaths == 0 and not log.alive_at_end
+    assert abs(log.energy_residual_j) <= 1e-15 * samples
 
 
 class TestRunNodeBasics:
