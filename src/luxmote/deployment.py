@@ -18,19 +18,6 @@ from typing import Optional
 from .energy import require_finite
 from .simulate import NodeConfig, NodeLog, ledger_summary, run_node
 
-__all__ = [
-    "DeploymentConfig",
-    "DeploymentReport",
-    "Metrics",
-    "NodeMetrics",
-    "compute_metrics",
-    "link_delivery",
-    "node_distance_m",
-    "report_summary",
-    "run_deployment",
-    "write_deployment_report",
-]
-
 
 @dataclass(frozen=True)
 class DeploymentConfig:

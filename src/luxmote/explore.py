@@ -37,14 +37,17 @@ def steady_state_power(config: NodeConfig, state: int) -> float:
 
 def min_lux_for_perpetual(config: NodeConfig, state: int) -> float:
     """Smallest constant illuminance at which the boost-path harvest covers
-    the steady-state draw P of ``state`` and the leak I at the cutoff, so that
-    a pinned node's leak equilibrium sits at or above it: lux_ref *
-    (P + I * v_cutoff) / (eta_boost * P_ref).  P averages the payments over
-    their intervals, so the dip after a payment can still kill a node just
-    above this threshold.  Infinite when the panel yields no power but the
-    node draws some."""
+    the steady-state draw P of ``state`` and the leak I at V_floor, so that a
+    pinned node's leak equilibrium sits at or above it: lux_ref *
+    (P + I * V_floor) / (eta_boost * P_ref).  V_floor is the cutoff, or
+    v_boost_min when that lies higher: an equilibrium between the two would
+    not hold, as the node harvests there at eta_cold and sinks to the cutoff.
+    P averages the payments over their intervals, so the dip after a payment
+    can still kill a node just above this threshold.  Infinite when the panel
+    yields no power but the node draws some."""
     sc = config.supercap
-    demand = steady_state_power(config, state) + sc.leak_current_a * sc.v_cutoff
+    v_floor = max(sc.v_cutoff, config.converter.v_boost_min)
+    demand = steady_state_power(config, state) + sc.leak_current_a * v_floor
     if demand == 0.0:
         return 0.0
     p_ref = config.harvester.p_ref_w
@@ -56,17 +59,25 @@ def min_lux_for_perpetual(config: NodeConfig, state: int) -> float:
 def survival_at_lux_s(config: NodeConfig, state: int, lux: float, v_start: Optional[float] = None) -> float:
     """Seconds a node pinned at ``state`` under constant ``lux`` takes from
     ``v_start`` (default: the table ceiling, or v_rated if lower) to the
-    cutoff, by the simulator's crossing-time solve at eta_boost * P_panel -
-    P_steady, leak included and payments averaged as in ``min_lux``.
-    Infinite from ``min_lux`` up."""
+    cutoff, by the simulator's crossing-time solve, leak included and
+    payments averaged as in ``min_lux``: at eta_boost * P_panel - P_steady
+    down to v_boost_min, then at eta_cold * P_panel - P_steady, the
+    simulator's two regimes.  Infinite from ``min_lux`` up for starts at or
+    above v_boost_min."""
     if not lux >= 0.0:
         raise ValueError(f"lux must be non-negative, got {lux}")
     phys = _Phys(config)
     v0 = min(config.table.v_max, phys.v_rated) if v_start is None else v_start
     if not phys.v_cutoff <= v0 <= phys.v_rated:
         raise ValueError(f"v_start must lie in [v_cutoff, v_rated], got {v0}")
-    p = phys.eta_boost * (phys.p_per_lux * lux) - steady_state_power(config, state)
-    return phys.crossing_s(v0, p, phys.v_cutoff)
+    p_panel, p_load = phys.p_per_lux * lux, steady_state_power(config, state)
+    v_floor = max(phys.v_boost, phys.v_cutoff)
+    if v0 < v_floor:
+        return phys.crossing_s(v0, phys.eta_cold * p_panel - p_load, phys.v_cutoff)
+    t = phys.crossing_s(v0, phys.eta_boost * p_panel - p_load, v_floor)
+    if v_floor > phys.v_cutoff:
+        t += phys.crossing_s(v_floor, phys.eta_cold * p_panel - p_load, phys.v_cutoff)
+    return t
 
 
 def _survival_column(lux: float) -> str:

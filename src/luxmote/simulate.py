@@ -7,8 +7,9 @@ evaluation plus the mode's action energy), external events (motion/door
 impulses in event-detection mode), brown-out death and cold-start recovery,
 and light-trace sample boundaries.
 
-Events wait on a heap, except a node's one pending wakeup, which has a slot
-of its own.  Events at equal times are ordered trace sample < death <
+Events wait on a heap, except for two kinds: a node's one pending wakeup has
+a slot of its own, and the light samples, already in time order, are walked
+with a cursor.  Events at equal times are ordered trace sample < death <
 recovery < external < wakeup.  A run is a pure function of (config, traces,
 duration): nothing in it is random, and there is no wall clock and no global
 state.
@@ -30,9 +31,9 @@ is then an affine step in stored energy, or, pinned at ``v_rated``, the same
 step every time, so k periods are booked in closed form; the wakeup times
 are still built by repeated addition, as the event loop builds them.  A skip
 never reaches a regime boundary and stops HISTORY_LEN periods before the
-next queued event and the end of the run.  Counters match a run with detail
-exactly; ledger floats and the final voltage agree to 1e-9 relative, as sums
-taken in another order.  The one exception is a tie in exact arithmetic,
+next queued event or light sample and the end of the run.  Counters match a
+run with detail exactly; ledger floats and the final voltage agree to 1e-9
+relative, as sums taken in another order.  The one exception is a tie in exact arithmetic,
 such as a drain that reaches the cutoff exactly at a wakeup: rounding
 settles it, and the two runs may settle it differently.  Runs with detail
 and leaky runs dispatch every wakeup.
@@ -42,8 +43,10 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -74,29 +77,23 @@ from .traces import Trace
 class EventKind(IntEnum):
     """Queued event types; the numeric value is the tie-break priority at equal times.
 
-    A trace sample at time t takes effect at t, so it dispatches before any
-    node event at the same instant; among node events the order is death,
-    recovery, external event, then the wakeup slot.  DROPPED_WAKEUP, a wakeup
+    Light samples and the wakeup are not queued: a trace sample at time t
+    takes effect at t, so the sample cursor goes before queued events at the
+    same instant, and the wakeup slot after them.  DROPPED_WAKEUP, a wakeup
     pending at death, does nothing but end an integration segment.
     """
 
-    TRACE_SAMPLE = -1
     DEATH = 0
     RECOVERY = 1
     EXTERNAL_EVENT = 2
     DROPPED_WAKEUP = 3
 
 
-class SimEvent(NamedTuple):
-    time_s: float
-    kind: EventKind
-    seq: int
-    payload: object
-
-
 @dataclass(frozen=True)
 class NodeConfig:
-    """Full parameterization of one node."""
+    """Full parameterization of one node.  ``supercap.v_rated`` may lie below
+    the table ceiling, for storage rated lower than the table reaches: the
+    top buckets are then unreachable, and the explorer starts at v_rated."""
 
     node_id: str = "node"
     mode: ApplicationMode = ApplicationMode.PERIODIC_SENSING
@@ -524,11 +521,17 @@ class _NodeSim:
         self.qos = config.pinned_qos if config.pinned_qos is not None else self.ctrl.qos
         self.lux = light.value_at(0.0)
         self.p_panel = self.phys.p_per_lux * self.lux
+        # The light samples inside (0, duration) for run's cursor, then a sentinel.
+        times, values = light.times_s.tolist(), light.values.tolist()
+        lo, hi = bisect_right(times, 0.0), bisect_left(times, self.duration)
+        self.sample_t = times[lo:hi] + [math.inf]
+        self.sample_v = values[lo:hi]
+        self.t_sample = self.sample_t[0]
         self.now = 0.0
         # The one pending wakeup of a live node (infinite when there is none).
         self.next_wake = 0.0 if self.alive else math.inf
-        self._seq = 0
-        self.heap: list[SimEvent] = []
+        # (time, kind) pairs: entries that compare equal are interchangeable.
+        self.heap: list[tuple[float, EventKind]] = []
         self.last_notification = -math.inf
         self.pending_events: list[float] = []
         self._last_packet_t = None
@@ -541,17 +544,13 @@ class _NodeSim:
             initial_voltage_v=self.v,
         )
 
-        for t in light.times_s:
-            if 0.0 < t < self.duration:
-                self._push(float(t), EventKind.TRACE_SAMPLE, float(light.value_at(t)))
         if events is not None:
-            for t, val in zip(events.times_s, events.values):
+            for t in events.times_s.tolist():
                 if 0.0 <= t < self.duration:
-                    self._push(float(t), EventKind.EXTERNAL_EVENT, float(val))
+                    self._push(t, EventKind.EXTERNAL_EVENT)
 
-    def _push(self, t, kind, payload):
-        self._seq += 1
-        heapq.heappush(self.heap, SimEvent(t, kind, self._seq, payload))
+    def _push(self, t, kind):
+        heapq.heappush(self.heap, (t, kind))
 
     def run(self) -> NodeLog:
         heap = self.heap
@@ -564,12 +563,18 @@ class _NodeSim:
             wakeup = self._wakeup
         else:
             wakeup = self._wakeup_or_skip
+        sample_t, sample_v = self.sample_t, self.sample_v
+        p_per_lux = self.phys.p_per_lux
+        i_sample = 0
+        t_sample = sample_t[0]
         steps = 0
         while True:
-            t_event = heap[0].time_s if heap else math.inf
+            t_event = heap[0][0] if heap else math.inf
             t_wake = self.next_wake
-            # The heap wins ties: every queued kind precedes a wakeup.
+            # Ties go to the sample, then the heap, then the wakeup.
             t_next = t_event if t_event <= t_wake else t_wake
+            if t_sample <= t_next:
+                t_next = t_sample
             t_stop = t_next if t_next < duration else duration
             crossing = None
             while self.now < t_stop:
@@ -582,31 +587,28 @@ class _NodeSim:
                     break
             # A crossing queues its event at the crossing time; look again.
             if crossing == "death":
-                self._push(self.now, EventKind.DEATH, None)
+                self._push(self.now, EventKind.DEATH)
             elif crossing == "recovery":
-                self._push(self.now, EventKind.RECOVERY, None)
+                self._push(self.now, EventKind.RECOVERY)
             elif t_next >= duration:
                 break
+            elif t_sample == t_next:
+                self.lux = lux = sample_v[i_sample]
+                self.p_panel = p_per_lux * lux
+                self._record(t_sample, "sample", 0)
+                i_sample += 1
+                self.t_sample = t_sample = sample_t[i_sample]
             elif t_event <= t_wake:
-                self._dispatch(heapq.heappop(heap))
+                t, kind = heapq.heappop(heap)
+                if kind is EventKind.EXTERNAL_EVENT:
+                    self._external(t)
+                elif kind is EventKind.DEATH and self.alive:
+                    self._die(t)
+                elif kind is EventKind.RECOVERY and not self.alive:
+                    self._recover(t)
             else:
                 wakeup(t_wake)
         return self._finalize(steps)
-
-    def _dispatch(self, ev: SimEvent):
-        kind = ev.kind
-        if kind is EventKind.EXTERNAL_EVENT:
-            self._external(ev.time_s, ev.payload)
-        elif kind is EventKind.DEATH:
-            if self.alive:
-                self._die(ev.time_s)
-        elif kind is EventKind.RECOVERY:
-            if not self.alive:
-                self._recover(ev.time_s)
-        elif kind is EventKind.TRACE_SAMPLE:
-            self.lux = ev.payload
-            self.p_panel = self.phys.p_per_lux * self.lux
-            self._record(ev.time_s, "sample", 0)
 
     def _emit_packet(self, t) -> None:
         log = self.log
@@ -628,7 +630,7 @@ class _NodeSim:
         self.v = self.phys.pay(self.v, self.e_wakeup, log.ledger)
         if self.v < self.phys.v_cutoff:
             self.next_wake = math.inf
-            self._push(t, EventKind.DEATH, None)
+            self._push(t, EventKind.DEATH)
             self._record(t, "wakeup", 0)
             return
 
@@ -644,10 +646,11 @@ class _NodeSim:
         wakeups while the controller provably keeps its state.
 
         The skip stops at least HISTORY_LEN periods before the next queued
-        event and the end of the run.  The wakeups in between take the
-        ordinary path, which refills both controller histories before the
-        light can change; the stale voltage history and seed counter left by
-        the skip change no step while the controller stays at its fixed point.
+        event or light sample and the end of the run.  The wakeups in between
+        take the ordinary path, which refills both controller histories before
+        the light can change; the stale voltage history and seed counter left
+        by the skip change no step while the controller stays at its fixed
+        point.
         """
         qos = self.pinned_qos
         if qos is None:
@@ -656,8 +659,8 @@ class _NodeSim:
                 return
             qos = 7
         period = self.intervals[qos - 1]
-        t_event = self.heap[0].time_s if self.heap else math.inf
-        t_limit = t_event if t_event < self.duration else self.duration
+        t_event = self.heap[0][0] if self.heap else math.inf
+        t_limit = min(t_event, self.t_sample, self.duration)
         phys = self.phys
         cap = phys.clear_periods(self.v, self.p_panel, self.e_wakeup, period, math.ulp(t_limit))
         k, t_last, t_next = _wake_times(t, period, t_limit - HISTORY_LEN * period, cap)
@@ -681,14 +684,14 @@ class _NodeSim:
         self.now = t_next
         self.next_wake = t_next
 
-    def _external(self, t, payload):
+    def _external(self, t):
         if not self.alive:
             self.log.events_missed_dead += 1
             return
         self.log.events_detected += 1
         self.v = self.phys.pay(self.v, self.e_event, self.log.ledger)
         if self.v < self.phys.v_cutoff:
-            self._push(t, EventKind.DEATH, None)
+            self._push(t, EventKind.DEATH)
             self._record(t, "event", 0)
             return
         holdoff = self.holdoffs[self.qos - 1]
@@ -710,7 +713,7 @@ class _NodeSim:
         if self.next_wake < math.inf:
             # Its time stays an integration boundary, which keeps results
             # bit-identical to an event loop that queues every wakeup.
-            self._push(self.next_wake, EventKind.DROPPED_WAKEUP, None)
+            self._push(self.next_wake, EventKind.DROPPED_WAKEUP)
             self.next_wake = math.inf
         self.died_at = t
         self.log.deaths += 1
@@ -727,8 +730,9 @@ class _NodeSim:
 
     def _record(self, t, action, packets):
         if self.detail:
+            # tuple.__new__ builds the record without LogRecord's Python-level __new__.
             self.log.records.append(
-                LogRecord(t, self.v, self.lux, self.qos, action, packets)
+                tuple.__new__(LogRecord, (t, self.v, self.lux, self.qos, action, packets))
             )
 
     def _finalize(self, steps) -> NodeLog:
@@ -772,21 +776,17 @@ def run_node(
 def write_node_log_csv(log: NodeLog, path) -> None:
     """Per-event log as CSV: time_s,node_id,voltage_v,lux,qos,action,packets."""
     path = Path(path)
+    # Only node_id can need quoting; csv.writer quotes it once, and each
+    # record is then formatted as the writer would format it.
+    quoted = io.StringIO()
+    csv.writer(quoted).writerow([log.node_id])
+    node_id = quoted.getvalue()[:-2]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "node_id", "voltage_v", "lux", "qos", "action", "packets"])
-        for rec in log.records:
-            writer.writerow(
-                [
-                    repr(rec.time_s),
-                    log.node_id,
-                    repr(rec.voltage_v),
-                    repr(rec.lux),
-                    rec.qos,
-                    rec.action,
-                    rec.packets,
-                ]
-            )
+        csv.writer(fh).writerow(["time_s", "node_id", "voltage_v", "lux", "qos", "action", "packets"])
+        fh.writelines(
+            f"{t!r},{node_id},{v!r},{lux!r},{qos},{action},{packets}\r\n"
+            for t, v, lux, qos, action, packets in log.records
+        )
 
 
 def ledger_summary(log: NodeLog) -> dict:

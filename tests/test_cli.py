@@ -1,5 +1,6 @@
 """CLI tests: exit codes, diagnostics, and byte-identical reruns."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -185,6 +186,71 @@ class TestSimulateDeployment:
         )
         assert code == 1
         assert "--duration-s" in capsys.readouterr().err
+
+
+class TestDeploymentOutputBytes:
+    """SHA-256 of every file ``simulate-deployment`` writes for a small fixed
+    fleet: minute-step light with a three-hour dark stretch, a 1 µA leaky
+    node, an event-detection node and a dim 0.02 F node that browns out in
+    the dark and recovers.  Light samples fall on wakeup times, so the tie
+    order between samples and wakeups shows in the logs.  A change to the
+    event loop or the writers that moves one byte fails here."""
+
+    DURATION_S = 6 * 3600
+    EXPECTED = {
+        "dim_log.csv": "d99c778f4e17ce7e0da32717887072750a8b797ff4be6a55184f1e7a36bf5e4f",
+        "leaky_log.csv": "d1b8bd989c5ee16a24e183898e60f2d5b68ad3e3172ced935d4e78d6a6858c9c",
+        "pir_log.csv": "2264dee76b140c4b9c56ce6f90beda440d15c4b07761d631022e974eaec54b32",
+        "report.json": "fdba2f2774a766f63a0755c57c7003919ab8415dbd1180aef7ba206ffca2ab29",
+    }
+
+    @staticmethod
+    def _write_trace(path, rows):
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write("time_s,value\n")
+            for t, v in rows:
+                fh.write(f"{t!r},{v!r}\n")
+
+    def test_outputs_byte_identical(self, tmp_path):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        nodes = [
+            {"node_id": "leaky", "supercap": {"voltage_v": 2.5, "leak_current_a": 1e-6}},
+            {"node_id": "pir", "mode": "event_detection", "supercap": {"voltage_v": 2.5}},
+            {
+                "node_id": "dim",
+                "position_m": [40.0, 0.0],
+                "supercap": {"capacitance_f": 0.02, "voltage_v": 2.3},
+            },
+        ]
+        for node_id, peak in (("leaky", 300.0), ("pir", 300.0), ("dim", 40.0)):
+            light = [
+                (m * 60.0, 0.0 if 60 <= m < 240 else peak + (m * 37) % 50 * peak / 100)
+                for m in range(self.DURATION_S // 60)
+            ]
+            self._write_trace(traces / f"{node_id}_light.csv", light)
+        self._write_trace(traces / "pir_events.csv", [(k * 337.0 + 5.0, 1.0) for k in range(60)])
+        config = tmp_path / "dep.json"
+        config.write_text(json.dumps({"nodes": nodes}))
+        out = tmp_path / "out"
+        code = main(
+            [
+                "simulate-deployment",
+                "--config", str(config),
+                "--trace-dir", str(traces),
+                "--duration-s", str(float(self.DURATION_S)),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        ledgers = json.loads((out / "report.json").read_text())["ledgers"]
+        assert (ledgers["dim"]["deaths"], ledgers["dim"]["recoveries"]) == (1, 1)
+        assert ledgers["leaky"]["ledger"]["leak_j"] > 0.0
+        assert ledgers["pir"]["events_detected"] == 60
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+        }
+        assert digests == self.EXPECTED
 
 
 class TestExplore:

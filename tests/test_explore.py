@@ -122,11 +122,12 @@ class TestMinLux:
         assert min_lux_for_perpetual(dim, 7) == pytest.approx(closed, abs=0.1)
 
 
-def leaky_oracle_node(leak_a=1e-6):
+def leaky_oracle_node(leak_a=1e-6, v_boost_min=1.8):
     """1 F from 3.6 V pinned at state 7: the frontier's leak oracle."""
     return NodeConfig(
         pinned_qos=7,
         supercap=SupercapState(capacitance_f=1.0, voltage_v=3.6, leak_current_a=leak_a),
+        converter=ConverterModel(v_boost_min=v_boost_min),
     )
 
 
@@ -187,14 +188,41 @@ class TestSurvival:
         assert min_lux_for_perpetual(cfg, 7) == pytest.approx(44.15, abs=0.005)
         assert min_lux_for_perpetual(leaky_oracle_node(0.0), 7) == pytest.approx(32.86, abs=0.005)
 
+    def test_leaky_min_lux_covers_leak_at_the_boost_threshold(self):
+        # Below v_boost_min the node harvests on the cold-start path, so the
+        # boost-path equilibrium must sit at v_boost_min when that is higher.
+        cfg = leaky_oracle_node(v_boost_min=3.0)
+        p = steady_state_power(cfg, 7)
+        closed = 300.0 * (p + 1e-6 * 3.0) / (0.8 * cfg.harvester.p_ref_w)
+        assert min_lux_for_perpetual(cfg, 7) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("v_boost_min", [1.8, 3.0])
     @pytest.mark.parametrize("leak_a", [0.0, 1e-9, 1e-6, 1e-5])
     @pytest.mark.parametrize("mode", list(ApplicationMode))
     @pytest.mark.parametrize("state", [1, 4, 7])
-    def test_min_lux_is_the_survival_boundary(self, leak_a, mode, state):
-        cfg = replace(leaky_oracle_node(leak_a), mode=mode, pinned_qos=state)
+    def test_min_lux_is_the_survival_boundary(self, v_boost_min, leak_a, mode, state):
+        cfg = replace(leaky_oracle_node(leak_a, v_boost_min), mode=mode, pinned_qos=state)
         lux = min_lux_for_perpetual(cfg, state)
         assert survival_at_lux_s(cfg, state, lux * (1 + 1e-6)) == math.inf
         assert 0.0 < survival_at_lux_s(cfg, state, lux * (1 - 1e-3)) < math.inf
+
+    @pytest.mark.parametrize("v_start, death_s", [(3.6, 1_035_660.0), (2.5, 155_400.0)])
+    def test_survival_harvests_on_the_cold_path_below_the_boost_threshold(self, v_start, death_s):
+        # With v_boost_min at 3.0 V the node harvests at eta_cold from 3.0 V
+        # down to the 2.1 V cutoff.  A boost-path solve all the way down
+        # predicted 1,399,091 s from 3.6 V, 26 % late.
+        cfg = NodeConfig(
+            pinned_qos=7,
+            converter=ConverterModel(v_boost_min=3.0),
+            supercap=SupercapState(voltage_v=v_start),
+        )
+        lux = 0.5 * min_lux_for_perpetual(cfg, 7)
+        interval = interval_for(cfg.table, 7, cfg.mode)
+        predicted = survival_at_lux_s(cfg, 7, lux, v_start=v_start)
+        log = run_node(cfg, Trace.constant(lux), duration_s=predicted + 3 * interval)
+        death = next(r.time_s for r in log.records if r.action == "death")
+        assert death == pytest.approx(death_s, abs=1.0)
+        assert abs(death - predicted) <= 2 * interval
 
     @pytest.mark.parametrize("v_start", [2.0, 9.0, math.nan, -math.inf, math.inf])
     def test_start_voltage_outside_cutoff_to_rated_rejected(self, v_start):

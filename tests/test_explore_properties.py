@@ -8,7 +8,8 @@ sawtooth runs up to one payment ahead of the average, and the death itself
 waits for the wakeup or drain crossing that takes the node under the cutoff.
 
 Draws cover leak currents 0 and 1e-10..1e-5 A, 0.01..2 F, every mode and
-state, and start voltages from the cutoff up.  The start voltage is capped
+state, a boost threshold below or above the cutoff, and start voltages from
+the cutoff up.  The start voltage is capped
 so that a run has at most ``MAX_WAKEUPS`` wakeups: every run here is
 dispatched wakeup by wakeup.
 """
@@ -18,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from luxmote.energy import SupercapState
+from luxmote.energy import ConverterModel, SupercapState
 from luxmote.explore import min_lux_for_perpetual, steady_state_power, survival_at_lux_s
 from luxmote.qos import ApplicationMode, interval_for
 from luxmote.simulate import NodeConfig, run_node
@@ -40,6 +41,8 @@ def pinned_nodes(draw):
         supercap=SupercapState(
             capacitance_f=draw(st.floats(0.01, 2.0)), leak_current_a=draw(LEAKS)
         ),
+        # Above the 2.1 V cutoff the drain ends on the cold-start path.
+        converter=ConverterModel(v_boost_min=draw(st.one_of(st.just(1.8), st.floats(2.1, 5.5)))),
     )
     lux = draw(st.floats(0.0, 0.5)) * min_lux_for_perpetual(base, state)
     sc = base.supercap

@@ -135,6 +135,21 @@ def test_pinned_node_through_light_steps(pinned):
     both(cfg, light, duration_s=30_000.0)
 
 
+def test_skips_stop_before_light_samples(monkeypatch):
+    # Light samples are not on the event heap, so the skip's own limit must
+    # include the next sample: a skip past a light step would book the old
+    # light's harvest and miss the controller's reaction to the new one.
+    cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5))
+    steps = [(0.0, 300.0)] + [(60.0 * m, 300.0 + m % 7) for m in range(1, 60)]
+    steps += [(30_000.0, 300.0), (50_000.0, 250.0), (70_000.0, 0.0), (75_000.0, 400.0)]
+    light = Trace.from_samples(steps)
+    full, slim = both(cfg, light, duration_s=100_000.0)
+    assert sum(r.action == "sample" for r in full.records) == len(steps) - 1
+    calls = count_steps(monkeypatch)
+    run_node(cfg, light, duration_s=100_000.0, detail=False)
+    assert len(calls) < slim.controller_steps / 2
+
+
 def test_event_detection_between_motion_events():
     cfg = NodeConfig(
         mode=ApplicationMode.EVENT_DETECTION,

@@ -2,6 +2,8 @@
 wakeup/event handling, death and cold-start recovery, the energy ledger, and
 determinism."""
 
+import csv
+import io
 import math
 
 import pytest
@@ -20,6 +22,7 @@ from luxmote.simulate import (
     _Phys,
     ledger_summary,
     run_node,
+    write_node_log_csv,
 )
 from luxmote.traces import Trace
 from run_compare import assert_same_run
@@ -610,3 +613,71 @@ class TestLedger:
         assert led.harvest_panel_j > led.harvest_stored_j > 0
         assert led.drain_stored_j > led.load_j > 0
         assert led.conversion_loss_j > 0
+
+
+def at(log, t):
+    """(action, lux) of every record at time ``t``, in dispatch order."""
+    return [(r.action, r.lux) for r in log.records if r.time_s == t]
+
+
+class TestLightSampleCursor:
+    """Light samples are walked by a cursor beside the event heap; at equal
+    times a sample goes first, then queued events, then the wakeup."""
+
+    def test_sample_at_a_wakeup_goes_first(self):
+        cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(voltage_v=3.5))
+        light = Trace.from_samples([(0.0, 300.0), (20.0, 100.0)])
+        log = run_node(cfg, light, duration_s=30.0)
+        assert at(log, 20.0) == [("sample", 100.0), ("wakeup", 100.0)]
+
+    def test_sample_at_a_death_crossing_goes_first(self):
+        # 1 mW from 2.2 V on 1 F reaches the cutoff after 215 s, before the
+        # second wakeup at 600 s; the sample sits at the crossing's own float.
+        cfg = constant_load_config(1e-3, v0=2.2)
+        phys = _Phys(cfg)
+        t_death = phys.crossing_s(2.2, -phys.p_standby_storage, phys.v_cutoff)
+        assert 200.0 < t_death < 600.0
+        light = Trace.from_samples([(0.0, 0.0), (t_death, 300.0)])
+        log = run_node(cfg, light, duration_s=1000.0)
+        assert at(log, t_death) == [("sample", 300.0), ("death", 300.0)]
+
+    def test_sample_at_a_recovery_crossing_goes_first(self):
+        cfg = NodeConfig(supercap=SupercapState(capacitance_f=0.1, voltage_v=2.0))
+        phys = _Phys(cfg)
+        t_on = phys.crossing_s(2.0, phys.eta_boost * (phys.p_per_lux * 300.0), phys.v_on)
+        light = Trace.from_samples([(0.0, 300.0), (t_on, 100.0)])
+        log = run_node(cfg, light, duration_s=t_on + 100.0)
+        assert at(log, t_on) == [("sample", 100.0), ("recovery", 100.0), ("wakeup", 100.0)]
+
+    def test_only_samples_inside_the_run_are_recorded(self):
+        cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(voltage_v=3.5))
+        light = Trace.from_samples([(-5.0, 50.0), (0.0, 300.0), (30.0, 100.0), (60.0, 0.0), (90.0, 7.0)])
+        log = run_node(cfg, light, duration_s=60.0)
+        assert [r.time_s for r in log.records if r.action == "sample"] == [30.0]
+        assert at(log, 0.0) == [("wakeup", 300.0)]
+        assert log.records[-1].time_s == 40.0
+
+    def test_first_sample_after_zero_holds_from_the_start(self):
+        cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(voltage_v=3.5))
+        light = Trace.from_samples([(50.0, 200.0), (100.0, 0.0)])
+        log = run_node(cfg, light, duration_s=120.0)
+        assert at(log, 0.0) == [("wakeup", 200.0)]
+        assert at(log, 50.0) == [("sample", 200.0)]
+        assert at(log, 100.0) == [("sample", 0.0), ("wakeup", 0.0)]
+
+
+class TestNodeLogCsv:
+    @pytest.mark.parametrize("node_id", ["n01", 'a,"b', "line\nbreak", " padded ", "semi;colon"])
+    def test_bytes_match_csv_writer_rows(self, tmp_path, node_id):
+        light = Trace.from_samples([(0.0, 300.0), (25.0, 0.0)])
+        log = run_node(NodeConfig(node_id=node_id), light, duration_s=100.0)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["time_s", "node_id", "voltage_v", "lux", "qos", "action", "packets"])
+        for rec in log.records:
+            writer.writerow(
+                [repr(rec.time_s), node_id, repr(rec.voltage_v), repr(rec.lux), rec.qos, rec.action, rec.packets]
+            )
+        path = tmp_path / "log.csv"
+        write_node_log_csv(log, path)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
