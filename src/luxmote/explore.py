@@ -161,7 +161,15 @@ def sweep(grid: SweepGrid, base: Optional[NodeConfig] = None) -> list[SweepRow]:
 
 def write_frontier_csv(rows: list[SweepRow], path, lux_levels=()) -> None:
     """Frontier CSV: capacitance_f,qos_state,mode,min_lux,darkness_survival_s
-    plus one survival_at_<lux>lux_s column per requested lux level."""
+    plus one survival_at_<lux>lux_s column per requested lux level; rows swept
+    with another number of levels raise ValueError before anything is written."""
+    for i, row in enumerate(rows):
+        n = len(row.survival_at_lux_s)
+        if n != len(lux_levels):
+            raise ValueError(
+                f"row {i} (capacitance_f={row.capacitance_f!r}, qos_state={row.qos_state}) "
+                f"has {n} survival times for {len(lux_levels)} lux levels"
+            )
     path = Path(path)
     header = ["capacitance_f", "qos_state", "mode", "min_lux", "darkness_survival_s"]
     header += [_survival_column(lux) for lux in lux_levels]

@@ -24,19 +24,19 @@ t(V) = (C/I)(V0 - V) - (C·P/I²)·ln((P - I·V)/(P - I·V0)) and the voltage
 after a span takes a few Newton steps on it.  Both agree with a 50-digit
 reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.
 
-Runs without per-event detail (``detail=False``) on leak-free storage skip
-over wakeups while the controller provably keeps its state (a pinned QoS
-state, or ``qos.is_fixed_point``).  Between queued events each wakeup period
-is then an affine step in stored energy, or, pinned at ``v_rated``, the same
-step every time, so k periods are booked in closed form; the wakeup times
-are still built by repeated addition, as the event loop builds them.  A skip
-never reaches a regime boundary and stops HISTORY_LEN periods before the
-next queued event or light sample and the end of the run.  Counters match a
-run with detail exactly; ledger floats and the final voltage agree to 1e-9
-relative, as sums taken in another order.  The one exception is a tie in exact arithmetic,
-such as a drain that reaches the cutoff exactly at a wakeup: rounding
-settles it, and the two runs may settle it differently.  Runs with detail
-and leaky runs dispatch every wakeup.
+Runs without per-event detail (``detail=False``) skip over wakeups while the
+controller provably keeps its state (a pinned QoS state, or
+``qos.is_fixed_point``) and one period, replayed through the same payment and
+integrator, provably repeats: pinned at ``v_rated``, leaky or not, or inside
+the regimes of leak-free storage.  k periods are then booked as k copies of
+its ledger; the wakeup times are still built by repeated addition, as the
+event loop builds them.  A skip never reaches a regime boundary and stops
+HISTORY_LEN periods before the next queued event or light sample and the end
+of the run.  Counters match a run with detail exactly; ledger floats and the
+final voltage agree to 1e-9 relative, as sums taken in another order.  The
+one exception is a tie in exact arithmetic, such as a drain that reaches the
+cutoff exactly at a wakeup: rounding settles it, and the two runs may settle
+it differently.
 """
 
 from __future__ import annotations
@@ -164,6 +164,14 @@ class EnergyLedger:
     def net_stored_j(self) -> float:
         return self.harvest_stored_j - self.drain_stored_j - self.leak_j
 
+    def add(self, other: EnergyLedger, times) -> None:
+        """Books ``times`` copies of ``other``."""
+        self.harvest_panel_j += times * other.harvest_panel_j
+        self.harvest_stored_j += times * other.harvest_stored_j
+        self.drain_stored_j += times * other.drain_stored_j
+        self.load_j += times * other.load_j
+        self.leak_j += times * other.leak_j
+
 
 @dataclass
 class NodeLog:
@@ -271,65 +279,39 @@ class _Phys:
         led.load_j += drained * self.eta_buck
         return v_new
 
-    def clear_periods(self, v, p_panel, e_wakeup, period, jitter):
-        """How many wakeup periods a live leak-free node can run, from voltage
-        ``v`` just before a wakeup, without any period touching a regime
-        boundary; 0 when none can.  Each period pays ``e_wakeup`` and then
-        charges for about ``period`` seconds (within ``jitter``).
+    def replay_period(self, v, p_panel, e_wakeup, period, jitter):
+        """Replays one wakeup period of a live node from voltage ``v`` just
+        before the wakeup on a scratch ledger: ``pay`` for ``e_wakeup``, then
+        ``advance`` for ``period - jitter``, less than any real period, which
+        the rounding of the wakeup times moves by up to half a jitter.
+        Returns ``(k, ledger)``, k the number of periods it stands for.
 
-        Two regimes qualify.  Pinned at ``v_rated``, each period drops to the
-        same post-wakeup voltage and recharges to the clamp, so only time
-        limits the count.  Strictly between the cutoff/boost-threshold floor
-        and ``v_rated``, the energy before each wakeup moves by the same
-        ``p_net * period - e_wakeup``.  The bound keeps a payment plus one
-        period's net charge of room on both sides: the payment covers the
-        dip after each wakeup, the charge the rounding of the wakeup times,
-        whose count is capped so that this rounding adds up to less than
-        one period.
+        A period that starts at ``v_rated`` and is back on the clamp by then
+        repeats bit for bit, leaky or not: only time limits k.  Inside the
+        regimes of leak-free storage, the energy before each wakeup moves by
+        the same drift.  k then keeps a payment plus one period's net charge
+        of room on both sides: for the dip after each wakeup and for the time
+        by which the real periods outlast the replayed one, which the cap
+        keeps below one period in all.  A leaky period below ``v_rated`` does
+        not repeat, and is not replayed.
         """
-        c = self.c
-        lo = 0.5 * c * max(self.v_cutoff, self.v_boost) ** 2
-        p_net = self.eta_boost * p_panel - self.p_standby_storage
+        led = EnergyLedger()
+        v_w = self.pay(v, e_wakeup, led)
+        if v_w < self.v_cutoff:
+            return 0, led
+        v_end = self.advance(v_w, True, p_panel, period - jitter, led)[0]
         if v == self.v_rated:
-            v_w = voltage_after_draw(c, v, e_wakeup)
-            e_w = 0.5 * c * v_w * v_w
-            if e_w > lo and p_net * (period - jitter) > self.e_max - e_w:
-                return math.inf
-            return 0
-        e0 = 0.5 * c * v * v
-        swing = e_wakeup + abs(p_net) * period
-        room_below = e0 - swing - lo
+            return (math.inf if v_end == v else 0), led
+        drift = led.harvest_stored_j - led.drain_stored_j
+        swing = e_wakeup + abs(drift + e_wakeup)
+        e0 = 0.5 * self.c * v * v
+        room_below = e0 - swing - 0.5 * self.c * max(self.v_cutoff, self.v_boost) ** 2
         room_above = self.e_max - swing - e0
         if room_below <= 0.0 or room_above <= 0.0:
-            return 0
-        drift = p_net * period - e_wakeup
-        cap = period / jitter
-        if drift > 0.0:
-            return min(room_above / drift - 1.0, cap)
-        if drift < 0.0:
-            return min(room_below / -drift - 1.0, cap)
-        return cap
-
-    def skip_periods(self, v, p_panel, e_wakeup, k, elapsed, led):
-        """Books ``k`` wakeup periods that ``clear_periods`` allowed, spanning
-        ``elapsed`` seconds, in closed form; returns the voltage just before
-        the next wakeup."""
-        c = self.c
-        p_in = self.eta_boost * p_panel
-        p_out = self.p_standby_storage
-        if v == self.v_rated:
-            # Each period: pay, recharge to the clamp, shed the surplus.
-            v_w = voltage_after_draw(c, v, e_wakeup)
-            paid = 0.5 * c * (v * v - v_w * v_w)
-            led.harvest_stored_j += p_out * elapsed + k * paid
-        else:
-            paid = e_wakeup
-            led.harvest_stored_j += p_in * elapsed
-            v = math.sqrt(v * v + 2.0 * ((p_in - p_out) * elapsed - k * paid) / c)
-        led.harvest_panel_j += p_panel * elapsed
-        led.drain_stored_j += p_out * elapsed + k * paid
-        led.load_j += self.p_standby_load * elapsed + k * paid * self.eta_buck
-        return v
+            return 0, led
+        room = room_above if drift > 0.0 else room_below
+        k = room / abs(drift) - 1.0 if drift else math.inf
+        return min(k, 0.5 * period / jitter), led
 
     def advance(self, v, alive, p_panel, dt, led):
         c = self.c
@@ -557,12 +539,9 @@ class _NodeSim:
         duration = self.duration
         advance = self.phys.advance
         led = self.log.ledger
-        # Only leak-free summary runs may skip wakeups; every other run keeps
-        # the plain wakeup with no extra checks.
-        if self.detail or self.phys.i_leak:
-            wakeup = self._wakeup
-        else:
-            wakeup = self._wakeup_or_skip
+        # Only summary runs may skip wakeups; detailed runs keep the plain
+        # wakeup with no extra checks.
+        wakeup = self._wakeup if self.detail else self._wakeup_or_skip
         sample_t, sample_v = self.sample_t, self.sample_v
         p_per_lux = self.phys.p_per_lux
         i_sample = 0
@@ -642,8 +621,9 @@ class _NodeSim:
         self._record(t, "wakeup", emitted)
 
     def _wakeup_or_skip(self, t):
-        """The wakeup at ``t``, or a closed-form skip over this and later
-        wakeups while the controller provably keeps its state.
+        """The wakeup at ``t``, or a skip over this and later wakeups, booked
+        from one replayed period, while the controller provably keeps its
+        state and the period provably repeats.
 
         The skip stops at least HISTORY_LEN periods before the next queued
         event or light sample and the end of the run.  The wakeups in between
@@ -652,23 +632,32 @@ class _NodeSim:
         by the skip change no step while the controller stays at its fixed
         point.
         """
-        qos = self.pinned_qos
-        if qos is None:
-            if not is_fixed_point(self.ctrl, self.lux, self.table):
-                self._wakeup(t)
-                return
-            qos = 7
+        phys = self.phys
+        # A leaky period below v_rated never repeats: no replay.
+        if (phys.i_leak and self.v != phys.v_rated) or (
+            self.pinned_qos is None and not is_fixed_point(self.ctrl, self.lux, self.table)
+        ):
+            self._wakeup(t)
+            return
+        qos = self.pinned_qos or 7
         period = self.intervals[qos - 1]
         t_event = self.heap[0][0] if self.heap else math.inf
         t_limit = min(t_event, self.t_sample, self.duration)
-        phys = self.phys
-        cap = phys.clear_periods(self.v, self.p_panel, self.e_wakeup, period, math.ulp(t_limit))
+        jitter = math.ulp(t_limit)
+        cap, one = phys.replay_period(self.v, self.p_panel, self.e_wakeup, period, jitter)
         k, t_last, t_next = _wake_times(t, period, t_limit - HISTORY_LEN * period, cap)
         if k == 0:
             self._wakeup(t)
             return
         log = self.log
-        self.v = phys.skip_periods(self.v, self.p_panel, self.e_wakeup, k, t_next - t, log.ledger)
+        log.ledger.add(one, k)
+        v = self.v
+        if v != phys.v_rated:
+            v = math.sqrt(v * v + 2.0 * k * one.net_stored_j() / phys.c)
+        # Each real period outlasts the replayed one; the excess, on the clamp
+        # or else less than a period in all, is integrated as one stretch.
+        rest = (t_next - t) - k * (period - jitter)
+        self.v = phys.advance(v, True, self.p_panel, rest, log.ledger)[0]
         self.qos = qos
         log.qos_histogram[qos] += k
         log.controller_steps += k
@@ -764,11 +753,11 @@ def run_node(
     ``light`` drives the harvester (lux, sample-and-hold); ``events`` is only
     meaningful in event-detection mode and raises otherwise.  ``detail``
     controls whether per-event records are kept (summary counters and the
-    energy ledger are always maintained).  Without detail, a leak-free node
-    fast-forwards over wakeups at a controller fixed point (see the module
-    docstring): its counters equal those of the detailed run, its ledger and
-    final voltage agree to 1e-9 relative, barring exact ties.  Deterministic given (config,
-    traces, duration, detail).
+    energy ledger are always maintained).  Without detail, a node at a
+    controller fixed point fast-forwards over wakeups, a leaky one only while
+    pinned at ``v_rated`` (see the module docstring): its counters equal those
+    of the detailed run, its ledger and final voltage agree to 1e-9 relative,
+    barring exact ties.  Deterministic given (config, traces, duration, detail).
     """
     return _NodeSim(config, light, events, duration_s, detail).run()
 

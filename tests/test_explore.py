@@ -297,6 +297,16 @@ class TestSweep:
         )
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("levels", [(), (10.0,), (10.0, 20.0, 30.0)])
+    def test_csv_rejects_rows_of_another_grid(self, tmp_path, levels):
+        # Rows swept with two lux levels would put 7 cells under a header
+        # with another number of columns.
+        rows = sweep(SweepGrid(capacitances_f=(1.0,), qos_states=(1, 7), lux_levels=(5.0, 50.0)))
+        path = tmp_path / "frontier.csv"
+        with pytest.raises(ValueError, match=r"row 0 \(capacitance_f=1.0, qos_state=1\) has 2 "):
+            write_frontier_csv(rows, path, lux_levels=levels)
+        assert not path.exists()
+
     def test_mode_flows_into_rows(self):
         grid = SweepGrid(
             capacitances_f=(1.0,), qos_states=(7,), mode=ApplicationMode.ADVERTISING
