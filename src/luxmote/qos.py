@@ -278,9 +278,10 @@ def is_fixed_point(ctrl: ControllerState, light: float, table: QosTable) -> bool
     history has zero trend, so the light rule gives +1 and the clamp at 7
     swallows the voltage rule.  At the ceiling ``step`` re-seeds from the
     table and then adds 2, which still reaches 7 when the state at
-    ``v_max - V_MAX_TOL`` is 5 or higher (it is 7 in the shipped table).  Repeated steps at this light keep the target, the seeding and
-    the light history, so the state stays 7 until the light changes or the
-    controller is reset; only the voltage history and the seed counter move.
+    ``v_max - V_MAX_TOL`` is 5 or higher (it is 7 in the shipped table).
+    Repeated steps at this light keep the target, the seeding and the light
+    history, so the state stays 7 until the light changes or the controller
+    is reset; only the voltage history and the seed counter move.
     """
     return (
         ctrl.index > 0

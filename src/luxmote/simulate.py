@@ -29,14 +29,14 @@ controller provably keeps its state (a pinned QoS state, or
 ``qos.is_fixed_point``) and one period, replayed through the same payment and
 integrator, provably repeats: pinned at ``v_rated``, leaky or not, or inside
 the regimes of leak-free storage.  k periods are then booked as k copies of
-its ledger; the wakeup times are still built by repeated addition, as the
-event loop builds them.  A skip never reaches a regime boundary and stops
-HISTORY_LEN periods before the next queued event or light sample and the end
-of the run.  Counters match a run with detail exactly; ledger floats and the
-final voltage agree to 1e-9 relative, as sums taken in another order.  The
-one exception is a tie in exact arithmetic, such as a drain that reaches the
-cutoff exactly at a wakeup: rounding settles it, and the two runs may settle
-it differently.
+its ledger; the wakeup times equal those of the event loop's repeated
+addition, computed per binade (``_wake_times``).  A skip never reaches a
+regime boundary and stops HISTORY_LEN periods before the next queued event or
+light sample and the end of the run.  Counters match a run with detail
+exactly; ledger floats and the final voltage agree to 1e-9 relative, as sums
+taken in another order.  The one exception is a tie in exact arithmetic, such
+as a drain that reaches the cutoff exactly at a wakeup: rounding settles it,
+and the two runs may settle it differently.
 """
 
 from __future__ import annotations
@@ -448,21 +448,30 @@ class _Phys:
 
 
 def _wake_times(t, period, horizon, cap):
-    """Wakeup times ``t``, ``t + period``, ... built by repeated addition, as
-    the event loop builds them.  Returns ``(k, t_last, t_next)``: the ``k``
+    """Wakeup times ``t``, ``t + period``, ... equal to those the event loop
+    builds by repeated addition.  Returns ``(k, t_last, t_next)``: the ``k``
     (at most ``cap``) wakeups from ``t`` on whose successor lies at or
-    before ``horizon``, the last of them and that successor."""
-    k, t_last, t_next = 0, t, t
-    # An unchecked run of additions, kept only when it lands in range.
-    n = int(min(cap, (horizon - t) / period - 1.0))
-    if n > 0:
-        s = t
-        for _ in range(n - 1):
-            s += period
-        if s + period <= horizon:
-            k, t_last, t_next = n, s, s + period
+    before ``horizon``, the last of them and that successor.
+
+    The times are computed per binade.  While ``s`` and ``s + period`` lie in
+    one binade ``[2^e, 2^(e+1))`` with ulp ``u``, ``fl(s + period) = s + d``,
+    ``d`` being ``period`` rounded to a multiple of ``u``.  Only where
+    ``period / u`` ends in exactly .5 does ties-to-even choose ``d`` by the
+    parity of ``s / u``, and after one step that parity no longer changes.
+    So once two additions within a binade give the same step ``d``, the
+    following times are ``s + j·d``, exact, up to ``2^(e+1) - u``, the
+    horizon and the cap (each with one step to spare).  Every other step, at
+    binade edges and near the horizon or cap, is a real addition; a skip
+    costs a few additions per binade instead of one per period.
+    """
+    k, before, t_last, t_next = 0, t, t, t
     while k + 1 <= cap and t_next + period <= horizon:
-        k, t_last, t_next = k + 1, t_next, t_next + period
+        k, before, t_last, t_next = k + 1, t_last, t_next, t_next + period
+        d, u = t_next - t_last, math.ulp(t_next)
+        if d == t_last - before and d > 0.0 and math.ulp(before) == u:
+            m = int(min(cap - k, (min(horizon, u * (2.0**53 - 1.0)) - t_next) / d)) - 1
+            if m > 0:
+                k, t_last, t_next = k + m, t_next + (m - 1) * d, t_next + m * d
     return k, t_last, t_next
 
 

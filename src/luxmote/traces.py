@@ -12,6 +12,7 @@ CSV wire format: UTF-8, header ``time_s,value``, one sample per line,
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,6 +98,9 @@ def load_trace_csv(path) -> Trace:
                 v = float(row[1])
             except ValueError as exc:
                 raise TraceError(f"{path}: line {lineno}: {exc}") from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                column, x = ("value", v) if math.isfinite(t) else ("time_s", t)
+                raise TraceError(f"{path}: line {lineno}: {column} {x} is not finite")
             if times and t <= times[-1]:
                 raise TraceError(
                     f"{path}: line {lineno}: time {t} does not increase past {times[-1]}"

@@ -8,6 +8,7 @@ and the QoS histogram must agree exactly, floats to 1e-9 relative, except
 where rounding settles an exact tie (see run_compare.py).
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -51,9 +52,10 @@ def count_steps(monkeypatch):
 
 @pytest.mark.parametrize("duration, wakeups", [(3600.0, 36_001), (4500.0, 45_001)])
 def test_advertising_at_400_lux_keeps_every_wakeup(duration, wakeups):
-    # Wakeup times must be built by repeated addition, as the event loop
-    # does: computing t + k * T instead can lose the last wakeup, one that
-    # repeated addition of 0.1 s puts just before the end of the run.
+    # Wakeup times must equal those of repeated addition, as the event loop
+    # builds them.  t + k * T across binades is wrong: it can lose the last
+    # wakeup, one that repeated addition of 0.1 s puts just before the end of
+    # the run.  The per-binade jump of _wake_times is exact.
     cfg = NodeConfig(mode=ApplicationMode.ADVERTISING)
     full, slim = both(cfg, Trace.constant(400.0), duration_s=duration)
     assert full.controller_steps == slim.controller_steps == wakeups
@@ -238,3 +240,47 @@ def test_tie_at_the_cutoff_matches_a_nudged_detailed_run():
     )
     full, slim = both(cfg, Trace.constant(0.0), duration_s=8750.0)
     assert full.controller_steps == slim.controller_steps == 1749
+
+
+def repeated_addition(t, period, horizon, cap):
+    """The reference for ``_wake_times``: one addition per period."""
+    k, t_last, t_next = 0, t, t
+    while k + 1 <= cap and t_next + period <= horizon:
+        k, t_last, t_next = k + 1, t_next, t_next + period
+    return k, t_last, t_next
+
+
+TABLE_PERIODS = sorted({p for row in DEFAULT_TABLE.intervals.values() for p in row})
+
+
+@st.composite
+def wake_cases(draw):
+    if draw(st.booleans()):
+        # period = odd * 2^q and t in the binade whose ulp is u = 2^(q+1),
+        # where period / u ends in .5 and ties-to-even picks the step.
+        q = draw(st.integers(-44, -30))
+        period = (2 * draw(st.integers(1, 2**20)) + 1) * 2.0**q
+        t = 2.0 ** (q + 53) + draw(st.integers(0, 2**52 - 1)) * 2.0 ** (q + 1)
+    else:
+        period = draw(st.one_of(st.sampled_from(TABLE_PERIODS), st.floats(0.05, 400.0)))
+        power = 2.0 ** draw(st.integers(-4, 23))
+        t = draw(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from([power, math.nextafter(power, 0.0)]),
+                st.floats(0.0, 1e7),
+            )
+        )
+    n = draw(st.integers(0, 20_000))
+    successor = repeated_addition(t, period, math.inf, n)[2]
+    horizon = draw(
+        st.sampled_from([successor, math.nextafter(successor, 0.0), successor + 0.5 * period])
+    )
+    cap = draw(st.one_of(st.sampled_from([0.0, 1.0, math.inf]), st.floats(0.0, n + 5.0)))
+    return t, period, horizon, cap
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(wake_cases())
+def test_wake_times_equal_repeated_addition(case):
+    assert simulate._wake_times(*case) == repeated_addition(*case)

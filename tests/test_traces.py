@@ -83,6 +83,15 @@ class TestCsv:
         with pytest.raises(TraceError, match="line 2"):
             load_trace_csv(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["time_s", "value"])
+    def test_non_finite_names_line_and_column(self, tmp_path, text, column):
+        path = tmp_path / "bad.csv"
+        row = f"{text},1" if column == "time_s" else f"5,{text}"
+        path.write_text(f"time_s,value\n0,1\n{row}\n")
+        with pytest.raises(TraceError, match=f"bad.csv: line 3: {column} .* is not finite"):
+            load_trace_csv(path)
+
     def test_wrong_column_count_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,value\n0.0,1.0,9\n")
