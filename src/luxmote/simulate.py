@@ -369,6 +369,8 @@ class _Phys:
             if alive:
                 led.load_j += self.p_standby_load * span
             used += span
+            if used > dt:  # used + (dt - used) can round one ulp past dt
+                used = dt
             v = v_new
             if v_new == thr:
                 if alive and thr == self.v_cutoff:
