@@ -11,25 +11,31 @@ from luxmote import (
     NodeConfig,
     SupercapState,
     Trace,
-    discharge,
-    harvest_power,
     run_node,
     standby_power,
 )
+
 
 cap = SupercapState(capacitance_f=1.0, voltage_v=3.0)
 conv = ConverterModel()
 panel = HarvesterModel()
 load = LoadModel()
 
-print("=== storage element ===")
-print(f"1 F at {cap.voltage_v} V holds {cap.energy_j:.3f} J")
-print(f"usable down to the {cap.v_cutoff} V brown-out: "
-      f"{cap.energy_j - 0.5 * cap.v_cutoff**2:.3f} J")
 
-print("\n=== indoor panel (linear in lux) ===")
+def stored_j(v):
+    """Energy the element holds at ``v`` volts: 0.5 * C * V^2."""
+    return 0.5 * cap.capacitance_f * v * v
+
+
+print("=== storage element ===")
+print(f"1 F at {cap.voltage_v} V holds {stored_j(cap.voltage_v):.3f} J")
+print(f"usable down to the {cap.v_cutoff} V brown-out: "
+      f"{stored_j(cap.voltage_v) - stored_j(cap.v_cutoff):.3f} J")
+
+print("\n=== indoor panel (linear in lux), from an hour's simulated ledger ===")
 for lux in (0, 100, 300, 600, 1000):
-    print(f"  {lux:5d} lux -> {harvest_power(panel, lux) * 1e6:8.2f} uW raw panel output")
+    hour = run_node(NodeConfig(harvester=panel), Trace.constant(lux), duration_s=3600.0)
+    print(f"  {lux:5d} lux -> {hour.ledger.harvest_panel_j / 3600.0 * 1e6:8.2f} uW raw panel output")
 
 print("\n=== converter input path ===")
 print(f"the boost charger passes {conv.eta_boost:.0%} of the panel output once the")
@@ -48,18 +54,14 @@ for hour in range(0, 25, 4):
     if hour:
         v = run_node(node, light, duration_s=hour * 3600.0, detail=False).final_voltage_v
     print(f"  t = {hour:2d} h: {v:.3f} V")
-state = SupercapState(capacitance_f=cap.capacitance_f, voltage_v=v)
 
 print("\n=== paying for work ===")
 print(f"standby draw (storage side): {standby_power(load, conv) * 1e6:.2f} uW")
-one_tx = discharge(state, load.e_sense_tx_j, conv)
+# A load-side joule costs 1/eta_buck joules of stored energy.
+e_tx = load.e_sense_tx_j / conv.eta_buck
+v_tx = (v * v - 2.0 * e_tx / cap.capacitance_f) ** 0.5
 print(f"one sense+transmit ({load.e_sense_tx_j * 1e6:.0f} uJ load-side) moves the "
-      f"voltage by {(state.voltage_v - one_tx.voltage_v) * 1e6:.2f} uV")
-
-drained = state
-joules = 0.0
-while not drained.dead:
-    drained = discharge(drained, 0.1, conv)
-    joules += 0.1
-print(f"draining 0.1 J at a time kills the node after {joules:.1f} J load-side")
-print(f"final voltage {drained.voltage_v:.3f} V (cutoff {drained.v_cutoff} V)")
+      f"voltage by {(v - v_tx) * 1e6:.2f} uV")
+usable_j = stored_j(v) - stored_j(cap.v_cutoff)
+print(f"above the {cap.v_cutoff} V cutoff the element holds {usable_j:.3f} J, "
+      f"{usable_j * conv.eta_buck:.3f} J load-side")

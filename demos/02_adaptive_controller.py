@@ -11,7 +11,6 @@ from luxmote import (
     DEFAULT_TABLE,
     ApplicationMode,
     ControllerState,
-    interval_for,
     step,
 )
 
@@ -38,7 +37,7 @@ for name, lux, drift, steps in phases:
     for _ in range(steps):
         volt = min(max(volt + drift, 2.1), 3.6)
         ctrl, qos = step(ctrl, volt, lux, DEFAULT_TABLE)
-        interval = interval_for(DEFAULT_TABLE, qos, ApplicationMode.PERIODIC_SENSING)
+        interval = DEFAULT_TABLE.intervals[ApplicationMode.PERIODIC_SENSING][qos - 1]
         print(f"  {name:15s} {volt:.3f} {lux:6.0f}  ->  {qos}    {interval:6.0f} s")
 
 print("\nfalling light or voltage walks the service level down one step per")

@@ -22,8 +22,8 @@ cfg = NodeConfig()
 print("periodic sensing with the default hardware:")
 print(f"{'state':>5s} {'interval':>9s} {'steady power':>13s} {'min lux':>8s} "
       f"{'dark survival':>14s}")
-for state in range(1, 8):
-    row = cfg.table.row_for_state(state)
+for row in sorted(cfg.table.rows):
+    state = row.state
     p = steady_state_power(cfg, state)
     lux = min_lux_for_perpetual(cfg, state)
     days = survival_at_lux_s(cfg, state, 0.0) / DAY

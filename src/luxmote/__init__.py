@@ -22,8 +22,6 @@ from .energy import (
     HarvesterModel,
     LoadModel,
     SupercapState,
-    discharge,
-    harvest_power,
     standby_power,
 )
 from .explore import (
@@ -41,7 +39,6 @@ from .qos import (
     ControllerState,
     QosRow,
     QosTable,
-    interval_for,
     lookup_state,
     reset,
     step,

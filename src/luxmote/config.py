@@ -73,7 +73,16 @@ def _number(value, where: str) -> float:
     # bool is an int in Python, but a JSON true is not a number.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{where}: must be a finite number, got {value}") from None
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
+    return value
 
 
 def _mode(value, where: str) -> ApplicationMode:
@@ -152,10 +161,9 @@ def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
                 raise ConfigError(
                     f"{where}.table[{i}]: each row is [state, v_lo, v_hi, sense_s, pir_s, adv_s]"
                 )
-            if isinstance(row[0], bool) or not isinstance(row[0], int):
-                raise ConfigError(f"{where}.table[{i}][0]: must be an integer, got {row[0]!r}")
+            state = _integer(row[0], f"{where}.table[{i}][0]")
             numbers = (_number(x, f"{where}.table[{i}][{j}]") for j, x in enumerate(row[1:], 1))
-            cells.append((row[0], *numbers))
+            cells.append((state, *numbers))
         try:
             kwargs["table"] = QosTable(rows=tuple(cells))
         except ValueError as exc:
@@ -197,7 +205,8 @@ def parse_sweep_grid(obj: dict, where: str = "grid") -> tuple[SweepGrid, NodeCon
         if key in obj:
             if not isinstance(obj[key], list):
                 raise ConfigError(f"{where}.{key}: must be a list")
-            kwargs[key] = tuple(obj[key])
+            entry = _integer if key == "qos_states" else _number
+            kwargs[key] = tuple(entry(x, f"{where}.{key}[{i}]") for i, x in enumerate(obj[key]))
     if "mode" in obj:
         kwargs["mode"] = _mode(obj["mode"], f"{where}.mode")
     grid = _build(SweepGrid, kwargs, where)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -214,26 +214,13 @@ def run_deployment(
     )
 
 
-def _metrics_dict(m: NodeMetrics) -> dict:
-    return {
-        "mode": m.mode,
-        "uptime_fraction": m.uptime_fraction,
-        "dead_seconds": m.dead_seconds,
-        "deaths": m.deaths,
-        "recoveries": m.recoveries,
-        "controller_steps": m.controller_steps,
-        "packets_emitted": m.packets_emitted,
-        "packets_delivered": m.packets_delivered,
-        "mean_packet_interval_s": m.mean_packet_interval_s,
-        "qos_histogram": {str(s): m.qos_histogram[s] for s in range(1, 8)},
-        "events_detected": m.events_detected,
-        "notifications_emitted": m.notifications_emitted,
-        "events_missed_dead": m.events_missed_dead,
-        "notification_latency_mean_s": m.notification_latency_mean_s,
-        "notification_latency_max_s": m.notification_latency_max_s,
-        "final_voltage_v": m.final_voltage_v,
-        "distance_m": m.distance_m,
-    }
+def _fields_dict(metrics, skip: str) -> dict:
+    """Every field of a metrics dataclass but ``skip``, the QoS histogram
+    keyed by state."""
+    out = {f.name: getattr(metrics, f.name) for f in fields(metrics) if f.name != skip}
+    hist = out["qos_histogram"]
+    out["qos_histogram"] = {str(s): hist[s] for s in range(1, 8)}
+    return out
 
 
 def report_summary(report: DeploymentReport) -> dict:
@@ -242,19 +229,8 @@ def report_summary(report: DeploymentReport) -> dict:
         "duration_s": report.duration_s,
         "radio_range_m": report.radio_range_m,
         "base_station_m": list(report.base_station_m),
-        "aggregate": {
-            "node_count": len(agg.per_node),
-            "uptime_fraction": agg.uptime_fraction,
-            "dead_seconds": agg.dead_seconds,
-            "packets_emitted": agg.packets_emitted,
-            "packets_delivered": agg.packets_delivered,
-            "controller_steps": agg.controller_steps,
-            "qos_histogram": {str(s): agg.qos_histogram[s] for s in range(1, 8)},
-            "mean_interval_s": agg.mean_interval_s,
-            "notification_latency_mean_s": agg.notification_latency_mean_s,
-            "notification_latency_max_s": agg.notification_latency_max_s,
-        },
-        "nodes": {nid: _metrics_dict(m) for nid, m in sorted(agg.per_node.items())},
+        "aggregate": {"node_count": len(agg.per_node), **_fields_dict(agg, "per_node")},
+        "nodes": {nid: _fields_dict(m, "node_id") for nid, m in sorted(agg.per_node.items())},
         "ledgers": {log.node_id: ledger_summary(log) for log in report.logs},
     }
 

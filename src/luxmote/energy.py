@@ -1,10 +1,10 @@
 """Physical energy models: supercapacitor storage, light harvesting, converter
 efficiency with cold-start, and load accounting.
 
-All state transitions are value-semantic: operations take a state and return
-a new one, so node models can be evaluated from any number of threads.
-Charging over time, with the cold-start and rated-voltage regimes, has one
-implementation: the simulator's integrator (``simulate._Phys``).
+The models are frozen, validated parameter sets.  Every transition that
+moves energy, the panel harvest, charging over time with the cold-start and
+rated-voltage regimes, and the payment of an action, has one implementation:
+the simulator's integrator (``simulate._Phys``).
 
 Sign conventions and units: energies in joules, powers in watts, currents in
 amperes, voltages in volts.  "Storage-side" quantities are measured at the
@@ -16,7 +16,7 @@ rail.  The buck converter sits between them, so a load-side joule costs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 def require_finite(model) -> None:
@@ -37,8 +37,8 @@ class SupercapState:
     The single source of truth for a node's energy: stored energy is exactly
     0.5 * C * V^2.  ``v_cutoff`` is the brown-out threshold below which the
     node is dead; ``v_rated`` the absolute maximum the element tolerates.
-    Self-discharge, when enabled, is a constant current drawn directly from
-    the storage element.
+    The leak, when enabled, is a constant current drawn directly from the
+    storage element.
     """
 
     capacitance_f: float = 1.0
@@ -63,15 +63,6 @@ class SupercapState:
             raise ValueError(f"v_cutoff must be >= 0, got {self.v_cutoff}")
         if self.leak_current_a < 0:
             raise ValueError(f"leak_current_a must be >= 0, got {self.leak_current_a}")
-
-    @property
-    def energy_j(self) -> float:
-        return 0.5 * self.capacitance_f * self.voltage_v**2
-
-    @property
-    def dead(self) -> bool:
-        """True when the voltage has fallen below the brown-out threshold."""
-        return self.voltage_v < self.v_cutoff
 
 
 @dataclass(frozen=True)
@@ -160,37 +151,6 @@ class LoadModel:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
-def harvest_power(model: HarvesterModel, lux: float) -> float:
-    """Panel output power in watts at the given illuminance, before converter
-    losses.  Linear in lux through the reference point: zero at zero lux."""
-    if lux < 0:
-        raise ValueError(f"lux must be non-negative, got {lux}")
-    return model.p_ref_w * (lux / model.lux_ref)
-
-
-def discharge(cap: SupercapState, e_load_j: float, conv: ConverterModel) -> SupercapState:
-    """Draw a load-side energy through the buck converter.
-
-    Storage-side energy drawn is ``e_load_j / eta_buck``.  If the demand
-    exceeds what is stored, the element is drained to 0 V.  Death is not an
-    exception: the returned state's ``dead`` property reports whether the
-    voltage ended below the cutoff.
-    """
-    if e_load_j < 0:
-        raise ValueError(f"e_load_j must be >= 0, got {e_load_j}")
-    v_new = voltage_after_draw(cap.capacitance_f, cap.voltage_v, e_load_j / conv.eta_buck)
-    return replace(cap, voltage_v=v_new)
-
-
-def voltage_after_draw(capacitance_f: float, voltage_v: float, e_stored_j: float) -> float:
-    """Terminal voltage after drawing ``e_stored_j`` storage-side joules at
-    once; a draw beyond the stored energy drains the element to 0 V."""
-    e_new = 0.5 * capacitance_f * voltage_v**2 - e_stored_j
-    if e_new < 0.0:
-        e_new = 0.0
-    return math.sqrt(2.0 * e_new / capacitance_f)
 
 
 def standby_power(load: LoadModel, conv: ConverterModel) -> float:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .energy import require_finite, standby_power
-from .qos import ApplicationMode, interval_for
+from .qos import ApplicationMode
 from .simulate import NodeConfig, _Phys, action_energy_j
 
 
@@ -30,8 +30,7 @@ def steady_state_power(config: NodeConfig, state: int) -> float:
     referred through the buck converter."""
     if not 1 <= state <= 7:
         raise ValueError(f"state must be in [1, 7], got {state}")
-    interval = interval_for(config.table, state, config.mode)
-    p_action_load = action_energy_j(config) / interval
+    p_action_load = action_energy_j(config) / config.table.intervals[config.mode][state - 1]
     return standby_power(config.load, config.converter) + p_action_load / config.converter.eta_buck
 
 
@@ -99,6 +98,8 @@ class SweepGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "capacitances_f", tuple(float(c) for c in self.capacitances_f))
+        if not all(isinstance(s, int) or float(s).is_integer() for s in self.qos_states):
+            raise ValueError(f"qos states must be whole numbers, got {self.qos_states}")
         object.__setattr__(self, "qos_states", tuple(int(s) for s in self.qos_states))
         object.__setattr__(self, "lux_levels", tuple(float(x) for x in self.lux_levels))
         require_finite(self)

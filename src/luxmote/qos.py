@@ -121,12 +121,6 @@ class QosTable:
             },
         )
 
-    def row_for_state(self, state: int) -> QosRow:
-        for row in self.rows:
-            if row.state == state:
-                return row
-        raise ValueError(f"no such state {state}")
-
 
 DEFAULT_TABLE = QosTable(
     rows=(
@@ -156,13 +150,6 @@ def lookup_state(table: QosTable, volt: float) -> int:
         )
     # Float-tolerance slack just below the floor counts as the bottom bucket.
     return bisect_right(table.lower_edges, volt) or 1
-
-
-def interval_for(table: QosTable, state: int, mode: ApplicationMode) -> float:
-    """Wakeup / hold-off interval in seconds for a state and application mode."""
-    if not 1 <= state <= 7:
-        raise ValueError(f"no such state {state}")
-    return table.intervals[mode][state - 1]
 
 
 def trend(buffer) -> float:
@@ -197,7 +184,6 @@ class ControllerState:
     index: int = 0
     qos: int = 1
     next_qos: int = 1
-    v_max: float = 3.6
 
     def __post_init__(self):
         if len(self.light_buf) != HISTORY_LEN or len(self.volt_buf) != HISTORY_LEN:
@@ -229,7 +215,7 @@ def step(
         raise ValueError(
             f"controller stepped on a dead node: {volt} V below table floor {table.v_min} V"
         )
-    v_max = ctrl.v_max
+    v_max = table.v_max
     if volt > v_max:
         volt = v_max
 
@@ -264,7 +250,7 @@ def step(
     new = object.__new__(ControllerState)
     new.__dict__.update(
         light_buf=light_buf, volt_buf=volt_buf, index=index,
-        qos=next_qos, next_qos=next_qos, v_max=v_max,
+        qos=next_qos, next_qos=next_qos,
     )
     return new, next_qos
 
@@ -288,7 +274,7 @@ def is_fixed_point(ctrl: ControllerState, light: float, table: QosTable) -> bool
         and ctrl.next_qos == 7
         and light > 0
         and ctrl.light_buf == (light,) * HISTORY_LEN
-        and lookup_state(table, max(ctrl.v_max - V_MAX_TOL, table.v_min)) >= 5
+        and lookup_state(table, table.v_max - V_MAX_TOL) >= 5
     )
 
 

@@ -1,8 +1,8 @@
 """Discrete-event simulation of a single harvesting node's lifecycle.
 
 Between discrete events the node evolves continuously: the panel charges the
-storage element through the input converter, the standby draw and optional
-self-discharge pull it down.  Discrete events are wakeups (controller
+storage element through the input converter, the standby draw and an
+optional leak pull it down.  Discrete events are wakeups (controller
 evaluation plus the mode's action energy), external events (motion/door
 impulses in event-detection mode), brown-out death and cold-start recovery,
 and light-trace sample boundaries.
@@ -59,7 +59,6 @@ from .energy import (
     SupercapState,
     require_finite,
     standby_power,
-    voltage_after_draw,
 )
 from .qos import (
     DEFAULT_TABLE,
@@ -108,6 +107,11 @@ class NodeConfig:
 
     def __post_init__(self):
         require_finite(self)
+        # The id names the node's trace and log files.
+        if self.node_id in (".", "..") or any(c in self.node_id for c in "/\\\0"):
+            raise ValueError(
+                f"node_id must not be '.' or '..' or contain '/', '\\' or NUL, got {self.node_id!r}"
+            )
         if not self.supercap.v_cutoff < self.v_on <= self.table.v_max:
             raise ValueError(
                 f"v_on must satisfy v_cutoff < v_on <= {self.table.v_max} "
@@ -141,7 +145,7 @@ class EnergyLedger:
     ``harvest_panel_j`` is raw panel output (pre-conversion);
     ``harvest_stored_j`` what actually entered the storage element;
     ``drain_stored_j`` what left it for loads; ``load_j`` what the loads
-    received (post-buck); ``leak_j`` self-discharge.  Conservation:
+    received (post-buck); ``leak_j`` the leak.  Conservation:
     delta stored energy == harvest_stored - drain_stored - leak.
     """
 
@@ -270,10 +274,14 @@ class _Phys:
 
     def pay(self, v, e_stored_j, led):
         """Draw a storage-side action energy at once; returns the new voltage
-        and books the drain in the ledger."""
+        and books the drain in the ledger.  A draw beyond the stored energy
+        drains the element to 0 V."""
         if e_stored_j == 0.0:
             return v
-        v_new = voltage_after_draw(self.c, v, e_stored_j)
+        e_new = 0.5 * self.c * v**2 - e_stored_j
+        if e_new < 0.0:
+            e_new = 0.0
+        v_new = math.sqrt(2.0 * e_new / self.c)
         drained = 0.5 * self.c * (v * v - v_new**2)
         led.drain_stored_j += drained
         led.load_j += drained * self.eta_buck
@@ -510,7 +518,7 @@ class _NodeSim:
         self.pinned_qos = config.pinned_qos
         self.v = config.supercap.voltage_v
         self.alive = self.v >= config.supercap.v_cutoff
-        self.ctrl = ControllerState(v_max=config.table.v_max)
+        self.ctrl = ControllerState()
         self.qos = config.pinned_qos if config.pinned_qos is not None else self.ctrl.qos
         self.lux = light.value_at(0.0)
         self.p_panel = self.phys.p_per_lux * self.lux

@@ -76,6 +76,23 @@ class TestSimulateNode:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_node_id_cannot_reach_outside_out(self, tmp_path, capsys):
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps({"node_id": "../escaped"}))
+        out = tmp_path / "runs" / "out"
+        code = main(
+            [
+                "simulate-node",
+                "--config", str(path),
+                "--light-trace", LIGHT_TRACE,
+                "--duration-s", "60",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"{path}: node_id must not" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_nonpositive_duration(self, tmp_path, capsys):
         code = main(
             [
@@ -161,6 +178,28 @@ class TestSimulateDeployment:
         )
         assert code == 1
         assert "lonely" in capsys.readouterr().err
+
+    def test_node_id_cannot_reach_outside_the_directories(self, tmp_path, capsys):
+        # An unchecked id would read <trace-dir>/../escaped_light.csv and
+        # write escaped_log.csv next to --out.
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (tmp_path / "escaped_light.csv").write_text("time_s,value\n0,300\n")
+        path = tmp_path / "dep.json"
+        path.write_text(json.dumps({"nodes": [{"node_id": "../escaped"}]}))
+        out = tmp_path / "runs" / "out"
+        code = main(
+            [
+                "simulate-deployment",
+                "--config", str(path),
+                "--trace-dir", str(traces),
+                "--duration-s", "60",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"{path}.nodes[0]: node_id must not" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_nonpositive_duration(self, tmp_path, capsys):
         code = main(
@@ -285,6 +324,26 @@ class TestExplore:
         row = out.read_text().splitlines()[1].split(",")
         assert row[3] == "inf"
 
+    @pytest.mark.parametrize(
+        "key, entries, i, message",
+        [
+            ("capacitances_f", [True, "2"], 0, "must be a number"),
+            ("capacitances_f", [1.0, "2"], 1, "must be a number"),
+            ("qos_states", [7.9, True], 0, "must be an integer"),
+            ("qos_states", [7, True], 1, "must be an integer"),
+            ("qos_states", [7.0], 0, "must be an integer"),
+            ("lux_levels", ["10"], 0, "must be a number"),
+            ("lux_levels", [10.0, None], 1, "must be a number"),
+        ],
+    )
+    def test_grid_entry_type_names_entry(self, tmp_path, capsys, key, entries, i, message):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({key: entries}))
+        out = tmp_path / "frontier.csv"
+        assert main(["explore", "--config", str(path), "--out", str(out)]) == 1
+        assert f"{path}.{key}[{i}]: {message}, got {entries[i]!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         blobs = []
         for name in ("a.csv", "b.csv"):
@@ -335,6 +394,19 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}.{field}: must be a finite number" in err
+
+    @pytest.mark.parametrize(
+        "template, field",
+        [
+            ('{"v_on": %s}', "v_on"),
+            ('{"qos_states": [7], "capacitances_f": [1.0, %s]}', "capacitances_f[1]"),
+        ],
+    )
+    def test_integer_beyond_float_range_names_field(self, tmp_path, capsys, template, field):
+        path = tmp_path / "bad.json"
+        path.write_text(template % ("1" + "0" * 400))
+        assert main(["validate-config", "--config", str(path)]) == 1
+        assert f"{path}.{field}: must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["7.9", "7.0", "true", '"7"', "0", "8"])
     def test_pinned_qos_must_be_an_integer_in_range(self, tmp_path, capsys, value):
@@ -421,6 +493,14 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}.table[{i}][{j}]: {message}, got {bad!r}" in err
+
+    def test_untyped_grid_lists_rejected(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(
+            '{"capacitances_f": [true, "2"], "qos_states": [7.9, true], "lux_levels": ["10"]}'
+        )
+        assert main(["validate-config", "--config", str(path)]) == 1
+        assert f"{path}.capacitances_f[0]: must be a number, got True" in capsys.readouterr().err
 
     def test_deeply_nested_json_names_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

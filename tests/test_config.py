@@ -76,7 +76,7 @@ class TestNodeConfig:
             [1, 2.1, 2.4, 300.0, 300.0, 2.5],
         ]
         cfg = parse_node_config({"table": rows})
-        assert cfg.table.row_for_state(7).sense_interval_s == 10.0
+        assert cfg.table.rows == tuple(tuple(row) for row in rows)
 
     def test_overlapping_table_cites_rows(self):
         rows = [

@@ -1,12 +1,17 @@
 """Deployment tests: delivery model, node independence, metric aggregation."""
 
+from dataclasses import fields
+
 import pytest
 
 from luxmote.deployment import (
     DeploymentConfig,
+    Metrics,
+    NodeMetrics,
     compute_metrics,
     link_delivery,
     node_distance_m,
+    report_summary,
     run_deployment,
 )
 from luxmote.energy import SupercapState
@@ -188,6 +193,23 @@ class TestMetrics:
         metrics = compute_metrics([log], {"x": log.packets_emitted}, {"x": 3.0})
         assert metrics.per_node["x"].packets_delivered == log.packets_emitted
         assert metrics.per_node["x"].distance_m == 3.0
+
+
+class TestReportSummary:
+    def test_every_metrics_field_is_reported(self):
+        config = small_fleet(2)
+        report = run_deployment(config, {n.node_id: OFFICE for n in config.nodes}, duration_s=60.0)
+        summary = report_summary(report)
+        node_fields = {f.name for f in fields(NodeMetrics)} - {"node_id"}
+        for nid, m in report.metrics.per_node.items():
+            entry = summary["nodes"][nid]
+            assert set(entry) == node_fields
+            assert entry["qos_histogram"] == {str(s): m.qos_histogram[s] for s in range(1, 8)}
+            assert entry["final_voltage_v"] == m.final_voltage_v
+        aggregate = summary["aggregate"]
+        assert set(aggregate) == {f.name for f in fields(Metrics)} - {"per_node"} | {"node_count"}
+        assert aggregate["node_count"] == 2
+        assert aggregate["packets_emitted"] == report.metrics.packets_emitted
 
 
 class TestDistance:

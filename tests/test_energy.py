@@ -10,8 +10,6 @@ from luxmote.energy import (
     HarvesterModel,
     LoadModel,
     SupercapState,
-    discharge,
-    harvest_power,
     standby_power,
 )
 from luxmote.deployment import DeploymentConfig
@@ -22,33 +20,26 @@ from luxmote.simulate import EnergyLedger, NodeConfig, _Phys
 IDEAL = ConverterModel(eta_boost=1.0, eta_cold=0.05, eta_buck=1.0)
 
 
+def phys(conv=IDEAL, capacitance_f=1.0):
+    """The simulator's physics for an element with no standby load."""
+    return _Phys(
+        NodeConfig(
+            supercap=SupercapState(capacitance_f=capacitance_f),
+            converter=conv,
+            load=LoadModel(i_standby_a=0.0),
+        )
+    )
+
+
 def charge_v(v0, p_panel_w, dt_s, conv=IDEAL, capacitance_f=1.0):
     """Voltage after ``dt_s`` seconds of constant panel power into an element
     with no load, through the simulator's integrator."""
-    cfg = NodeConfig(
-        supercap=SupercapState(capacitance_f=capacitance_f),
-        converter=conv,
-        load=LoadModel(i_standby_a=0.0),
-    )
-    v, _, crossing = _Phys(cfg).advance(v0, True, p_panel_w, dt_s, EnergyLedger())
+    v, _, crossing = phys(conv, capacitance_f).advance(v0, True, p_panel_w, dt_s, EnergyLedger())
     assert crossing is None
     return v
 
 
 class TestSupercapState:
-    def test_stored_energy_examples(self):
-        assert SupercapState(capacitance_f=1.0, voltage_v=3.6).energy_j == pytest.approx(6.48)
-        assert SupercapState(capacitance_f=1.0, voltage_v=0.0).energy_j == 0.0
-        assert SupercapState(capacitance_f=1.0, voltage_v=2.1).energy_j == pytest.approx(2.205)
-
-    def test_energy_property_matches_function(self):
-        cap = SupercapState(capacitance_f=0.47, voltage_v=2.9)
-        assert cap.energy_j == 0.5 * 0.47 * 2.9**2
-
-    def test_dead_flag(self):
-        assert SupercapState(voltage_v=2.0999).dead
-        assert not SupercapState(voltage_v=2.1).dead
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -94,25 +85,24 @@ def test_nonfinite_field_rejected_by_name(build, field):
 
 
 class TestHarvester:
+    """The panel power is the simulator's ``p_per_lux * lux``; negative lux
+    is rejected by ``Trace`` and by ``explore.survival_at_lux_s``."""
+
     def test_reference_point(self):
         # 46.5 uA at 1.5 V under 300 lux
-        assert harvest_power(HarvesterModel(), 300.0) == pytest.approx(69.75e-6)
+        assert phys().p_per_lux * 300.0 == pytest.approx(69.75e-6)
 
     def test_zero_light(self):
-        assert harvest_power(HarvesterModel(), 0.0) == 0.0
+        assert phys().p_per_lux * 0.0 == 0.0
 
     def test_linear_scaling(self):
-        assert harvest_power(HarvesterModel(), 600.0) == pytest.approx(139.5e-6)
-        assert harvest_power(HarvesterModel(), 150.0) == pytest.approx(34.875e-6)
-
-    def test_negative_lux_rejected(self):
-        with pytest.raises(ValueError):
-            harvest_power(HarvesterModel(), -1.0)
+        assert phys().p_per_lux * 600.0 == pytest.approx(139.5e-6)
+        assert phys().p_per_lux * 150.0 == pytest.approx(34.875e-6)
 
     def test_monotone_in_lux(self):
-        model = HarvesterModel()
+        p_per_lux = phys().p_per_lux
         lux = np.linspace(0, 2000, 50)
-        powers = [harvest_power(model, x) for x in lux]
+        powers = [p_per_lux * x for x in lux]
         assert all(b >= a for a, b in zip(powers, powers[1:]))
         assert all(p >= 0 for p in powers)
 
@@ -160,38 +150,38 @@ class TestCharge:
         assert gained_warm == pytest.approx(0.80 * 1e-3 * 10.0)
 
 
-class TestDischarge:
+class TestPay:
+    """``_Phys.pay`` draws a storage-side energy at once and books it."""
+
     def test_closed_form(self):
-        # 0.5*C*(3.6^2 - 3.0^2) = 1.98 J at unit buck efficiency
-        cap = SupercapState(capacitance_f=1.0, voltage_v=3.6)
-        out = discharge(cap, 1.98, IDEAL)
-        assert out.voltage_v == pytest.approx(3.0, rel=1e-12)
-        assert not out.dead
+        # 0.5*C*(3.6^2 - 3.0^2) = 1.98 J
+        led = EnergyLedger()
+        assert phys().pay(3.6, 1.98, led) == pytest.approx(3.0, rel=1e-12)
+        assert led.drain_stored_j == pytest.approx(1.98, rel=1e-12)
 
     def test_death_below_cutoff(self):
-        cap = SupercapState(capacitance_f=1.0, voltage_v=2.11)
-        out = discharge(cap, 1.0, IDEAL)
-        assert out.dead
+        p = phys()
+        assert p.pay(2.11, 1.0, EnergyLedger()) < p.v_cutoff
 
-    def test_zero_load_is_identity(self):
-        cap = SupercapState(capacitance_f=1.0, voltage_v=2.8)
-        assert discharge(cap, 0.0, IDEAL).voltage_v == 2.8
+    def test_zero_draw_is_identity(self):
+        led = EnergyLedger()
+        assert phys().pay(2.8, 0.0, led) == 2.8
+        assert led == EnergyLedger()
 
-    def test_buck_efficiency_scales_draw(self):
-        conv = ConverterModel(eta_buck=0.5)
-        cap = SupercapState(capacitance_f=1.0, voltage_v=3.0)
-        out = discharge(cap, 0.5, conv)  # draws 1 J storage-side
-        assert out.voltage_v == pytest.approx(math.sqrt(9.0 - 2.0), rel=1e-12)
+    def test_books_drain_and_load(self):
+        led = EnergyLedger()
+        v = phys(ConverterModel(eta_buck=0.5)).pay(3.0, 1.0, led)
+        assert v == pytest.approx(math.sqrt(9.0 - 2.0), rel=1e-12)
+        assert led.drain_stored_j == pytest.approx(1.0, rel=1e-12)
+        assert led.load_j == 0.5 * led.drain_stored_j
+        assert led.harvest_stored_j == led.leak_j == 0.0
 
     def test_overdraw_drains_to_zero(self):
-        cap = SupercapState(capacitance_f=0.1, voltage_v=2.5)
-        out = discharge(cap, 100.0, IDEAL)
-        assert out.voltage_v == 0.0
-        assert out.dead
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(ValueError):
-            discharge(SupercapState(), -1e-6, IDEAL)
+        # only the 0.3125 J stored is drained, not the 100 J asked for
+        led = EnergyLedger()
+        assert phys(capacitance_f=0.1).pay(2.5, 100.0, led) == 0.0
+        assert led.drain_stored_j == 0.5 * 0.1 * 2.5**2
+        assert led.load_j == led.drain_stored_j
 
 
 class TestStandbyPower:
@@ -205,7 +195,7 @@ class TestStandbyPower:
 
 
 class TestProperties:
-    def test_charge_discharge_roundtrip(self):
+    def test_charge_pay_roundtrip(self):
         # equal storage-side energy through ideal converters returns the
         # initial voltage to 1e-9 relative
         rng = np.random.default_rng(42)
@@ -217,8 +207,8 @@ class TestProperties:
             up = charge_v(v0, p, dt, capacitance_f=c)
             if up >= 5.5:
                 continue  # clamped: energy discarded, not reversible
-            back = discharge(SupercapState(capacitance_f=c, voltage_v=up), p * dt, IDEAL)
-            assert back.voltage_v == pytest.approx(v0, rel=1e-9)
+            back = phys(capacitance_f=c).pay(up, p * dt, EnergyLedger())
+            assert back == pytest.approx(v0, rel=1e-9)
 
     def test_clamp_safety_fuzz(self):
         rng = np.random.default_rng(7)
@@ -229,8 +219,10 @@ class TestProperties:
                 cap.voltage_v, rng.uniform(0, 1e-2), rng.uniform(0.1, 1e4), conv, cap.capacitance_f
             )
             assert 0.0 <= charged <= cap.v_rated
-            drained = discharge(cap, rng.uniform(0, 10.0), conv)
-            assert 0.0 <= drained.voltage_v <= drained.v_rated
+            drained = phys(conv, cap.capacitance_f).pay(
+                cap.voltage_v, rng.uniform(0, 10.0) / conv.eta_buck, EnergyLedger()
+            )
+            assert 0.0 <= drained <= cap.v_rated
 
     def test_load_model_rejects_negative(self):
         with pytest.raises(ValueError):

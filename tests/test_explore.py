@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState, harvest_power
+from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState
 from luxmote.explore import (
     SweepGrid,
     min_lux_for_perpetual,
@@ -15,8 +15,8 @@ from luxmote.explore import (
     sweep,
     write_frontier_csv,
 )
-from luxmote.qos import ApplicationMode, interval_for
-from luxmote.simulate import NodeConfig, run_node
+from luxmote.qos import ApplicationMode
+from luxmote.simulate import NodeConfig, _Phys, run_node
 from luxmote.traces import Trace
 
 # eta_buck = 1 so the arithmetic in the frozen expectations stays bare
@@ -93,7 +93,7 @@ class TestMinLux:
             for state in range(1, 8):
                 demand = steady_state_power(cfg, state)
                 lux = min_lux_for_perpetual(cfg, state)
-                harvest = cfg.converter.eta_boost * harvest_power(cfg.harvester, lux)
+                harvest = cfg.converter.eta_boost * _Phys(cfg).p_per_lux * lux
                 assert harvest == pytest.approx(demand, rel=1e-12)
 
     def test_zero_demand_needs_no_light(self):
@@ -174,7 +174,7 @@ class TestSurvival:
 
     def test_leaky_darkness_survival_matches_simulated_death(self):
         cfg = leaky_oracle_node()
-        interval = interval_for(cfg.table, 7, cfg.mode)
+        interval = cfg.table.intervals[cfg.mode][7 - 1]
         expected = survival_at_lux_s(cfg, 7, 0.0)
         log = run_node(cfg, Trace.constant(0.0), duration_s=expected + 3 * interval)
         (death,) = [r.time_s for r in log.records if r.action == "death"]
@@ -217,7 +217,7 @@ class TestSurvival:
             supercap=SupercapState(voltage_v=v_start),
         )
         lux = 0.5 * min_lux_for_perpetual(cfg, 7)
-        interval = interval_for(cfg.table, 7, cfg.mode)
+        interval = cfg.table.intervals[cfg.mode][7 - 1]
         predicted = survival_at_lux_s(cfg, 7, lux, v_start=v_start)
         log = run_node(cfg, Trace.constant(lux), duration_s=predicted + 3 * interval)
         death = next(r.time_s for r in log.records if r.action == "death")
@@ -277,8 +277,18 @@ class TestSweep:
             SweepGrid(capacitances_f=())
         with pytest.raises(ValueError):
             SweepGrid(qos_states=(0,))
+        with pytest.raises(ValueError, match=r"qos states must be in \[1, 7\]"):
+            SweepGrid(qos_states=(10**400,))
         with pytest.raises(ValueError):
             SweepGrid(capacitances_f=(-1.0,))
+
+    @pytest.mark.parametrize("state", [7.9, 6.5, math.nan, math.inf])
+    def test_fractional_states_rejected(self, state):
+        with pytest.raises(ValueError, match="qos states must be whole numbers"):
+            SweepGrid(qos_states=(1, state))
+
+    def test_whole_float_states_become_ints(self):
+        assert SweepGrid(qos_states=(7.0, 1)).qos_states == (7, 1)
 
     @pytest.mark.parametrize("levels", [(10.0, 10.000001), (25.0, 25.0)])
     def test_levels_sharing_a_column_rejected(self, levels):

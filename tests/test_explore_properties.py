@@ -21,7 +21,7 @@ import pytest
 
 from luxmote.energy import ConverterModel, SupercapState
 from luxmote.explore import min_lux_for_perpetual, steady_state_power, survival_at_lux_s
-from luxmote.qos import ApplicationMode, interval_for
+from luxmote.qos import ApplicationMode
 from luxmote.simulate import NodeConfig, run_node
 from luxmote.traces import Trace
 
@@ -46,7 +46,7 @@ def pinned_nodes(draw):
     )
     lux = draw(st.floats(0.0, 0.5)) * min_lux_for_perpetual(base, state)
     sc = base.supercap
-    interval = interval_for(base.table, state, base.mode)
+    interval = base.table.intervals[base.mode][state - 1]
     # Energy the steady draw takes over MAX_WAKEUPS intervals bounds the start.
     budget = steady_state_power(base, state) * interval * MAX_WAKEUPS
     v_hi = min(sc.v_rated, math.sqrt(sc.v_cutoff**2 + 2.0 * budget / sc.capacitance_f))

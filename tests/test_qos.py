@@ -14,7 +14,6 @@ from luxmote.qos import (
     ControllerState,
     QosRow,
     QosTable,
-    interval_for,
     lookup_state,
     reset,
     step,
@@ -119,21 +118,19 @@ class TestLookup:
             assert lookup_state(DEFAULT_TABLE, float(volt)) == table_state(ORACLE_ROWS, float(volt))
 
 
-class TestIntervalFor:
+class TestIntervals:
     def test_examples(self):
-        assert interval_for(DEFAULT_TABLE, 7, ApplicationMode.PERIODIC_SENSING) == 20.0
-        assert interval_for(DEFAULT_TABLE, 4, ApplicationMode.EVENT_DETECTION) == 60.0
-        assert interval_for(DEFAULT_TABLE, 1, ApplicationMode.ADVERTISING) == 5.0
+        intervals = DEFAULT_TABLE.intervals
+        assert intervals[ApplicationMode.PERIODIC_SENSING][7 - 1] == 20.0
+        assert intervals[ApplicationMode.EVENT_DETECTION][4 - 1] == 60.0
+        assert intervals[ApplicationMode.ADVERTISING][1 - 1] == 5.0
 
     def test_all_cells(self):
+        intervals = DEFAULT_TABLE.intervals
         for state, _, _, sense, pir, adv in EXPECTED_TABLE:
-            assert interval_for(DEFAULT_TABLE, state, ApplicationMode.PERIODIC_SENSING) == sense
-            assert interval_for(DEFAULT_TABLE, state, ApplicationMode.EVENT_DETECTION) == pir
-            assert interval_for(DEFAULT_TABLE, state, ApplicationMode.ADVERTISING) == adv
-
-    def test_unknown_state(self):
-        with pytest.raises(ValueError):
-            interval_for(DEFAULT_TABLE, 8, ApplicationMode.PERIODIC_SENSING)
+            assert intervals[ApplicationMode.PERIODIC_SENSING][state - 1] == sense
+            assert intervals[ApplicationMode.EVENT_DETECTION][state - 1] == pir
+            assert intervals[ApplicationMode.ADVERTISING][state - 1] == adv
 
 
 class TestTrend:

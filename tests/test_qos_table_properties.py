@@ -16,7 +16,6 @@ from luxmote.qos import (
     ControllerState,
     QosRow,
     QosTable,
-    interval_for,
     is_fixed_point,
     lookup_state,
     step,
@@ -69,11 +68,11 @@ def test_lookup_state_matches_reference(drawn, data):
 
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(tables())
-def test_interval_for_reads_the_row(drawn):
+def test_intervals_read_the_rows(drawn):
     table, _ = drawn
     for row in table.rows:
         for mode, column in COLUMNS.items():
-            assert interval_for(table, row.state, mode) == getattr(row, column)
+            assert table.intervals[mode][row.state - 1] == getattr(row, column)
 
 
 def _table_with_edges(pairs):

@@ -13,9 +13,8 @@ from luxmote.energy import (
     HarvesterModel,
     LoadModel,
     SupercapState,
-    voltage_after_draw,
 )
-from luxmote.qos import DEFAULT_TABLE, ApplicationMode, interval_for
+from luxmote.qos import DEFAULT_TABLE, ApplicationMode
 from luxmote.simulate import (
     EnergyLedger,
     NodeConfig,
@@ -283,8 +282,10 @@ class TestCrossingTime:
 
 
 def test_run_checks_its_own_conservation(monkeypatch):
+    pay = _Phys.pay
+
     def pay_unbooked(self, v, e_stored_j, led):
-        return voltage_after_draw(self.c, v, e_stored_j) if e_stored_j else v
+        return pay(self, v, e_stored_j, EnergyLedger())
 
     monkeypatch.setattr(_Phys, "pay", pay_unbooked)
     with pytest.raises(RuntimeError, match=r"node n1: conservation residual .* > 1e-6"):
@@ -316,6 +317,16 @@ class TestRunNodeBasics:
         with pytest.raises(ValueError, match="events trace"):
             run_node(NodeConfig(), OFFICE, Trace.constant(1.0), duration_s=10.0)
 
+    @pytest.mark.parametrize("node_id", [".", "..", "../escaped", "a/b", "a\\b", "nul\0"])
+    def test_node_id_must_not_leave_its_directory(self, node_id):
+        # The id names the node's <id>_light.csv, <id>_log.csv and <id>_ledger.json.
+        with pytest.raises(ValueError, match="^node_id must not"):
+            NodeConfig(node_id=node_id)
+
+    @pytest.mark.parametrize("node_id", ["..a", "a.b", "..."])
+    def test_node_id_may_hold_dots(self, node_id):
+        assert NodeConfig(node_id=node_id).node_id == node_id
+
     def test_single_wakeup_short_run(self):
         cfg = NodeConfig(supercap=SupercapState(voltage_v=3.5))
         log = run_node(cfg, OFFICE, duration_s=5.0)
@@ -340,7 +351,7 @@ class TestRunNodeBasics:
         seen = set()
         for a, b in zip(wakeups, wakeups[1:]):
             gap = b.time_s - a.time_s
-            expected = interval_for(DEFAULT_TABLE, a.qos, ApplicationMode.PERIODIC_SENSING)
+            expected = DEFAULT_TABLE.intervals[ApplicationMode.PERIODIC_SENSING][a.qos - 1]
             assert gap == pytest.approx(expected, rel=1e-9)
             seen.add(a.qos)
         assert len(seen) >= 2  # the controller actually moved
@@ -573,7 +584,7 @@ class TestEventDetection:
         # wakeup cadence follows the event-mode hold-off column
         wakeups = [r for r in log.records if r.action == "wakeup"]
         gap = wakeups[1].time_s - wakeups[0].time_s
-        assert gap == interval_for(DEFAULT_TABLE, wakeups[0].qos, ApplicationMode.EVENT_DETECTION)
+        assert gap == DEFAULT_TABLE.intervals[ApplicationMode.EVENT_DETECTION][wakeups[0].qos - 1]
 
 
 class TestPinnedQos:
