@@ -58,16 +58,19 @@ print(f"fleet uptime {agg.uptime_fraction:.4f}, total dead {agg.dead_seconds:.0f
 
 print(f"{'node':10s} {'dist':>5s} {'uptime':>7s} {'emitted':>8s} {'delivered':>9s} "
       f"{'mean gap':>9s} {'top state':>9s}")
+# counters come from each node's log; delivery, distance and the derived
+# means from the deployment's per-node metrics
 for node_id, m in agg.per_node.items():
+    log = report.logs[node_id]
     gap = f"{m.mean_packet_interval_s:.1f}s" if m.mean_packet_interval_s else "-"
-    top = max(range(1, 8), key=lambda s: m.qos_histogram[s])
-    print(f"{node_id:10s} {m.distance_m:4.0f}m {m.uptime_fraction:7.4f} "
-          f"{m.packets_emitted:8d} {m.packets_delivered:9d} {gap:>9s} {top:9d}")
+    top = max(range(1, 8), key=lambda s: log.qos_histogram[s])
+    print(f"{node_id:10s} {m.distance_m:4.0f}m {log.uptime_fraction:7.4f} "
+          f"{log.packets_emitted:8d} {m.packets_delivered:9d} {gap:>9s} {top:9d}")
 
-pir = agg.per_node["door-pir"]
+pir = report.logs["door-pir"]
 print(f"\nmotion sensor: {pir.events_detected} events, "
       f"{pir.notifications_emitted} notifications "
       f"(hold-off coalesced the rest; worst latency "
-      f"{pir.notification_latency_max_s or 0:.0f} s)")
+      f"{agg.per_node['door-pir'].notification_latency_max_s or 0:.0f} s)")
 print("\nthe stairwell node keeps sensing but its packets never reach the")
 print("base station; the dim corner node rides the bottom service levels.")

@@ -12,7 +12,6 @@ from .deployment import (
     DeploymentReport,
     Metrics,
     NodeMetrics,
-    compute_metrics,
     link_delivery,
     run_deployment,
     write_deployment_report,

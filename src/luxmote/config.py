@@ -111,24 +111,10 @@ def _section(obj: dict, key: str, cls, where: str):
     return _build(cls, numbers, where)
 
 
-_NODE_KEYS = (
-    "node_id",
-    "mode",
-    "position_m",
-    "v_on",
-    "pinned_qos",
-    "supercap",
-    "harvester",
-    "converter",
-    "load",
-    "table",
-)
-
-
 def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object")
-    _check_keys(obj, _NODE_KEYS, where)
+    _check_keys(obj, NodeConfig.__dataclass_fields__, where)
 
     kwargs = {}
     if "node_id" in obj:
@@ -172,13 +158,10 @@ def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
     return _build(NodeConfig, kwargs, where)
 
 
-_DEPLOYMENT_KEYS = ("base_station_m", "radio_range_m", "nodes")
-
-
 def parse_deployment_config(obj: dict, where: str = "deployment") -> DeploymentConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object")
-    _check_keys(obj, _DEPLOYMENT_KEYS, where)
+    _check_keys(obj, DeploymentConfig.__dataclass_fields__, where)
     kwargs = {}
     if "base_station_m" in obj:
         kwargs["base_station_m"] = _point(obj, "base_station_m", where)

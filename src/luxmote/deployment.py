@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -59,29 +59,19 @@ def node_distance_m(config: NodeConfig, base_station_m) -> float:
 
 @dataclass(frozen=True)
 class NodeMetrics:
-    node_id: str
-    mode: str
-    uptime_fraction: float
-    dead_seconds: float
-    deaths: int
-    recoveries: int
-    controller_steps: int
-    packets_emitted: int
+    """What a node's report entry adds to its ``ledger_summary``: the delivery
+    and distance only a deployment knows, and values derived from its log."""
+
     packets_delivered: int
+    distance_m: float
     mean_packet_interval_s: Optional[float]
-    qos_histogram: tuple[int, ...]  # index 0 unused, 1..7
-    events_detected: int
-    notifications_emitted: int
-    events_missed_dead: int
     notification_latency_mean_s: Optional[float]
     notification_latency_max_s: Optional[float]
-    final_voltage_v: float
-    distance_m: float
 
 
 @dataclass(frozen=True)
 class Metrics:
-    """Fleet aggregate plus per-node breakdown."""
+    """Fleet aggregate plus the per-node ``NodeMetrics`` by node id."""
 
     per_node: dict
     uptime_fraction: float
@@ -101,71 +91,48 @@ class DeploymentReport:
     radio_range_m: float
     base_station_m: tuple[float, float]
     metrics: Metrics
-    logs: list = field(default_factory=list)
+    logs: dict = field(default_factory=dict)  # node_id -> NodeLog, in config order
 
 
-def compute_metrics(logs: list[NodeLog], delivered: dict, distances: dict) -> Metrics:
+def _mean_max(values: list) -> tuple[Optional[float], Optional[float]]:
+    return (sum(values) / len(values), max(values)) if values else (None, None)
+
+
+def compute_metrics(logs: dict, delivered: dict, distances: dict) -> Metrics:
     """Deterministic aggregate over per-node logs.
 
-    ``delivered`` maps node_id to packets delivered; ``distances`` to the
-    node-to-base-station distance.  Logs are folded in (node_id) order so the
-    result is independent of simulation order.
+    ``logs`` maps node_id to its NodeLog, ``delivered`` to packets delivered
+    and ``distances`` to the node-to-base-station distance.  Logs are folded
+    in node_id order so the result is independent of simulation order.
     """
+    ordered = [logs[node_id] for node_id in sorted(logs)]
     per_node = {}
-    hist = [0] * 8
-    gap_sum = {}
-    gap_count = {}
-    latencies_all = []
-    total_dead = 0.0
-    uptime_sum = 0.0
-    for log in sorted(logs, key=lambda l: l.node_id):
-        lat = log.notification_latencies_s
+    gaps = {}  # mode value -> [gap sum, gap count]
+    for log in ordered:
         per_node[log.node_id] = NodeMetrics(
-            node_id=log.node_id,
-            mode=log.mode.value,
-            uptime_fraction=log.uptime_fraction,
-            dead_seconds=log.dead_seconds,
-            deaths=log.deaths,
-            recoveries=log.recoveries,
-            controller_steps=log.controller_steps,
-            packets_emitted=log.packets_emitted,
-            packets_delivered=delivered[log.node_id],
-            mean_packet_interval_s=log.mean_packet_interval_s,
-            qos_histogram=tuple(log.qos_histogram),
-            events_detected=log.events_detected,
-            notifications_emitted=log.notifications_emitted,
-            events_missed_dead=log.events_missed_dead,
-            notification_latency_mean_s=(sum(lat) / len(lat)) if lat else None,
-            notification_latency_max_s=max(lat) if lat else None,
-            final_voltage_v=log.final_voltage_v,
-            distance_m=distances[log.node_id],
+            delivered[log.node_id],
+            distances[log.node_id],
+            log.mean_packet_interval_s,
+            *_mean_max(log.notification_latencies_s),
         )
-        for s in range(1, 8):
-            hist[s] += log.qos_histogram[s]
-        mode = log.mode.value
-        gap_sum[mode] = gap_sum.get(mode, 0.0) + log.packet_gap_sum_s
-        gap_count[mode] = gap_count.get(mode, 0) + log.packet_gap_count
-        latencies_all.extend(lat)
-        total_dead += log.dead_seconds
-        uptime_sum += log.uptime_fraction
-    n = len(logs)
-    mean_interval = {
-        mode: (gap_sum[mode] / gap_count[mode]) if gap_count[mode] else None
-        for mode in gap_sum
-    }
+        gap = gaps.setdefault(log.mode.value, [0.0, 0])
+        gap[0] += log.packet_gap_sum_s
+        gap[1] += log.packet_gap_count
+    latency_mean, latency_max = _mean_max(
+        [lat for log in ordered for lat in log.notification_latencies_s]
+    )
+    uptime_sum = sum(log.uptime_fraction for log in ordered)
     return Metrics(
         per_node=per_node,
-        uptime_fraction=(uptime_sum / n) if n else 1.0,
-        dead_seconds=total_dead,
-        packets_emitted=sum(m.packets_emitted for m in per_node.values()),
+        uptime_fraction=(uptime_sum / len(ordered)) if ordered else 1.0,
+        dead_seconds=sum((log.dead_seconds for log in ordered), 0.0),  # a float when empty
+        packets_emitted=sum(log.packets_emitted for log in ordered),
         packets_delivered=sum(m.packets_delivered for m in per_node.values()),
-        controller_steps=sum(m.controller_steps for m in per_node.values()),
-        qos_histogram=tuple(hist),
-        mean_interval_s=mean_interval,
-        notification_latency_mean_s=(
-            sum(latencies_all) / len(latencies_all) if latencies_all else None
-        ),
-        notification_latency_max_s=max(latencies_all) if latencies_all else None,
+        controller_steps=sum(log.controller_steps for log in ordered),
+        qos_histogram=(0, *(sum(log.qos_histogram[s] for log in ordered) for s in range(1, 8))),
+        mean_interval_s={mode: (s / c if c else None) for mode, (s, c) in gaps.items()},
+        notification_latency_mean_s=latency_mean,
+        notification_latency_max_s=latency_max,
     )
 
 
@@ -188,18 +155,17 @@ def run_deployment(
     if missing:
         raise ValueError(f"missing light trace for node(s): {', '.join(sorted(missing))}")
 
-    logs = []
+    logs = {}
     delivered = {}
     distances = {}
     for node in config.nodes:
-        log = run_node(
+        log = logs[node.node_id] = run_node(
             node,
             light_traces[node.node_id],
             event_traces.get(node.node_id),
             duration_s=duration_s,
             detail=detail,
         )
-        logs.append(log)
         dist = node_distance_m(node, config.base_station_m)
         distances[node.node_id] = dist
         in_range = link_delivery(dist, config.radio_range_m)
@@ -214,24 +180,19 @@ def run_deployment(
     )
 
 
-def _fields_dict(metrics, skip: str) -> dict:
-    """Every field of a metrics dataclass but ``skip``, the QoS histogram
-    keyed by state."""
-    out = {f.name: getattr(metrics, f.name) for f in fields(metrics) if f.name != skip}
-    hist = out["qos_histogram"]
-    out["qos_histogram"] = {str(s): hist[s] for s in range(1, 8)}
-    return out
-
-
 def report_summary(report: DeploymentReport) -> dict:
+    """report.json: the run's extent, the fleet aggregate and, per node, its
+    ``ledger_summary`` under "ledgers" and its ``NodeMetrics`` under "nodes"."""
     agg = report.metrics
+    aggregate = {f.name: getattr(agg, f.name) for f in fields(agg) if f.name != "per_node"}
+    aggregate["qos_histogram"] = {str(s): agg.qos_histogram[s] for s in range(1, 8)}
     return {
         "duration_s": report.duration_s,
         "radio_range_m": report.radio_range_m,
         "base_station_m": list(report.base_station_m),
-        "aggregate": {"node_count": len(agg.per_node), **_fields_dict(agg, "per_node")},
-        "nodes": {nid: _fields_dict(m, "node_id") for nid, m in sorted(agg.per_node.items())},
-        "ledgers": {log.node_id: ledger_summary(log) for log in report.logs},
+        "aggregate": {"node_count": len(agg.per_node), **aggregate},
+        "nodes": {node_id: asdict(m) for node_id, m in agg.per_node.items()},
+        "ledgers": {node_id: ledger_summary(log) for node_id, log in report.logs.items()},
     }
 
 
@@ -244,7 +205,7 @@ def write_deployment_report(report: DeploymentReport, out_dir) -> None:
         fh.write("\n")
     from .simulate import write_node_log_csv
 
-    for log in report.logs:
+    for log in report.logs.values():
         if log.records:
             write_node_log_csv(log, out / f"{log.node_id}_log.csv")
 

@@ -37,6 +37,10 @@ HISTORY_LEN = 5
 # meaningless for a measured quantity, and 10 mV is far below a bucket width.
 V_MAX_TOL = 0.010
 
+# The shortest wakeup interval a table may hold: with a floor, a run's
+# wakeup count is at most proportional to its duration.
+MIN_INTERVAL_S = 1e-3
+
 _TREND_DEN = sum((i - (HISTORY_LEN - 1) / 2.0) ** 2 for i in range(HISTORY_LEN))
 
 
@@ -63,9 +67,10 @@ class QosTable:
 
     Invariants enforced at construction: exactly 7 rows with states 1..7,
     buckets contiguous and non-overlapping covering [2.1, 3.6] V, and all
-    three interval columns strictly decreasing in state.  Derived once after
-    validation: the voltage domain, the bucket lower edges in ascending order
-    and, per application mode, the intervals of states 1..7.
+    three interval columns finite, at least ``MIN_INTERVAL_S`` and strictly
+    decreasing in state.  Derived once after validation: the voltage domain,
+    the bucket lower edges in ascending order and, per application mode, the
+    intervals of states 1..7.
     """
 
     rows: tuple[QosRow, ...]
@@ -106,6 +111,11 @@ class QosTable:
             values = [getattr(r, col) for r in by_voltage]
             if not all(0 < v < math.inf for v in values):
                 raise ValueError(f"{col}: intervals must be positive and finite")
+            for row, value in zip(by_voltage, values):
+                if value < MIN_INTERVAL_S:
+                    raise ValueError(
+                        f"{col}: state {row.state} interval {value} s is below {MIN_INTERVAL_S} s"
+                    )
             if any(b >= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{col}: intervals must strictly decrease with state")
         object.__setattr__(self, "v_min", by_voltage[0].v_lo)

@@ -47,7 +47,7 @@ import io
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -514,6 +514,14 @@ class _NodeSim:
         self.e_wakeup = action_energy_j(config) / eta_buck
         self.e_event = config.load.e_event_detect_j / eta_buck
         self.intervals = config.table.intervals[config.mode]
+        # Past ulp(duration), adding the interval to the clock can leave it
+        # where it was, and the run would never end.
+        if min(self.intervals) < math.ulp(self.duration):
+            raise ValueError(
+                f"node {config.node_id}: shortest {config.mode.value} interval "
+                f"{min(self.intervals)} s is below the float spacing "
+                f"{math.ulp(self.duration)} s of duration_s {self.duration}"
+            )
         self.holdoffs = config.table.intervals[ApplicationMode.EVENT_DETECTION]
         self.pinned_qos = config.pinned_qos
         self.v = config.supercap.voltage_v
@@ -819,11 +827,7 @@ def ledger_summary(log: NodeLog) -> dict:
         "notifications_emitted": log.notifications_emitted,
         "events_unnotified": log.events_pending_at_end,
         "ledger": {
-            "harvest_panel_j": led.harvest_panel_j,
-            "harvest_stored_j": led.harvest_stored_j,
-            "drain_stored_j": led.drain_stored_j,
-            "load_j": led.load_j,
-            "leak_j": led.leak_j,
+            **asdict(led),
             "conversion_loss_j": led.conversion_loss_j,
             "throughput_j": led.throughput_j,
         },

@@ -185,11 +185,11 @@ class TestCriterion5PerpetualOperation:
         )
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"wall clock {elapsed:.1f}s"
-        for node_id, m in result.metrics.per_node.items():
-            assert m.uptime_fraction == 1.0, node_id
-            assert m.dead_seconds == 0.0, node_id
-            hist = m.qos_histogram
-            assert sum(hist[1:]) == m.controller_steps > 0, node_id
+        for node_id, log in result.logs.items():
+            assert log.uptime_fraction == 1.0, node_id
+            assert log.dead_seconds == 0.0, node_id
+            hist = log.qos_histogram
+            assert sum(hist[1:]) == log.controller_steps > 0, node_id
             populated = [s for s in range(1, 8) if hist[s] > 0]
             assert len(populated) >= 2, f"{node_id} histogram degenerate: {hist}"
             assert max(range(1, 8), key=lambda s: hist[s]) == 7, node_id
@@ -288,12 +288,14 @@ class TestCriterion9RangeModel:
         result = run_deployment(config, traces, duration_s=600.0)
         edge = result.metrics.per_node["edge"]
         beyond = result.metrics.per_node["beyond"]
-        assert edge.packets_emitted > 0
-        assert edge.packets_delivered == edge.packets_emitted
-        assert beyond.packets_emitted > 0
+        edge_emitted = result.logs["edge"].packets_emitted
+        beyond_emitted = result.logs["beyond"].packets_emitted
+        assert edge_emitted > 0
+        assert edge.packets_delivered == edge_emitted
+        assert beyond_emitted > 0
         assert beyond.packets_delivered == 0
         report(
             9,
-            f"30 m: {edge.packets_delivered}/{edge.packets_emitted} delivered; "
-            f"31 m: 0/{beyond.packets_emitted}",
+            f"30 m: {edge.packets_delivered}/{edge_emitted} delivered; "
+            f"31 m: 0/{beyond_emitted}",
         )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,30 @@ class TestSimulateNode:
         )
         assert code == 1
         assert "--duration-s" in capsys.readouterr().err
+
+    def test_sub_millisecond_table_exits_promptly(self, tmp_path, capsys):
+        # With no action energy and no light, nothing kills the node; at
+        # 1e-300 intervals the clock would stop once t + T == t.
+        table = [[s, lo, hi, a * 1e-300, b * 1e-300, c * 1e-300]
+                 for s, lo, hi, a, b, c in TestValidateConfig.TABLE]
+        config = tmp_path / "node.json"
+        config.write_text(json.dumps({"load": {"e_sense_tx_j": 0}, "table": table}))
+        light = tmp_path / "dark.csv"
+        light.write_text("time_s,value\n0,0\n")
+        t0 = time.perf_counter()
+        code = main(
+            [
+                "simulate-node",
+                "--config", str(config),
+                "--light-trace", str(light),
+                "--duration-s", "100",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert f"{config}.table: sense_interval_s: state 1 interval" in capsys.readouterr().err
+        assert main(["validate-config", "--config", str(config)]) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         outs = []
@@ -240,7 +265,7 @@ class TestDeploymentOutputBytes:
         "dim_log.csv": "d99c778f4e17ce7e0da32717887072750a8b797ff4be6a55184f1e7a36bf5e4f",
         "leaky_log.csv": "d1b8bd989c5ee16a24e183898e60f2d5b68ad3e3172ced935d4e78d6a6858c9c",
         "pir_log.csv": "2264dee76b140c4b9c56ce6f90beda440d15c4b07761d631022e974eaec54b32",
-        "report.json": "fdba2f2774a766f63a0755c57c7003919ab8415dbd1180aef7ba206ffca2ab29",
+        "report.json": "316b1000391b190d3791efc5facf4e4eab330c42fa44eb78fc307b8b6b570af0",
     }
 
     @staticmethod

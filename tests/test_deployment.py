@@ -80,9 +80,9 @@ class TestRunDeployment:
         report = run_deployment(config, traces, duration_s=3600.0)
         near = report.metrics.per_node["near"]
         far = report.metrics.per_node["far"]
-        assert near.packets_emitted > 0
-        assert near.packets_delivered == near.packets_emitted
-        assert far.packets_emitted > 0
+        assert report.logs["near"].packets_emitted > 0
+        assert near.packets_delivered == report.logs["near"].packets_emitted
+        assert report.logs["far"].packets_emitted > 0
         assert far.packets_delivered == 0
 
     def test_node_independence(self):
@@ -92,7 +92,7 @@ class TestRunDeployment:
         report = run_deployment(config, traces, duration_s=7200.0, detail=True)
         for node in config.nodes:
             alone = run_node(node, OFFICE, duration_s=7200.0, detail=True)
-            joint = next(l for l in report.logs if l.node_id == node.node_id)
+            joint = report.logs[node.node_id]
             assert ledger_summary(alone) == ledger_summary(joint)
             assert alone.records == joint.records
 
@@ -121,16 +121,16 @@ class TestMetrics:
         config = small_fleet(1)
         traces = {"n01": OFFICE}
         report = run_deployment(config, traces, duration_s=3600.0)
-        m = report.metrics.per_node["n01"]
-        assert m.uptime_fraction == 1.0
-        assert m.dead_seconds == 0.0
+        log = report.logs["n01"]
+        assert log.uptime_fraction == 1.0
+        assert log.dead_seconds == 0.0
 
     def test_histogram_all_at_seven_for_pinned_top(self):
         config = DeploymentConfig(nodes=(NodeConfig(node_id="n01", pinned_qos=7),))
         report = run_deployment(config, {"n01": OFFICE}, duration_s=600.0)
-        m = report.metrics.per_node["n01"]
-        assert m.qos_histogram[7] == m.controller_steps > 0
-        assert sum(m.qos_histogram[1:]) == m.controller_steps
+        log = report.logs["n01"]
+        assert log.qos_histogram[7] == log.controller_steps > 0
+        assert sum(log.qos_histogram[1:]) == log.controller_steps
 
     def test_mean_interval_twenty_seconds_at_top_qos(self):
         # two packets 20 s apart in periodic sensing at state 7
@@ -138,8 +138,8 @@ class TestMetrics:
             nodes=(NodeConfig(node_id="n01", supercap=SupercapState(voltage_v=3.5)),)
         )
         report = run_deployment(config, {"n01": OFFICE}, duration_s=41.0)
+        assert report.logs["n01"].packets_emitted == 3  # t = 0, 20, 40
         m = report.metrics.per_node["n01"]
-        assert m.packets_emitted == 3  # t = 0, 20, 40
         assert m.mean_packet_interval_s == pytest.approx(20.0)
         assert report.metrics.mean_interval_s["periodic_sensing"] == pytest.approx(20.0)
 
@@ -148,28 +148,23 @@ class TestMetrics:
         traces = {n.node_id: OFFICE for n in config.nodes}
         report = run_deployment(config, traces, duration_s=1800.0)
         agg = report.metrics
-        assert agg.packets_emitted == sum(
-            m.packets_emitted for m in agg.per_node.values()
-        )
+        logs = report.logs.values()
+        assert agg.packets_emitted == sum(log.packets_emitted for log in logs)
         assert agg.packets_delivered == sum(
             m.packets_delivered for m in agg.per_node.values()
         )
-        assert agg.controller_steps == sum(
-            m.controller_steps for m in agg.per_node.values()
-        )
+        assert agg.controller_steps == sum(log.controller_steps for log in logs)
         for s in range(1, 8):
-            assert agg.qos_histogram[s] == sum(
-                m.qos_histogram[s] for m in agg.per_node.values()
-            )
+            assert agg.qos_histogram[s] == sum(log.qos_histogram[s] for log in logs)
 
     def test_invariants(self):
         config = small_fleet(3)
         traces = {n.node_id: OFFICE for n in config.nodes}
         report = run_deployment(config, traces, duration_s=3600.0)
-        for m in report.metrics.per_node.values():
-            assert 0.0 <= m.uptime_fraction <= 1.0
-            assert m.packets_delivered <= m.packets_emitted
-            assert sum(m.qos_histogram[1:]) == m.controller_steps
+        for node_id, log in report.logs.items():
+            assert 0.0 <= log.uptime_fraction <= 1.0
+            assert report.metrics.per_node[node_id].packets_delivered <= log.packets_emitted
+            assert sum(log.qos_histogram[1:]) == log.controller_steps
 
     def test_event_latency_aggregation(self):
         node = NodeConfig(
@@ -182,15 +177,15 @@ class TestMetrics:
         report = run_deployment(
             config, {"pir": OFFICE}, {"pir": events}, duration_s=60.0
         )
+        assert report.logs["pir"].events_detected == 3
+        assert report.logs["pir"].notifications_emitted == 2
         m = report.metrics.per_node["pir"]
-        assert m.events_detected == 3
-        assert m.notifications_emitted == 2
         assert m.notification_latency_max_s == pytest.approx(14.0)
         assert report.metrics.notification_latency_mean_s == pytest.approx(14.0 / 3)
 
     def test_compute_metrics_directly(self):
         log = run_node(NodeConfig(node_id="x"), OFFICE, duration_s=100.0)
-        metrics = compute_metrics([log], {"x": log.packets_emitted}, {"x": 3.0})
+        metrics = compute_metrics({"x": log}, {"x": log.packets_emitted}, {"x": 3.0})
         assert metrics.per_node["x"].packets_delivered == log.packets_emitted
         assert metrics.per_node["x"].distance_m == 3.0
 
@@ -200,12 +195,13 @@ class TestReportSummary:
         config = small_fleet(2)
         report = run_deployment(config, {n.node_id: OFFICE for n in config.nodes}, duration_s=60.0)
         summary = report_summary(report)
-        node_fields = {f.name for f in fields(NodeMetrics)} - {"node_id"}
-        for nid, m in report.metrics.per_node.items():
-            entry = summary["nodes"][nid]
-            assert set(entry) == node_fields
-            assert entry["qos_histogram"] == {str(s): m.qos_histogram[s] for s in range(1, 8)}
-            assert entry["final_voltage_v"] == m.final_voltage_v
+        node_fields = {f.name for f in fields(NodeMetrics)}
+        assert set(summary["nodes"]) == set(summary["ledgers"]) == {"n01", "n02"}
+        for nid, log in report.logs.items():
+            ledger = summary["ledgers"][nid]
+            assert ledger == ledger_summary(log)
+            assert set(summary["nodes"][nid]) == node_fields
+            assert not set(summary["nodes"][nid]) & set(ledger)
         aggregate = summary["aggregate"]
         assert set(aggregate) == {f.name for f in fields(Metrics)} - {"per_node"} | {"node_count"}
         assert aggregate["node_count"] == 2

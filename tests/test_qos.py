@@ -80,6 +80,12 @@ class TestQosTable:
         with pytest.raises(ValueError, match="sense_interval_s: intervals must be positive and finite"):
             QosTable(rows=tuple(rows))
 
+    def test_interval_below_one_millisecond_rejected(self):
+        rows = list(EXPECTED_TABLE)
+        rows[0] = (7, 3.4, 3.6, 20.0, 10.0, 1e-4)
+        with pytest.raises(ValueError, match="adv_interval_s: state 7 interval 0.0001 s is below 0.001 s"):
+            QosTable(rows=tuple(rows))
+
     def test_coverage_must_be_full_span(self):
         rows = [(s, lo + 0.1, hi + 0.1 if s != 7 else hi, a, b, c) for s, lo, hi, a, b, c in EXPECTED_TABLE]
         with pytest.raises(ValueError):

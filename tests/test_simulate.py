@@ -14,7 +14,7 @@ from luxmote.energy import (
     LoadModel,
     SupercapState,
 )
-from luxmote.qos import DEFAULT_TABLE, ApplicationMode
+from luxmote.qos import DEFAULT_TABLE, ApplicationMode, QosTable
 from luxmote.simulate import (
     EnergyLedger,
     NodeConfig,
@@ -312,6 +312,14 @@ class TestRunNodeBasics:
     def test_duration_must_be_finite(self, duration):
         with pytest.raises(ValueError, match="duration_s"):
             run_node(NodeConfig(), OFFICE, duration_s=duration)
+
+    def test_interval_below_duration_spacing_rejected(self):
+        # Past 2**53 ms a 1 ms step no longer moves the clock: the run is
+        # refused instead of never ending.
+        rows = tuple((s, lo, hi, *[(8 - s) * 1e-3] * 3) for s, lo, hi, *_ in DEFAULT_TABLE.rows)
+        cfg = NodeConfig(table=QosTable(rows=rows), load=LoadModel(e_sense_tx_j=0.0))
+        with pytest.raises(ValueError, match=r"interval 0\.001 s is below the float spacing"):
+            run_node(cfg, DARK, duration_s=2.0**54 * 1e-3)
 
     def test_events_require_event_mode(self):
         with pytest.raises(ValueError, match="events trace"):
