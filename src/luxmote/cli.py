@@ -109,6 +109,7 @@ def cmd_simulate_deployment(args) -> int:
         event_traces,
         duration_s=args.duration_s,
         detail=True,
+        log_dir=args.out,
     )
     write_deployment_report(report, args.out)
     agg = report.metrics

@@ -2,15 +2,18 @@
 to a base station and fleet-level metrics.
 
 Nodes share no energy or radio state, so each is simulated independently; a
-node's outcome in a deployment equals its outcome when run alone.  Delivery
-is hard-range: every packet of a node within the radio range reaches the
-base station, none of a node beyond it.
+node's outcome in a deployment equals its outcome when run alone.  A run
+that writes its node logs to a directory splits the nodes over up to one
+process per available CPU, and each process writes a node's log as soon as
+the node's run ends.  Delivery is hard-range: every packet of a node within
+the radio range reaches the base station, none of a node beyond it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -136,6 +139,32 @@ def compute_metrics(logs: dict, delivered: dict, distances: dict) -> Metrics:
     )
 
 
+def _run_share(nodes, light_traces, event_traces, duration_s, detail, log_dir) -> list:
+    """The nodes' logs in order, each written to ``log_dir`` (if given) and
+    then emptied of records; a failing node's exception ends the list."""
+    # Looked up per call, so a wrapper put on the simulate module's writer
+    # (a profiler's, a test's) also sees the writes made here.
+    from .simulate import write_node_log_csv
+
+    done = []
+    for node in nodes:
+        try:
+            log = run_node(
+                node,
+                light_traces[node.node_id],
+                event_traces.get(node.node_id),
+                duration_s=duration_s,
+                detail=detail,
+            )
+            if log_dir is not None:
+                write_node_log_csv(log, Path(log_dir) / f"{node.node_id}_log.csv")
+                log.records = []
+        except Exception as exc:
+            return done + [exc]
+        done.append(log)
+    return done
+
+
 def run_deployment(
     config: DeploymentConfig,
     light_traces: dict,
@@ -143,31 +172,53 @@ def run_deployment(
     *,
     duration_s: float,
     detail: bool = False,
+    log_dir=None,
 ) -> DeploymentReport:
     """Simulate every node independently and aggregate.
 
     ``light_traces`` maps node_id to a light Trace (one per node, required);
     ``event_traces`` maps node_id to an impulse Trace for event-detection
     nodes.  Each node's outcome is identical to running that node alone.
+
+    With ``log_dir`` (``detail`` only), each node's ``<node_id>_log.csv`` is
+    written there when its run ends and its NodeLog keeps no records; the
+    nodes are then dealt round-robin over up to one process per available
+    CPU, this one and forked workers.  The error raised is always that of
+    the first failing node in config order.
     """
+    if log_dir is not None and not detail:
+        raise ValueError("log_dir needs detail=True")
     event_traces = event_traces or {}
     missing = [n.node_id for n in config.nodes if n.node_id not in light_traces]
     if missing:
         raise ValueError(f"missing light trace for node(s): {', '.join(sorted(missing))}")
+    n = 1
+    if log_dir is not None:
+        Path(log_dir).mkdir(parents=True, exist_ok=True)
+        if hasattr(os, "fork"):  # and with it multiprocessing's "fork" start method
+            affinity = getattr(os, "sched_getaffinity", None)
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            n = max(1, min(cpus, len(config.nodes)))
+    job = (light_traces, event_traces, duration_s, detail, log_dir)
+    if n == 1:
+        results = [_run_share(config.nodes, *job)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    logs = {}
-    delivered = {}
-    distances = {}
-    for node in config.nodes:
-        log = logs[node.node_id] = run_node(
-            node,
-            light_traces[node.node_id],
-            event_traces.get(node.node_id),
-            duration_s=duration_s,
-            detail=detail,
-        )
-        dist = node_distance_m(node, config.base_station_m)
-        distances[node.node_id] = dist
+        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_share, config.nodes[k::n], *job) for k in range(1, n)]
+            results = [_run_share(config.nodes[::n], *job)] + [f.result() for f in futures]
+
+    outcomes = [None] * len(config.nodes)
+    for k, share in enumerate(results):
+        outcomes[k : k + n * len(share) : n] = share  # a failed share ends early
+    logs, delivered, distances = {}, {}, {}
+    for node, log in zip(config.nodes, outcomes):
+        if isinstance(log, Exception):
+            raise log
+        logs[node.node_id] = log
+        dist = distances[node.node_id] = node_distance_m(node, config.base_station_m)
         in_range = link_delivery(dist, config.radio_range_m)
         delivered[node.node_id] = log.packets_emitted if in_range else 0
 
@@ -197,15 +248,9 @@ def report_summary(report: DeploymentReport) -> dict:
 
 
 def write_deployment_report(report: DeploymentReport, out_dir) -> None:
-    """report.json plus one CSV log per node (when detail was on)."""
+    """report.json only; ``run_deployment(..., log_dir=...)`` writes the node logs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "report.json").open("w", encoding="utf-8") as fh:
         json.dump(report_summary(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    from .simulate import write_node_log_csv
-
-    for log in report.logs.values():
-        if log.records:
-            write_node_log_csv(log, out / f"{log.node_id}_log.csv")
-

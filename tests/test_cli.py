@@ -1,13 +1,22 @@
 """CLI tests: exit codes, diagnostics, and byte-identical reruns."""
 
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import luxmote.simulate
 from luxmote.cli import main
+from luxmote.config import load_deployment_config
+from luxmote.deployment import run_deployment
+from luxmote.simulate import write_node_log_csv
+from luxmote.traces import load_trace_csv
 
 REPO = Path(__file__).resolve().parent.parent
 DEPLOY_CONFIG = str(REPO / "configs" / "deployment_15node.json")
@@ -15,6 +24,12 @@ NODE_CONFIG = str(REPO / "configs" / "node_default.json")
 SWEEP_CONFIG = str(REPO / "configs" / "sweep_default.json")
 TRACE_DIR = str(REPO / "configs" / "traces")
 LIGHT_TRACE = str(REPO / "configs" / "traces" / "n01_light.csv")
+
+
+def _write_trace(path, rows):
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("time_s,value\n")
+        fh.writelines(f"{t!r},{v!r}\n" for t, v in rows)
 
 
 class TestSimulateNode:
@@ -226,6 +241,32 @@ class TestSimulateDeployment:
         assert f"{path}.nodes[0]: node_id must not" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_node_without_records_gets_header_only_log(self, tmp_path):
+        # "a" starts below v_cutoff in the dark with no light sample inside
+        # the run, so it logs no event; simulate-node would still write its log.
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "a_light.csv").write_text("time_s,value\n0,0\n")
+        (traces / "b_light.csv").write_text("time_s,value\n0,300\n")
+        path = tmp_path / "dep.json"
+        nodes = [{"node_id": "a", "supercap": {"voltage_v": 1.0}}, {"node_id": "b"}]
+        path.write_text(json.dumps({"nodes": nodes}))
+        out = tmp_path / "out"
+        code = main(
+            [
+                "simulate-deployment",
+                "--config", str(path),
+                "--trace-dir", str(traces),
+                "--duration-s", "600",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["a_log.csv", "b_log.csv", "report.json"]
+        header = "time_s,node_id,voltage_v,lux,qos,action,packets\n"
+        assert (out / "a_log.csv").read_text() == header
+        assert len((out / "b_log.csv").read_text().splitlines()) > 1
+
     def test_nonpositive_duration(self, tmp_path, capsys):
         code = main(
             [
@@ -252,6 +293,50 @@ class TestSimulateDeployment:
         assert "--duration-s" in capsys.readouterr().err
 
 
+# Node entry and peak lux of each node _mixed_fleet can write.
+_FLEET = {
+    "periodic": ({"node_id": "periodic", "supercap": {"voltage_v": 3.0}}, 500.0),
+    "leaky": ({"node_id": "leaky", "supercap": {"voltage_v": 2.5, "leak_current_a": 1e-6}}, 300.0),
+    "pir": ({"node_id": "pir", "mode": "event_detection", "supercap": {"voltage_v": 2.5}}, 300.0),
+    "dim": (
+        {
+            "node_id": "dim",
+            "position_m": [40.0, 0.0],
+            "supercap": {"capacitance_f": 0.02, "voltage_v": 2.3},
+        },
+        40.0,
+    ),
+}
+
+
+def _mixed_fleet(tmp_path, duration_s, node_ids=tuple(_FLEET)):
+    """Deployment config and trace directory for ``node_ids``: minute-step
+    light with a three-hour dark stretch, and 60 motion events for "pir"."""
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    for node_id in node_ids:
+        peak = _FLEET[node_id][1]
+        light = [
+            (m * 60.0, 0.0 if 60 <= m < 240 else peak + (m * 37) % 50 * peak / 100)
+            for m in range(duration_s // 60)
+        ]
+        _write_trace(traces / f"{node_id}_light.csv", light)
+    _write_trace(traces / "pir_events.csv", [(k * 337.0 + 5.0, 1.0) for k in range(60)])
+    config = tmp_path / "dep.json"
+    config.write_text(json.dumps({"nodes": [_FLEET[node_id][0] for node_id in node_ids]}))
+    return config, traces
+
+
+def _deploy_argv(config, traces, duration_s, out):
+    return [
+        "simulate-deployment",
+        "--config", str(config),
+        "--trace-dir", str(traces),
+        "--duration-s", str(float(duration_s)),
+        "--out", str(out),
+    ]
+
+
 class TestDeploymentOutputBytes:
     """SHA-256 of every file ``simulate-deployment`` writes for a small fixed
     fleet: minute-step light with a three-hour dark stretch, a 1 µA leaky
@@ -268,44 +353,10 @@ class TestDeploymentOutputBytes:
         "report.json": "316b1000391b190d3791efc5facf4e4eab330c42fa44eb78fc307b8b6b570af0",
     }
 
-    @staticmethod
-    def _write_trace(path, rows):
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("time_s,value\n")
-            for t, v in rows:
-                fh.write(f"{t!r},{v!r}\n")
-
     def test_outputs_byte_identical(self, tmp_path):
-        traces = tmp_path / "traces"
-        traces.mkdir()
-        nodes = [
-            {"node_id": "leaky", "supercap": {"voltage_v": 2.5, "leak_current_a": 1e-6}},
-            {"node_id": "pir", "mode": "event_detection", "supercap": {"voltage_v": 2.5}},
-            {
-                "node_id": "dim",
-                "position_m": [40.0, 0.0],
-                "supercap": {"capacitance_f": 0.02, "voltage_v": 2.3},
-            },
-        ]
-        for node_id, peak in (("leaky", 300.0), ("pir", 300.0), ("dim", 40.0)):
-            light = [
-                (m * 60.0, 0.0 if 60 <= m < 240 else peak + (m * 37) % 50 * peak / 100)
-                for m in range(self.DURATION_S // 60)
-            ]
-            self._write_trace(traces / f"{node_id}_light.csv", light)
-        self._write_trace(traces / "pir_events.csv", [(k * 337.0 + 5.0, 1.0) for k in range(60)])
-        config = tmp_path / "dep.json"
-        config.write_text(json.dumps({"nodes": nodes}))
+        config, traces = _mixed_fleet(tmp_path, self.DURATION_S, ("leaky", "pir", "dim"))
         out = tmp_path / "out"
-        code = main(
-            [
-                "simulate-deployment",
-                "--config", str(config),
-                "--trace-dir", str(traces),
-                "--duration-s", str(float(self.DURATION_S)),
-                "--out", str(out),
-            ]
-        )
+        code = main(_deploy_argv(config, traces, self.DURATION_S, out))
         assert code == 0
         ledgers = json.loads((out / "report.json").read_text())["ledgers"]
         assert (ledgers["dim"]["deaths"], ledgers["dim"]["recoveries"]) == (1, 1)
@@ -315,6 +366,138 @@ class TestDeploymentOutputBytes:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
         }
         assert digests == self.EXPECTED
+
+
+class TestDeploymentProcesses:
+    """simulate-deployment splits its nodes over one process per available
+    CPU; the split must not show in any output byte, error or stdout line."""
+
+    DURATION_S = 6 * 3600
+
+    @staticmethod
+    def _record_writers(monkeypatch, tmp_path):
+        # Each process that writes a node log appends its pid to one file.
+        pids = tmp_path / "writers.txt"
+        write = luxmote.simulate.write_node_log_csv
+
+        def recording(log, path):
+            with pids.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            write(log, path)
+
+        monkeypatch.setattr(luxmote.simulate, "write_node_log_csv", recording)
+        return pids
+
+    def test_process_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        config, traces = _mixed_fleet(tmp_path, self.DURATION_S)
+        pids = self._record_writers(monkeypatch, tmp_path)
+        outputs = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"out{len(cpus)}"
+            assert main(_deploy_argv(config, traces, self.DURATION_S, out)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert len(set(pids.read_text().split())) == len(cpus)
+            pids.unlink()
+        names = ["dim_log.csv", "leaky_log.csv", "periodic_log.csv", "pir_log.csv", "report.json"]
+        assert sorted(outputs[0]) == names
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_logs_written_by_workers_match_in_memory_run(self, tmp_path, monkeypatch):
+        config_path, traces = _mixed_fleet(tmp_path, self.DURATION_S)
+        config = load_deployment_config(config_path)
+        light = {n.node_id: load_trace_csv(traces / f"{n.node_id}_light.csv") for n in config.nodes}
+        events = {"pir": load_trace_csv(traces / "pir_events.csv")}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        kwargs = dict(duration_s=float(self.DURATION_S), detail=True)
+        memory = run_deployment(config, light, events, **kwargs)
+        written = run_deployment(config, light, events, log_dir=tmp_path / "logs", **kwargs)
+        assert list(written.logs) == list(memory.logs)
+        assert written.metrics == memory.metrics
+        for node_id, log in written.logs.items():
+            assert log.records == []
+            assert memory.logs[node_id].records
+            assert log == dataclasses.replace(memory.logs[node_id], records=[])
+            write_node_log_csv(memory.logs[node_id], tmp_path / "expected.csv")
+            expected = (tmp_path / "expected.csv").read_bytes()
+            assert (tmp_path / "logs" / f"{node_id}_log.csv").read_bytes() == expected
+
+    def test_log_dir_needs_detail(self, tmp_path):
+        with pytest.raises(ValueError, match="log_dir needs detail=True"):
+            config = load_deployment_config(DEPLOY_CONFIG)
+            run_deployment(config, {}, duration_s=60.0, log_dir=tmp_path)
+
+    @staticmethod
+    def _lit_fleet(tmp_path, node_ids):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for node_id in node_ids:
+            (traces / f"{node_id}_light.csv").write_text("time_s,value\n0,300\n")
+        config = tmp_path / "dep.json"
+        config.write_text(json.dumps({"nodes": [{"node_id": i} for i in node_ids]}))
+        return config, traces
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_first_failing_node_in_config_order(self, tmp_path, monkeypatch, capsys, cpus):
+        # At 1e18 s the float spacing (128 s) exceeds both nodes' 20 s
+        # shortest interval, so both fail; "zeta" comes first in the config.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        config, traces = self._lit_fleet(tmp_path, ("zeta", "alpha"))
+        out = tmp_path / "out"
+        assert main(_deploy_argv(config, traces, 1e18, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: node zeta: shortest periodic_sensing interval")
+        assert "alpha" not in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_first_failing_write_in_config_order(self, tmp_path, monkeypatch, capsys, cpus):
+        # With two processes "zeta" is a worker's only node, while this
+        # process fails on "alpha" after "ok": the worker's failure comes
+        # first in config order.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        config, traces = self._lit_fleet(tmp_path, ("ok", "zeta", "alpha"))
+        out = tmp_path / "out"
+        for node_id in ("zeta", "alpha"):
+            (out / f"{node_id}_log.csv").mkdir(parents=True)
+        assert main(_deploy_argv(config, traces, 600, out)) == 1
+        err = capsys.readouterr().err
+        assert "zeta_log.csv" in err and "alpha" not in err
+        assert (out / "ok_log.csv").is_file()
+        assert not (out / "report.json").exists()
+
+    def test_each_summary_line_printed_once(self, tmp_path):
+        # Piped stdout is block-buffered (PYTHONUNBUFFERED is dropped for
+        # that): a forked worker that flushed its copy of the parent's
+        # buffer would print the explore line a second time.
+        config, traces = _mixed_fleet(tmp_path, 3600)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"capacitances_f": [1.0], "qos_states": [7]}))
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from luxmote.cli import main\n"
+            "argv = sys.argv[1:]\n"
+            "assert main(['explore', '--config', argv[0], '--out', argv[1]]) == 0\n"
+            "assert main(argv[2:]) == 0\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        paths = [str(REPO / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(grid), str(tmp_path / "frontier.csv"),
+             *_deploy_argv(config, traces, 3600, tmp_path / "out")],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2, lines
+        assert lines[0].startswith("1 frontier rows written to")
+        assert lines[1].startswith("4 nodes: ")
 
 
 class TestExplore:
