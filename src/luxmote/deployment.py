@@ -11,7 +11,6 @@ the radio range reaches the base station, none of a node beyond it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .energy import require_finite
-from .simulate import NodeConfig, NodeLog, ledger_summary, run_node
+from .simulate import NodeConfig, NodeLog, ledger_summary, run_node, write_json
 
 
 @dataclass(frozen=True)
@@ -251,6 +250,4 @@ def write_deployment_report(report: DeploymentReport, out_dir) -> None:
     """report.json only; ``run_deployment(..., log_dir=...)`` writes the node logs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "report.json").open("w", encoding="utf-8") as fh:
-        json.dump(report_summary(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_summary(report), out / "report.json")

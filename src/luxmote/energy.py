@@ -81,7 +81,7 @@ class HarvesterModel:
     def __post_init__(self):
         require_finite(self)
         if self.i_ref_a < 0 or self.v_ref_v < 0:
-            raise ValueError("harvester reference point must be non-negative")
+            raise ValueError(f"i_ref_a and v_ref_v must be >= 0, got {self.i_ref_a}, {self.v_ref_v}")
         if self.lux_ref <= 0:
             raise ValueError(f"lux_ref must be > 0, got {self.lux_ref}")
 

@@ -47,7 +47,7 @@ import io
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -108,9 +108,10 @@ class NodeConfig:
     def __post_init__(self):
         require_finite(self)
         # The id names the node's trace and log files.
-        if self.node_id in (".", "..") or any(c in self.node_id for c in "/\\\0"):
+        if self.node_id in ("", ".", "..") or any(c in self.node_id for c in "/\\\0"):
             raise ValueError(
-                f"node_id must not be '.' or '..' or contain '/', '\\' or NUL, got {self.node_id!r}"
+                "node_id must not be empty, '.' or '..' or contain '/', '\\' or NUL, "
+                f"got {self.node_id!r}"
             )
         if not self.supercap.v_cutoff < self.v_on <= self.table.v_max:
             raise ValueError(
@@ -122,8 +123,11 @@ class NodeConfig:
                 f"v_cutoff {self.supercap.v_cutoff} below the table floor "
                 f"{self.table.v_min}: a live node could fall outside the table"
             )
-        if self.pinned_qos is not None and not 1 <= self.pinned_qos <= 7:
-            raise ValueError(f"pinned_qos must be in [1, 7], got {self.pinned_qos}")
+        qos = self.pinned_qos
+        if qos is not None and (
+            isinstance(qos, bool) or not isinstance(qos, int) or not 1 <= qos <= 7
+        ):
+            raise ValueError(f"pinned_qos must be an integer in [1, 7], got {qos!r}")
         if len(self.position_m) != 2:
             raise ValueError(f"position_m must be (x, y), got {self.position_m}")
         object.__setattr__(self, "position_m", (float(self.position_m[0]), float(self.position_m[1])))
@@ -177,32 +181,39 @@ class EnergyLedger:
         self.leak_j += times * other.leak_j
 
 
+_LEFT_OUT = {"summary": False}  # metadata of a field ledger_summary leaves out
+
+
 @dataclass
 class NodeLog:
-    """Complete observable outcome of one node run."""
+    """Complete observable outcome of one node run, and the one declaration
+    of its per-node quantities: ``ledger_summary`` reports every field not
+    marked ``_LEFT_OUT``.  Left out are the storage size, the per-event
+    records (kept only with detail, so marked ``detail_only`` too) and the
+    raw material of a deployment's ``NodeMetrics``."""
 
     node_id: str
     mode: ApplicationMode
     duration_s: float
-    capacitance_f: float
+    capacitance_f: float = field(metadata=_LEFT_OUT)
     initial_voltage_v: float
     final_voltage_v: float = 0.0
     alive_at_end: bool = True
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list, metadata={**_LEFT_OUT, "detail_only": True})
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     qos_histogram: list = field(default_factory=lambda: [0] * 8)  # index 1..7
     controller_steps: int = 0
     packets_emitted: int = 0
-    packet_gap_sum_s: float = 0.0
-    packet_gap_count: int = 0
+    packet_gap_sum_s: float = field(default=0.0, metadata=_LEFT_OUT)
+    packet_gap_count: int = field(default=0, metadata=_LEFT_OUT)
     dead_seconds: float = 0.0
     deaths: int = 0
     recoveries: int = 0
     events_detected: int = 0
     events_missed_dead: int = 0
     notifications_emitted: int = 0
-    notification_latencies_s: list = field(default_factory=list)
-    events_pending_at_end: int = 0
+    notification_latencies_s: list = field(default_factory=list, metadata=_LEFT_OUT)
+    events_unnotified: int = 0
 
     @property
     def uptime_fraction(self) -> float:
@@ -616,13 +627,15 @@ class _NodeSim:
                 wakeup(t_wake)
         return self._finalize(steps)
 
-    def _emit_packet(self, t) -> None:
+    def _book_packets(self, k, t_first, t_last) -> None:
+        """Books ``k`` packets sent from ``t_first`` to ``t_last`` and the
+        gaps between them and the packet before them."""
         log = self.log
-        log.packets_emitted += 1
-        if self._last_packet_t is not None:
-            log.packet_gap_sum_s += t - self._last_packet_t
-            log.packet_gap_count += 1
-        self._last_packet_t = t
+        first = self._last_packet_t is None
+        log.packets_emitted += k
+        log.packet_gap_sum_s += t_last - (t_first if first else self._last_packet_t)
+        log.packet_gap_count += k - first
+        self._last_packet_t = t_last
 
     def _wakeup(self, t):
         qos = self.pinned_qos
@@ -642,7 +655,7 @@ class _NodeSim:
 
         emitted = 0
         if self.mode is not ApplicationMode.EVENT_DETECTION:
-            self._emit_packet(t)
+            self._book_packets(1, t, t)
             emitted = 1
         self.next_wake = t + self.intervals[qos - 1]
         self._record(t, "wakeup", emitted)
@@ -689,14 +702,7 @@ class _NodeSim:
         log.qos_histogram[qos] += k
         log.controller_steps += k
         if self.mode is not ApplicationMode.EVENT_DETECTION:
-            log.packets_emitted += k
-            if self._last_packet_t is None:
-                log.packet_gap_sum_s += t_last - t
-                log.packet_gap_count += k - 1
-            else:
-                log.packet_gap_sum_s += t_last - self._last_packet_t
-                log.packet_gap_count += k
-            self._last_packet_t = t_last
+            self._book_packets(k, t, t_last)
         self.now = t_next
         self.next_wake = t_next
 
@@ -712,7 +718,7 @@ class _NodeSim:
             return
         holdoff = self.holdoffs[self.qos - 1]
         if t - self.last_notification >= holdoff:
-            self._emit_packet(t)
+            self._book_packets(1, t, t)
             self.log.notifications_emitted += 1
             self.log.notification_latencies_s.append(0.0)
             for t_pending in self.pending_events:
@@ -757,7 +763,7 @@ class _NodeSim:
             log.dead_seconds += self.duration - self.died_at
         log.final_voltage_v = self.v
         log.alive_at_end = self.alive
-        log.events_pending_at_end = len(self.pending_events)
+        log.events_unnotified = len(self.pending_events)
         # Rounding stays far below 1e-6 unless the run moves less energy than
         # the stored energy resolves: each integrator step rounds it by an ulp.
         residual = log.energy_residual_relative
@@ -806,38 +812,31 @@ def write_node_log_csv(log: NodeLog, path) -> None:
 
 
 def ledger_summary(log: NodeLog) -> dict:
-    """JSON-ready run summary: ledger totals, conservation residual, counters."""
+    """JSON-ready run summary: every ``NodeLog`` field not marked left out,
+    with the mode by its value, the QoS histogram keyed "1" to "7" and the
+    ledger with its conversion-loss and throughput totals; plus the uptime
+    fraction and the conservation residual, absolute and relative."""
+    summary = {f.name: getattr(log, f.name) for f in fields(log) if f.metadata.get("summary", True)}
     led = log.ledger
-    return {
-        "node_id": log.node_id,
-        "mode": log.mode.value,
-        "duration_s": log.duration_s,
-        "initial_voltage_v": log.initial_voltage_v,
-        "final_voltage_v": log.final_voltage_v,
-        "alive_at_end": log.alive_at_end,
-        "uptime_fraction": log.uptime_fraction,
-        "dead_seconds": log.dead_seconds,
-        "deaths": log.deaths,
-        "recoveries": log.recoveries,
-        "controller_steps": log.controller_steps,
-        "packets_emitted": log.packets_emitted,
-        "qos_histogram": {str(s): log.qos_histogram[s] for s in range(1, 8)},
-        "events_detected": log.events_detected,
-        "events_missed_dead": log.events_missed_dead,
-        "notifications_emitted": log.notifications_emitted,
-        "events_unnotified": log.events_pending_at_end,
-        "ledger": {
-            **asdict(led),
-            "conversion_loss_j": led.conversion_loss_j,
-            "throughput_j": led.throughput_j,
-        },
-        "energy_residual_j": log.energy_residual_j,
-        "energy_residual_relative": log.energy_residual_relative,
-    }
+    totals = {"conversion_loss_j": led.conversion_loss_j, "throughput_j": led.throughput_j}
+    summary.update(
+        mode=log.mode.value,
+        qos_histogram={str(s): log.qos_histogram[s] for s in range(1, 8)},
+        ledger={**asdict(led), **totals},
+        uptime_fraction=log.uptime_fraction,
+        energy_residual_j=log.energy_residual_j,
+        energy_residual_relative=log.energy_residual_relative,
+    )
+    return summary
+
+
+def write_json(obj, path) -> None:
+    """The format of the ledger JSON and report.json: ``obj`` indented by
+    two with sorted keys, then a newline."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_ledger_json(log: NodeLog, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(ledger_summary(log), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ledger_summary(log), path)

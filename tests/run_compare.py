@@ -14,8 +14,9 @@ one of the nudged detailed runs matches instead.
 """
 
 import math
+from dataclasses import fields
 
-from luxmote.simulate import ledger_summary
+from luxmote.simulate import NodeLog, ledger_summary
 
 REL_TOL = 1e-9
 RESIDUAL_LIMIT = 1e-6
@@ -63,9 +64,11 @@ def _assert_same(full, slim):
         a.pop(key)
         b.pop(key)
     _assert_close(a, b, "ledger_summary")
-    assert full.qos_histogram == slim.qos_histogram
-    assert full.packet_gap_count == slim.packet_gap_count
-    _assert_close(full.packet_gap_sum_s, slim.packet_gap_sum_s, "packet_gap_sum_s")
-    _assert_close(full.notification_latencies_s, slim.notification_latencies_s, "latencies")
+    # Then the fields the summary leaves out, but for the per-event records
+    # that only the detailed run keeps.
+    for f in fields(NodeLog):
+        left_out = not f.metadata.get("summary", True)
+        if left_out and not f.metadata.get("detail_only"):
+            _assert_close(getattr(full, f.name), getattr(slim, f.name), f.name)
     for log in (full, slim):
         assert log.energy_residual_relative <= RESIDUAL_LIMIT

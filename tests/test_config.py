@@ -105,6 +105,27 @@ class TestNodeConfig:
             parse_node_config({"pinned_qos": 9})
 
 
+@pytest.mark.parametrize(
+    "parse, obj, message",
+    [
+        (parse_node_config, [], "node: must be an object"),
+        (parse_node_config, {"node_id": 7}, "node.node_id: must be a non-empty string"),
+        (parse_node_config, {"node_id": ""}, "node.node_id: must be a non-empty string"),
+        (parse_node_config, {"position_m": [1.0]}, r"node.position_m: must be \[x, y\]"),
+        (parse_node_config, {"supercap": 1.0}, "node.supercap: must be an object"),
+        (parse_node_config, {"table": {}}, "node.table: must be a list of 7 rows"),
+        (parse_deployment_config, "x", "deployment: must be an object"),
+        (parse_deployment_config, {"nodes": {}}, "deployment.nodes: must be a list"),
+        (parse_sweep_grid, None, "grid: must be an object"),
+        (parse_sweep_grid, {"capacitances_f": 1.0}, "grid.capacitances_f: must be a list"),
+        (parse_sweep_grid, {"lux_levels": "300"}, "grid.lux_levels: must be a list"),
+    ],
+)
+def test_json_shape_errors_name_the_key(parse, obj, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse(obj)
+
+
 class TestDeploymentConfigParse:
     def test_defaults(self):
         cfg = parse_deployment_config({})

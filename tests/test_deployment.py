@@ -1,6 +1,7 @@
 """Deployment tests: delivery model, node independence, metric aggregation."""
 
-from dataclasses import fields
+import json
+from dataclasses import dataclass, field, fields
 
 import pytest
 
@@ -13,10 +14,11 @@ from luxmote.deployment import (
     node_distance_m,
     report_summary,
     run_deployment,
+    write_deployment_report,
 )
 from luxmote.energy import SupercapState
 from luxmote.qos import ApplicationMode
-from luxmote.simulate import NodeConfig, ledger_summary, run_node
+from luxmote.simulate import NodeConfig, NodeLog, ledger_summary, run_node, write_ledger_json
 from luxmote.traces import Trace
 
 OFFICE = Trace.constant(300.0)
@@ -190,22 +192,47 @@ class TestMetrics:
         assert metrics.per_node["x"].distance_m == 3.0
 
 
+@dataclass
+class _CountingLog(NodeLog):
+    """A NodeLog with one counter more, and one more field left out."""
+
+    added_counter: int = 0
+    added_scratch: int = field(default=0, metadata={"summary": False})
+
+
 class TestReportSummary:
-    def test_every_metrics_field_is_reported(self):
+    def test_every_metrics_field_is_reported(self, tmp_path):
         config = small_fleet(2)
         report = run_deployment(config, {n.node_id: OFFICE for n in config.nodes}, duration_s=60.0)
         summary = report_summary(report)
         node_fields = {f.name for f in fields(NodeMetrics)}
+        left_out = {f.name for f in fields(_CountingLog) if not f.metadata.get("summary", True)}
         assert set(summary["nodes"]) == set(summary["ledgers"]) == {"n01", "n02"}
         for nid, log in report.logs.items():
             ledger = summary["ledgers"][nid]
             assert ledger == ledger_summary(log)
             assert set(summary["nodes"][nid]) == node_fields
             assert not set(summary["nodes"][nid]) & set(ledger)
+            assert not left_out & set(ledger)
         aggregate = summary["aggregate"]
         assert set(aggregate) == {f.name for f in fields(Metrics)} - {"per_node"} | {"node_count"}
         assert aggregate["node_count"] == 2
         assert aggregate["packets_emitted"] == report.metrics.packets_emitted
+
+        # A field added to NodeLog reaches every output with no other edit;
+        # one marked as left out reaches none.
+        for nid, log in report.logs.items():
+            values = {f.name: getattr(log, f.name) for f in fields(log)}
+            report.logs[nid] = _CountingLog(**values, added_counter=17, added_scratch=5)
+        write_deployment_report(report, tmp_path)
+        write_ledger_json(report.logs["n01"], tmp_path / "n01_ledger.json")
+        ledgers = json.loads((tmp_path / "report.json").read_text())["ledgers"]
+        assert json.loads((tmp_path / "n01_ledger.json").read_text()) == ledgers["n01"]
+        for nid, log in report.logs.items():
+            for ledger in (ledger_summary(log), ledgers[nid]):
+                assert ledger["added_counter"] == 17
+                assert not left_out & set(ledger)
+                assert set(ledger) == set(summary["ledgers"][nid]) | {"added_counter"}
 
 
 class TestDistance:

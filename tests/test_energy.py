@@ -84,6 +84,25 @@ def test_nonfinite_field_rejected_by_name(build, field):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HarvesterModel(i_ref_a=-1e-6), "^i_ref_a and v_ref_v must be >= 0"),
+        (lambda: HarvesterModel(v_ref_v=-1.0), "^i_ref_a and v_ref_v must be >= 0"),
+        (lambda: HarvesterModel(lux_ref=0.0), "^lux_ref must be > 0"),
+        (lambda: ConverterModel(v_boost_min=-0.1), "^v_boost_min must be >= 0"),
+        (lambda: ConverterModel(v_out_v=0.0), "^v_out_v must be > 0"),
+        (lambda: NodeConfig(supercap=SupercapState(v_cutoff=2.0)), "^v_cutoff 2.0 below the table floor"),
+        (lambda: NodeConfig(position_m=(1.0, 2.0, 3.0)), r"^position_m must be \(x, y\)"),
+        (lambda: DeploymentConfig(base_station_m=(0.0,)), r"^base_station_m must be \(x, y\)"),
+        (lambda: SweepGrid(lux_levels=(10.0, -1.0)), "^lux levels must be >= 0"),
+    ],
+)
+def test_out_of_range_field_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestHarvester:
     """The panel power is the simulator's ``p_per_lux * lux``; negative lux
     is rejected by ``Trace`` and by ``explore.survival_at_lux_s``."""

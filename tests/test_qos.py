@@ -60,6 +60,18 @@ class TestQosTable:
         with pytest.raises(ValueError, match="contiguous"):
             QosTable(rows=tuple(rows))
 
+    def test_empty_bucket_rejected(self):
+        rows = list(EXPECTED_TABLE)
+        rows[0] = (7, 3.6, 3.6, 20.0, 10.0, 0.1)
+        with pytest.raises(ValueError, match=r"^state 7: empty bucket \[3.6, 3.6\)"):
+            QosTable(rows=tuple(rows))
+
+    def test_states_must_increase_with_voltage(self):
+        rows = list(EXPECTED_TABLE)
+        rows[5], rows[6] = (1, 2.4, 2.6, 300.0, 300.0, 2.0), (2, 2.1, 2.4, 600.0, 600.0, 5.0)
+        with pytest.raises(ValueError, match=r"^states must increase with voltage \(2 then 1\)"):
+            QosTable(rows=tuple(rows))
+
     def test_gap_rejected(self):
         rows = list(EXPECTED_TABLE)
         rows[1] = (6, 3.25, 3.4, 40.0, 20.0, 0.2)

@@ -92,6 +92,14 @@ class TestCsv:
         with pytest.raises(TraceError, match=f"bad.csv: line 3: {column} .* is not finite"):
             load_trace_csv(path)
 
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,value\n0.0,1.0\n\n10.0,2.0\n")
+        assert load_trace_csv(path).values.tolist() == [1.0, 2.0]
+        path.write_text("time_s,value\n0.0,1.0\n\n10.0,-2.0\n")
+        with pytest.raises(TraceError, match="bad.csv: line 4: negative value -2.0"):
+            load_trace_csv(path)
+
     def test_wrong_column_count_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,value\n0.0,1.0,9\n")
