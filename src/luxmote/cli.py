@@ -23,7 +23,7 @@ from .config import (
 from .deployment import run_deployment, write_deployment_report
 from .explore import sweep, write_frontier_csv
 from .qos import ApplicationMode
-from .simulate import run_node, write_ledger_json, write_node_log_csv
+from .simulate import run_node, write_ledger_json
 from .traces import TraceError, load_trace_csv
 
 
@@ -71,16 +71,15 @@ def cmd_simulate_node(args) -> int:
     config = load_node_config(args.config)
     light = load_trace_csv(args.light_trace)
     events = load_trace_csv(args.events_trace) if args.events_trace else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     log = run_node(
         config,
         light,
         events,
         duration_s=args.duration_s,
-        detail=True,
+        log_path=out / f"{config.node_id}_log.csv",
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_node_log_csv(log, out / f"{config.node_id}_log.csv")
     write_ledger_json(log, out / f"{config.node_id}_ledger.json")
     print(
         f"{config.node_id}: {log.packets_emitted} packets, "

@@ -3,14 +3,16 @@ to a base station and fleet-level metrics.
 
 Nodes share no energy or radio state, so each is simulated independently; a
 node's outcome in a deployment equals its outcome when run alone.  A run
-that writes its node logs to a directory splits the nodes over up to one
-process per available CPU, and each process writes a node's log as soon as
-the node's run ends.  Delivery is hard-range: every packet of a node within
-the radio range reaches the base station, none of a node beyond it.
+that writes its node logs to a directory runs the nodes in up to one process
+per available CPU: each process takes the next node not yet taken, and
+writes the node's log line by line as the node runs.  Delivery is
+hard-range: every packet of a node within the radio range reaches the base
+station, none of a node beyond it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -138,30 +140,34 @@ def compute_metrics(logs: dict, delivered: dict, distances: dict) -> Metrics:
     )
 
 
-def _run_share(nodes, light_traces, event_traces, duration_s, detail, log_dir) -> list:
-    """The nodes' logs in order, each written to ``log_dir`` (if given) and
-    then emptied of records; a failing node's exception ends the list."""
-    # Looked up per call, so a wrapper put on the simulate module's writer
-    # (a profiler's, a test's) also sees the writes made here.
-    from .simulate import write_node_log_csv
-
-    done = []
-    for node in nodes:
+def _run_pulled(take, nodes, light_traces, event_traces, duration_s, detail, log_dir) -> dict:
+    """Runs ``nodes[k]`` for each index k that ``take()`` returns, until k
+    is past the end or a node fails: {k: its NodeLog, or the exception it
+    raised}.  With ``log_dir``, each node's log is written there as the node
+    runs."""
+    done = {}
+    while (k := take()) < len(nodes):
+        node = nodes[k]
+        log_path = None if log_dir is None else Path(log_dir) / f"{node.node_id}_log.csv"
         try:
-            log = run_node(
+            done[k] = run_node(
                 node,
                 light_traces[node.node_id],
                 event_traces.get(node.node_id),
                 duration_s=duration_s,
                 detail=detail,
+                log_path=log_path,
             )
-            if log_dir is not None:
-                write_node_log_csv(log, Path(log_dir) / f"{node.node_id}_log.csv")
-                log.records = []
         except Exception as exc:
-            return done + [exc]
-        done.append(log)
+            done[k] = exc
+            break
     return done
+
+
+def _pull_in_worker(results, take, job) -> None:
+    """A forked worker's run: ``_run_pulled``, its outcomes sent to the caller."""
+    with results:
+        results.send(_run_pulled(take, *job))
 
 
 def run_deployment(
@@ -180,10 +186,12 @@ def run_deployment(
     nodes.  Each node's outcome is identical to running that node alone.
 
     With ``log_dir`` (``detail`` only), each node's ``<node_id>_log.csv`` is
-    written there when its run ends and its NodeLog keeps no records; the
-    nodes are then dealt round-robin over up to one process per available
-    CPU, this one and forked workers.  The error raised is always that of
-    the first failing node in config order.
+    written there as the node runs, and its NodeLog keeps no records.  The
+    nodes then run in up to one process per available CPU, this one and
+    forked workers: each process takes the next node index from one shared
+    counter until none is left, so a process that draws short nodes takes
+    more of them.  The error raised is always that of the first failing node
+    in config order.
     """
     if log_dir is not None and not detail:
         raise ValueError("log_dir needs detail=True")
@@ -198,22 +206,48 @@ def run_deployment(
             affinity = getattr(os, "sched_getaffinity", None)
             cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
             n = max(1, min(cpus, len(config.nodes)))
-    job = (light_traces, event_traces, duration_s, detail, log_dir)
+    job = (config.nodes, light_traces, event_traces, duration_s, detail, log_dir)
     if n == 1:
-        results = [_run_share(config.nodes, *job)]
+        outcomes = _run_pulled(itertools.count().__next__, *job)
     else:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_share, config.nodes[k::n], *job) for k in range(1, n)]
-            results = [_run_share(config.nodes[::n], *job)] + [f.result() for f in futures]
+        ctx = multiprocessing.get_context("fork")
+        counter = ctx.Value("i", 0)  # the index of the next node to run
 
-    outcomes = [None] * len(config.nodes)
-    for k, share in enumerate(results):
-        outcomes[k : k + n * len(share) : n] = share  # a failed share ends early
+        def take():
+            with counter.get_lock():
+                k = counter.value
+                counter.value = k + 1
+            return k
+
+        workers = []
+        try:
+            for _ in range(n - 1):
+                reader, writer = ctx.Pipe(duplex=False)
+                worker = ctx.Process(target=_pull_in_worker, args=(writer, take, job))
+                worker.start()
+                writer.close()  # so that a worker's death ends the read with EOFError
+                workers.append((reader, worker))
+            outcomes = _run_pulled(take, *job)  # this process pulls nodes too
+            for reader, worker in workers:
+                try:
+                    outcomes.update(reader.recv())
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(
+                        f"node worker {worker.pid} ended with exit code {worker.exitcode}"
+                    ) from None
+        finally:
+            for reader, worker in workers:
+                reader.close()
+                worker.join()
+
     logs, delivered, distances = {}, {}, {}
-    for node, log in zip(config.nodes, outcomes):
+    # Indices are taken in order and every taken node ends, so a node never
+    # run comes after a failed one.
+    for k, node in enumerate(config.nodes):
+        log = outcomes[k]
         if isinstance(log, Exception):
             raise log
         logs[node.node_id] = log

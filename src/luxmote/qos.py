@@ -213,7 +213,10 @@ def step(
     -1 if light is zero or its trend is negative, else +1; (4) voltage rule:
     -1 if the voltage trend is <= 0 and the voltage is not at the ceiling,
     else +1; (5) clamp to [1, 7]; the clamped value becomes both next_qos and
-    the returned qos.
+    the returned qos.  A trend is computed only where its rule can change
+    the clamped result: at the ceiling a reseeded target of 7 gives 7
+    whatever the light does, and a light rule that takes the target to 8 or
+    to 0 leaves 7 or 1 whatever the voltage does.
 
     Readings above the table ceiling are clamped to it (the table has no
     buckets beyond 3.6 V even though the storage element may charge higher).
@@ -241,15 +244,16 @@ def step(
     _, v1, v2, v3, v4 = ctrl.volt_buf
     volt_buf = (v1, v2, v3, v4, volt)
 
-    if light == 0 or trend(light_buf) < 0:
-        next_qos -= 1
+    # Each rule adds -1 or +1 and the sum is clamped, so a rule whose two
+    # values clamp to the same state is not evaluated.
+    if at_max:
+        next_qos += 1  # the voltage rule, whatever the trend
+        if next_qos < 8:
+            next_qos += -1 if light == 0 or trend(light_buf) < 0 else 1
     else:
-        next_qos += 1
-    # At the ceiling the voltage rule is +1 whatever the trend.
-    if not at_max and trend(volt_buf) <= 0:
-        next_qos -= 1
-    else:
-        next_qos += 1
+        next_qos += -1 if light == 0 or trend(light_buf) < 0 else 1
+        if 0 < next_qos < 8:
+            next_qos += -1 if trend(volt_buf) <= 0 else 1
 
     if next_qos < 1:
         next_qos = 1

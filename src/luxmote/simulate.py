@@ -14,6 +14,12 @@ recovery < external < wakeup.  A run is a pure function of (config, traces,
 duration): nothing in it is random, and there is no wall clock and no global
 state.
 
+With detail, each dispatched event and light sample leaves a record.  A run
+given a log file (``run_node``'s ``log_path``) writes each record there as
+its CSV line at the moment it is made, and holds none; otherwise the records
+are kept in the ``NodeLog``.  ``_log_writer`` owns the line layout, so the
+streamed file and ``write_node_log_csv`` of kept records are the same bytes.
+
 Continuous stretches are integrated in closed form: with piecewise-constant
 lux the net storage-side power P is constant between regime boundaries (the
 cold-start threshold, the rated-voltage clamp, the brown-out cutoff and the
@@ -108,6 +114,8 @@ class NodeConfig:
     def __post_init__(self):
         require_finite(self)
         # The id names the node's trace and log files.
+        if not isinstance(self.node_id, str):
+            raise ValueError(f"node_id must be a string, got {self.node_id!r}")
         if self.node_id in ("", ".", "..") or any(c in self.node_id for c in "/\\\0"):
             raise ValueError(
                 "node_id must not be empty, '.' or '..' or contain '/', '\\' or NUL, "
@@ -556,6 +564,10 @@ class _NodeSim:
         self.pending_events: list[float] = []
         self._last_packet_t = None
         self.died_at = None if self.alive else 0.0
+        # Writes a record as a CSV line when run streams the log; lux_field
+        # holds the current lux as formatted there.
+        self.write_record = None
+        self.lux_field = None
         self.log = NodeLog(
             node_id=config.node_id,
             mode=config.mode,
@@ -572,7 +584,14 @@ class _NodeSim:
     def _push(self, t, kind):
         heapq.heappush(self.heap, (t, kind))
 
-    def run(self) -> NodeLog:
+    def run(self, out=None) -> NodeLog:
+        """Runs the node to the end.  With ``out``, an open text file, each
+        record is written there as a CSV line as it is made (see
+        ``_log_writer``), and none is kept."""
+        stream = out is not None
+        if stream:
+            self.write_record = _log_writer(out, self.log.node_id)
+            self.lux_field = repr(self.lux)
         heap = self.heap
         duration = self.duration
         advance = self.phys.advance
@@ -612,6 +631,8 @@ class _NodeSim:
             elif t_sample == t_next:
                 self.lux = lux = sample_v[i_sample]
                 self.p_panel = p_per_lux * lux
+                if stream:
+                    self.lux_field = repr(lux)
                 self._record(t_sample, "sample", 0)
                 i_sample += 1
                 self.t_sample = t_sample = sample_t[i_sample]
@@ -752,10 +773,14 @@ class _NodeSim:
 
     def _record(self, t, action, packets):
         if self.detail:
-            # tuple.__new__ builds the record without LogRecord's Python-level __new__.
-            self.log.records.append(
-                tuple.__new__(LogRecord, (t, self.v, self.lux, self.qos, action, packets))
-            )
+            write = self.write_record
+            if write is not None:
+                write(t, self.v, self.lux_field, self.qos, action, packets)
+            else:
+                # tuple.__new__ builds the record without LogRecord's Python-level __new__.
+                self.log.records.append(
+                    tuple.__new__(LogRecord, (t, self.v, self.lux, self.qos, action, packets))
+                )
 
     def _finalize(self, steps) -> NodeLog:
         log = self.log
@@ -780,6 +805,7 @@ def run_node(
     *,
     duration_s: float,
     detail: bool = True,
+    log_path=None,
 ) -> NodeLog:
     """Simulate one node over [0, duration_s).
 
@@ -791,24 +817,56 @@ def run_node(
     pinned at ``v_rated`` (see the module docstring): its counters equal those
     of the detailed run, its ledger and final voltage agree to 1e-9 relative,
     barring exact ties.  Deterministic given (config, traces, duration, detail).
+
+    With ``log_path`` (``detail`` only), each record is written to that file
+    as the run makes it, in the bytes ``write_node_log_csv`` writes, and the
+    returned log keeps none.  The file is made once the inputs are checked,
+    and removed again if the run fails.
     """
-    return _NodeSim(config, light, events, duration_s, detail).run()
+    if log_path is not None and not detail:
+        raise ValueError("log_path needs detail=True")
+    sim = _NodeSim(config, light, events, duration_s, detail)
+    if log_path is None:
+        return sim.run()
+    path = Path(log_path)
+    fh = _open_log(path)
+    try:
+        with fh:
+            return sim.run(fh)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _open_log(path):
+    return Path(path).open("w", newline="", encoding="utf-8")
+
+
+def _log_writer(fh, node_id):
+    """Writes a node log's CSV header to ``fh`` and returns the function
+    that writes one record, ``(time_s, voltage_v, lux, qos, action,
+    packets)`` with ``lux`` already formatted by ``repr``: the one layout of
+    a node log."""
+    # Only node_id can need quoting; csv.writer quotes it once, and each
+    # record is then formatted as the writer would format it.
+    quoted = io.StringIO()
+    csv.writer(quoted).writerow([node_id])
+    node_id = quoted.getvalue()[:-2]
+    write = fh.write
+    write("time_s,node_id,voltage_v,lux,qos,action,packets\r\n")
+
+    def record(t, v, lux, qos, action, packets):
+        write(f"{t!r},{node_id},{v!r},{lux},{qos},{action},{packets}\r\n")
+
+    return record
 
 
 def write_node_log_csv(log: NodeLog, path) -> None:
     """Per-event log as CSV: time_s,node_id,voltage_v,lux,qos,action,packets."""
-    path = Path(path)
-    # Only node_id can need quoting; csv.writer quotes it once, and each
-    # record is then formatted as the writer would format it.
-    quoted = io.StringIO()
-    csv.writer(quoted).writerow([log.node_id])
-    node_id = quoted.getvalue()[:-2]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["time_s", "node_id", "voltage_v", "lux", "qos", "action", "packets"])
-        fh.writelines(
-            f"{t!r},{node_id},{v!r},{lux!r},{qos},{action},{packets}\r\n"
-            for t, v, lux, qos, action, packets in log.records
-        )
+    with _open_log(path) as fh:
+        record = _log_writer(fh, log.node_id)
+        for t, v, lux, qos, action, packets in log.records:
+            record(t, v, repr(lux), qos, action, packets)
 
 
 def ledger_summary(log: NodeLog) -> dict:

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-import luxmote.simulate
+import luxmote.deployment
 from luxmote.cli import main
-from luxmote.config import load_deployment_config
+from luxmote.config import load_deployment_config, load_node_config
 from luxmote.deployment import run_deployment
-from luxmote.simulate import write_node_log_csv
+from luxmote.simulate import run_node, write_node_log_csv
 from luxmote.traces import load_trace_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -159,6 +159,29 @@ class TestSimulateNode:
         assert code == 1
         assert f"{config}.table: sense_interval_s: state 1 interval" in capsys.readouterr().err
         assert main(["validate-config", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize(
+        "node_id, voltage_v, rows",
+        [
+            ('a,"b', 3.0, [(0.0, 300.0), (600.0, 150.0)]),
+            ("line\nbreak", 3.0, [(0.0, 300.0), (600.0, 0.0)]),
+            ("dead", 1.0, [(0.0, 0.0)]),
+        ],
+    )
+    def test_log_matches_in_memory_run(self, tmp_path, node_id, voltage_v, rows):
+        # "dead" starts below v_cutoff in the dark: its log is the header alone.
+        config = tmp_path / "node.json"
+        config.write_text(json.dumps({"node_id": node_id, "supercap": {"voltage_v": voltage_v}}))
+        light = tmp_path / "light.csv"
+        _write_trace(light, rows)
+        out = tmp_path / "out"
+        argv = ["--light-trace", str(light), "--duration-s", "1800", "--out", str(out)]
+        assert main(["simulate-node", "--config", str(config), *argv]) == 0
+        memory = run_node(load_node_config(config), load_trace_csv(light), duration_s=1800.0)
+        write_node_log_csv(memory, tmp_path / "expected.csv")
+        written = (out / f"{node_id}_log.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
+        assert (len(written.splitlines()) == 1) == (node_id == "dead")
 
     def test_rerun_byte_identical(self, tmp_path):
         outs = []
@@ -375,22 +398,23 @@ class TestDeploymentProcesses:
     DURATION_S = 6 * 3600
 
     @staticmethod
-    def _record_writers(monkeypatch, tmp_path):
-        # Each process that writes a node log appends its pid to one file.
-        pids = tmp_path / "writers.txt"
-        write = luxmote.simulate.write_node_log_csv
+    def _record_pullers(monkeypatch, tmp_path):
+        # Each process that enters the loop pulling nodes appends its pid to
+        # one file, also when the other processes leave it no node.
+        pids = tmp_path / "pullers.txt"
+        pull = luxmote.deployment._run_pulled
 
-        def recording(log, path):
+        def recording(*args):
             with pids.open("a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
-            write(log, path)
+            return pull(*args)
 
-        monkeypatch.setattr(luxmote.simulate, "write_node_log_csv", recording)
+        monkeypatch.setattr(luxmote.deployment, "_run_pulled", recording)
         return pids
 
     def test_process_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         config, traces = _mixed_fleet(tmp_path, self.DURATION_S)
-        pids = self._record_writers(monkeypatch, tmp_path)
+        pids = self._record_pullers(monkeypatch, tmp_path)
         outputs = []
         for cpus in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -421,6 +445,80 @@ class TestDeploymentProcesses:
             write_node_log_csv(memory.logs[node_id], tmp_path / "expected.csv")
             expected = (tmp_path / "expected.csv").read_bytes()
             assert (tmp_path / "logs" / f"{node_id}_log.csv").read_bytes() == expected
+
+    def test_logs_match_in_memory_runs(self, tmp_path, monkeypatch):
+        # Ids that need csv quoting, and a node that starts dead in the dark
+        # and logs the header alone, each written by whichever process pulls it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        nodes = [
+            {"node_id": 'a,"b', "supercap": {"voltage_v": 3.0}},
+            {"node_id": "line\nbreak", "mode": "advertising", "supercap": {"voltage_v": 2.5}},
+            {"node_id": "dead", "supercap": {"voltage_v": 1.0}},
+        ]
+        lights = ([(0.0, 300.0), (900.0, 100.0)], [(0.0, 450.0), (900.0, 0.0)], [(0.0, 0.0)])
+        for node, rows in zip(nodes, lights):
+            _write_trace(traces / f"{node['node_id']}_light.csv", rows)
+        config = tmp_path / "dep.json"
+        config.write_text(json.dumps({"nodes": nodes}))
+        out = tmp_path / "out"
+        assert main(_deploy_argv(config, traces, 1800, out)) == 0
+        for node in load_deployment_config(config).nodes:
+            light = load_trace_csv(traces / f"{node.node_id}_light.csv")
+            write_node_log_csv(run_node(node, light, duration_s=1800.0), tmp_path / "expected.csv")
+            expected = (tmp_path / "expected.csv").read_bytes()
+            assert (out / f"{node.node_id}_log.csv").read_bytes() == expected
+        assert (out / "dead_log.csv").read_bytes().count(b"\n") == 1
+
+    def test_each_node_runs_once_with_more_processes_than_cpus(self, tmp_path, monkeypatch):
+        # A lost update of the shared node counter would run a node twice or
+        # never; every run appends its node id to one file.
+        cpus = len(os.sched_getaffinity(0)) + 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        runs = tmp_path / "runs.txt"
+        run_node = luxmote.deployment.run_node
+
+        def recording(node, *args, **kwargs):
+            with runs.open("a", encoding="utf-8") as fh:
+                fh.write(f"{node.node_id}\n")
+            return run_node(node, *args, **kwargs)
+
+        monkeypatch.setattr(luxmote.deployment, "run_node", recording)
+        ids = [f"n{i:02d}" for i in range(4 * cpus)]
+        config = load_deployment_config(self._lit_fleet(tmp_path, ids)[0])
+        light = {i: load_trace_csv(tmp_path / "traces" / f"{i}_light.csv") for i in ids}
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        report = run_deployment(config, light, duration_s=600.0, detail=True, log_dir=out)
+        assert time.perf_counter() - t0 < 60.0
+        assert sorted(runs.read_text().split()) == ids
+        assert list(report.logs) == ids
+        assert sorted(p.name for p in out.iterdir()) == [f"{i}_log.csv" for i in ids]
+
+    def test_worker_that_dies_is_an_error(self, tmp_path, monkeypatch):
+        # The worker dies on the first node it takes; this process waits for
+        # that before running its own node, so the worker surely takes one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        died = tmp_path / "died"
+        caller = os.getpid()
+        run_node = luxmote.deployment.run_node
+
+        def dying(*args, **kwargs):
+            if os.getpid() != caller:
+                died.touch()
+                os._exit(3)
+            deadline = time.monotonic() + 30.0
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return run_node(*args, **kwargs)
+
+        monkeypatch.setattr(luxmote.deployment, "run_node", dying)
+        config = load_deployment_config(self._lit_fleet(tmp_path, ("a", "b", "c"))[0])
+        light = {i: load_trace_csv(tmp_path / "traces" / f"{i}_light.csv") for i in ("a", "b", "c")}
+        with pytest.raises(RuntimeError, match=r"^node worker \d+ ended with exit code 3$"):
+            run_deployment(config, light, duration_s=600.0, detail=True, log_dir=tmp_path / "out")
+        assert died.exists()
 
     def test_log_dir_needs_detail(self, tmp_path):
         with pytest.raises(ValueError, match="log_dir needs detail=True"):

@@ -7,6 +7,8 @@ and frozen.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxmote.qos import (
     DEFAULT_TABLE,
@@ -23,6 +25,32 @@ from luxmote.qos import (
 from reference_controller import reference_qos_sequence
 
 ORACLE_ROWS = [tuple(r) for r in DEFAULT_TABLE.rows]
+
+# Voltages at the ceiling (where step reseeds and the voltage rule is +1)
+# and anywhere in the table; light dark or lit.
+CEILING_VOLTS = st.floats(3.59, 3.6)
+VOLTS = st.one_of(CEILING_VOLTS, st.floats(2.1, 3.6))
+LUX = st.one_of(st.just(0.0), st.floats(0.0, 1000.0))
+
+
+@st.composite
+def clamp_runs(draw):
+    """A table and (volt, light) samples in runs that may hold the voltage,
+    the light or both: held light gives flat light trends, held darkness
+    drives the target to 1, and held ceiling voltages keep it at 7.  The
+    first sample seeds any state.  The state-7 bucket may start above
+    3.59 V, where a reseed at the ceiling gives 6."""
+    edge = draw(st.one_of(st.just(3.4), st.floats(3.59, 3.6, exclude_min=True, exclude_max=True)))
+    rows = [r._replace(v_hi=edge) if r.state == 6 else r for r in DEFAULT_TABLE.rows]
+    rows = [r._replace(v_lo=edge) if r.state == 7 else r for r in rows]
+    first = rows[7 - draw(st.integers(1, 7))]
+    samples = [(draw(st.floats(first.v_lo, first.v_hi, exclude_max=True)), draw(LUX))]
+    for _ in range(draw(st.integers(1, 8))):
+        volt, lux = draw(VOLTS), draw(LUX)
+        hold_volt, hold_lux = draw(st.booleans()), draw(st.booleans())
+        for _ in range(draw(st.integers(1, 12))):
+            samples.append((volt if hold_volt else draw(VOLTS), lux if hold_lux else draw(LUX)))
+    return QosTable(rows=tuple(rows)), samples
 
 
 # Every cell of the shipped table, literally.
@@ -329,6 +357,21 @@ class TestStepProperties:
                 ctrl, qos = step(ctrl, volt, light, DEFAULT_TABLE)
                 got.append(qos)
             assert got == expected
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(clamp_runs())
+    def test_oracle_equivalence_where_the_clamp_decides(self, run):
+        # step skips a trend whose rule cannot change the clamped result; the
+        # reference always computes both.
+        table, samples = run
+        expected = reference_qos_sequence(samples, [tuple(r) for r in table.rows])
+        ctrl = ControllerState()
+        got = []
+        for volt, light in samples:
+            ctrl, qos = step(ctrl, volt, light, table)
+            got.append(qos)
+        assert got == expected
 
 
 class TestReset:

@@ -3,10 +3,13 @@ wakeup/event handling, death and cold-start recovery, the energy ledger, and
 determinism."""
 
 import csv
+import dataclasses
 import io
 import math
 
 import pytest
+
+import luxmote.simulate
 
 from luxmote.energy import (
     ConverterModel,
@@ -338,6 +341,11 @@ class TestRunNodeBasics:
     def test_node_id_must_not_leave_its_directory(self, node_id):
         # The id names the node's <id>_light.csv, <id>_log.csv and <id>_ledger.json.
         with pytest.raises(ValueError, match="^node_id must not"):
+            NodeConfig(node_id=node_id)
+
+    @pytest.mark.parametrize("node_id", [7, None, b"n01"])
+    def test_node_id_must_be_a_string(self, node_id):
+        with pytest.raises(ValueError, match=f"^node_id must be a string, got {node_id!r}$"):
             NodeConfig(node_id=node_id)
 
     @pytest.mark.parametrize("node_id", ["..a", "a.b", "..."])
@@ -716,3 +724,44 @@ class TestNodeLogCsv:
         path = tmp_path / "log.csv"
         write_node_log_csv(log, path)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "node_id, v0, light",
+        [
+            ("n01", 3.0, [(0.0, 300.0), (25.0, 0.0), (60.0, 120.5)]),
+            ('a,"b', 3.0, [(0.0, 300.0), (25.0, 0.0)]),
+            ("line\nbreak", 2.2, [(0.0, 0.0), (40.0, 300.0)]),
+            ("dead", 1.0, [(0.0, 0.0)]),  # starts dead in the dark: header only
+        ],
+    )
+    def test_streamed_log_matches_written_records(self, tmp_path, node_id, v0, light):
+        cfg = NodeConfig(node_id=node_id, supercap=SupercapState(capacitance_f=0.05, voltage_v=v0))
+        light = Trace.from_samples(light)
+        memory = run_node(cfg, light, duration_s=100.0)
+        write_node_log_csv(memory, tmp_path / "expected.csv")
+        streamed = run_node(cfg, light, duration_s=100.0, log_path=tmp_path / "log.csv")
+        assert streamed.records == []
+        assert streamed == dataclasses.replace(memory, records=[])
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        if node_id == "dead":
+            header = b"time_s,node_id,voltage_v,lux,qos,action,packets\r\n"
+            assert (tmp_path / "log.csv").read_bytes() == header
+
+    def test_log_path_needs_detail(self, tmp_path):
+        with pytest.raises(ValueError, match="log_path needs detail=True"):
+            run_node(NodeConfig(), OFFICE, duration_s=10.0, detail=False, log_path=tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    def test_rejected_or_failed_run_leaves_no_log(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValueError, match="duration_s"):
+            run_node(NodeConfig(), OFFICE, duration_s=0.0, log_path=path)
+        assert not path.exists()
+
+        def failing_step(*args):
+            raise RuntimeError("controller failed")
+
+        monkeypatch.setattr(luxmote.simulate, "step", failing_step)
+        with pytest.raises(RuntimeError, match="controller failed"):
+            run_node(NodeConfig(), OFFICE, duration_s=10.0, log_path=path)
+        assert not path.exists()
