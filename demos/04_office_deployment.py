@@ -51,16 +51,16 @@ traces = {
 
 report = run_deployment(config, traces, {"door-pir": motion}, duration_s=3 * 86400.0)
 
-agg = report.metrics
-print(f"{len(agg.per_node)} nodes over 3 days: "
-      f"{agg.packets_delivered}/{agg.packets_emitted} packets delivered")
-print(f"fleet uptime {agg.uptime_fraction:.4f}, total dead {agg.dead_seconds:.0f} s\n")
+agg = report.aggregate
+print(f"{agg['node_count']} nodes over 3 days: "
+      f"{agg['packets_delivered']}/{agg['packets_emitted']} packets delivered")
+print(f"fleet uptime {agg['uptime_fraction']:.4f}, total dead {agg['dead_seconds']:.0f} s\n")
 
 print(f"{'node':10s} {'dist':>5s} {'uptime':>7s} {'emitted':>8s} {'delivered':>9s} "
       f"{'mean gap':>9s} {'top state':>9s}")
 # counters come from each node's log; delivery, distance and the derived
 # means from the deployment's per-node metrics
-for node_id, m in agg.per_node.items():
+for node_id, m in sorted(report.nodes.items()):
     log = report.logs[node_id]
     gap = f"{m.mean_packet_interval_s:.1f}s" if m.mean_packet_interval_s else "-"
     top = max(range(1, 8), key=lambda s: log.qos_histogram[s])
@@ -71,6 +71,6 @@ pir = report.logs["door-pir"]
 print(f"\nmotion sensor: {pir.events_detected} events, "
       f"{pir.notifications_emitted} notifications "
       f"(hold-off coalesced the rest; worst latency "
-      f"{agg.per_node['door-pir'].notification_latency_max_s or 0:.0f} s)")
+      f"{report.nodes['door-pir'].notification_latency_max_s or 0:.0f} s)")
 print("\nthe stairwell node keeps sensing but its packets never reach the")
 print("base station; the dim corner node rides the bottom service levels.")

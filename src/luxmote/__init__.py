@@ -10,7 +10,6 @@ and a design-space explorer for lifetime/service/light trade-offs.
 from .deployment import (
     DeploymentConfig,
     DeploymentReport,
-    Metrics,
     NodeMetrics,
     link_delivery,
     run_deployment,

@@ -110,11 +110,10 @@ def cmd_simulate_deployment(args) -> int:
         detail=True,
         log_dir=args.out,
     )
-    write_deployment_report(report, args.out)
-    agg = report.metrics
+    agg = write_deployment_report(report, args.out)["aggregate"]
     print(
-        f"{len(agg.per_node)} nodes: {agg.packets_delivered}/{agg.packets_emitted} "
-        f"packets delivered, mean uptime {agg.uptime_fraction:.4f}"
+        f"{agg['node_count']} nodes: {agg['packets_delivered']}/{agg['packets_emitted']} "
+        f"packets delivered, mean uptime {agg['uptime_fraction']:.4f}"
     )
     return 0
 

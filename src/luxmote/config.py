@@ -116,22 +116,14 @@ def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
         raise ConfigError(f"{where}: must be an object")
     _check_keys(obj, NodeConfig.__dataclass_fields__, where)
 
-    kwargs = {}
-    if "node_id" in obj:
-        if not isinstance(obj["node_id"], str) or not obj["node_id"]:
-            raise ConfigError(f"{where}.node_id: must be a non-empty string")
-        kwargs["node_id"] = obj["node_id"]
+    # NodeConfig checks node_id and pinned_qos; _build names the file.
+    kwargs = {key: obj[key] for key in ("node_id", "pinned_qos") if key in obj}
     if "mode" in obj:
         kwargs["mode"] = _mode(obj["mode"], f"{where}.mode")
     if "position_m" in obj:
         kwargs["position_m"] = _point(obj, "position_m", where)
     if "v_on" in obj:
         kwargs["v_on"] = _number(obj["v_on"], f"{where}.v_on")
-    if obj.get("pinned_qos") is not None:
-        qos = obj["pinned_qos"]
-        if isinstance(qos, bool) or not isinstance(qos, int) or not 1 <= qos <= 7:
-            raise ConfigError(f"{where}.pinned_qos: must be null or an integer 1..7, got {qos!r}")
-        kwargs["pinned_qos"] = qos
 
     kwargs["supercap"] = _section(obj, "supercap", SupercapState, where)
     kwargs["harvester"] = _section(obj, "harvester", HarvesterModel, where)

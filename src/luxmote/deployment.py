@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from .energy import require_finite
-from .simulate import NodeConfig, NodeLog, ledger_summary, run_node, write_json
+from .simulate import EnergyLedger, NodeConfig, NodeLog, ledger_summary, run_node, write_json
 
 
 @dataclass(frozen=True)
@@ -73,52 +73,53 @@ class NodeMetrics:
     notification_latency_max_s: Optional[float]
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Fleet aggregate plus the per-node ``NodeMetrics`` by node id."""
-
-    per_node: dict
-    uptime_fraction: float
-    dead_seconds: float
-    packets_emitted: int
-    packets_delivered: int
-    controller_steps: int
-    qos_histogram: tuple[int, ...]
-    mean_interval_s: dict  # mode value -> mean seconds between packets, or None
-    notification_latency_mean_s: Optional[float]
-    notification_latency_max_s: Optional[float]
-
-
 @dataclass
 class DeploymentReport:
     duration_s: float
     radio_range_m: float
     base_station_m: tuple[float, float]
-    metrics: Metrics
+    nodes: dict = field(default_factory=dict)  # node_id -> NodeMetrics, in config order
     logs: dict = field(default_factory=dict)  # node_id -> NodeLog, in config order
+
+    @property
+    def aggregate(self) -> dict:
+        """The fleet aggregate of the logs, as report.json holds it."""
+        return compute_metrics(self.logs, self.nodes)
 
 
 def _mean_max(values: list) -> tuple[Optional[float], Optional[float]]:
     return (sum(values) / len(values), max(values)) if values else (None, None)
 
 
-def compute_metrics(logs: dict, delivered: dict, distances: dict) -> Metrics:
-    """Deterministic aggregate over per-node logs.
+def compute_metrics(logs: dict, nodes: dict) -> dict:
+    """Deterministic fleet aggregate of per-node logs, JSON-ready.
 
-    ``logs`` maps node_id to its NodeLog, ``delivered`` to packets delivered
-    and ``distances`` to the node-to-base-station distance.  Logs are folded
-    in node_id order so the result is independent of simulation order.
+    ``logs`` maps node_id to its NodeLog and ``nodes`` to its NodeMetrics.
+    Every ``NodeLog`` field that ``ledger_summary`` reports is summed over
+    the logs, in node_id order, unless it is marked ``_PER_NODE``: from the
+    field's default times 0 (so ``alive_at_end`` counts the nodes alive at
+    the end), the ledger through ``EnergyLedger.add`` and the QoS histogram
+    state by state.  Derived are the node count, the mean uptime fraction,
+    the packets delivered, the mean packet interval per mode and the mean
+    and maximum notification latency.
     """
     ordered = [logs[node_id] for node_id in sorted(logs)]
-    per_node = {}
+    aggregate = {"node_count": len(ordered)}
+    for f in fields(type(ordered[0]) if ordered else NodeLog):
+        if not (f.metadata.get("summary", True) and f.metadata.get("sum", True)):
+            continue
+        values = [getattr(log, f.name) for log in ordered]
+        total = f.default_factory() if f.default is MISSING else f.default * 0
+        if isinstance(total, EnergyLedger):
+            for value in values:
+                total.add(value, 1)
+            aggregate[f.name] = asdict(total)
+        elif isinstance(total, list):  # the QoS histogram, keyed "1" to "7"
+            aggregate[f.name] = {str(s): sum(c) for s, c in enumerate(zip(total, *values)) if s}
+        else:
+            aggregate[f.name] = sum(values, total)
     gaps = {}  # mode value -> [gap sum, gap count]
     for log in ordered:
-        per_node[log.node_id] = NodeMetrics(
-            delivered[log.node_id],
-            distances[log.node_id],
-            log.mean_packet_interval_s,
-            *_mean_max(log.notification_latencies_s),
-        )
         gap = gaps.setdefault(log.mode.value, [0.0, 0])
         gap[0] += log.packet_gap_sum_s
         gap[1] += log.packet_gap_count
@@ -126,18 +127,14 @@ def compute_metrics(logs: dict, delivered: dict, distances: dict) -> Metrics:
         [lat for log in ordered for lat in log.notification_latencies_s]
     )
     uptime_sum = sum(log.uptime_fraction for log in ordered)
-    return Metrics(
-        per_node=per_node,
-        uptime_fraction=(uptime_sum / len(ordered)) if ordered else 1.0,
-        dead_seconds=sum((log.dead_seconds for log in ordered), 0.0),  # a float when empty
-        packets_emitted=sum(log.packets_emitted for log in ordered),
-        packets_delivered=sum(m.packets_delivered for m in per_node.values()),
-        controller_steps=sum(log.controller_steps for log in ordered),
-        qos_histogram=(0, *(sum(log.qos_histogram[s] for log in ordered) for s in range(1, 8))),
+    aggregate.update(
+        uptime_fraction=uptime_sum / len(ordered) if ordered else 1.0,
+        packets_delivered=sum(nodes[log.node_id].packets_delivered for log in ordered),
         mean_interval_s={mode: (s / c if c else None) for mode, (s, c) in gaps.items()},
         notification_latency_mean_s=latency_mean,
         notification_latency_max_s=latency_max,
     )
+    return aggregate
 
 
 def _run_pulled(take, nodes, light_traces, event_traces, duration_s, detail, log_dir) -> dict:
@@ -179,7 +176,8 @@ def run_deployment(
     detail: bool = False,
     log_dir=None,
 ) -> DeploymentReport:
-    """Simulate every node independently and aggregate.
+    """Simulate every node independently; the report's ``aggregate`` sums
+    their logs when read.
 
     ``light_traces`` maps node_id to a light Trace (one per node, required);
     ``event_traces`` maps node_id to an impulse Trace for event-detection
@@ -243,45 +241,42 @@ def run_deployment(
                 reader.close()
                 worker.join()
 
-    logs, delivered, distances = {}, {}, {}
+    report = DeploymentReport(float(duration_s), config.radio_range_m, config.base_station_m)
     # Indices are taken in order and every taken node ends, so a node never
     # run comes after a failed one.
     for k, node in enumerate(config.nodes):
         log = outcomes[k]
         if isinstance(log, Exception):
             raise log
-        logs[node.node_id] = log
-        dist = distances[node.node_id] = node_distance_m(node, config.base_station_m)
-        in_range = link_delivery(dist, config.radio_range_m)
-        delivered[node.node_id] = log.packets_emitted if in_range else 0
-
-    return DeploymentReport(
-        duration_s=float(duration_s),
-        radio_range_m=config.radio_range_m,
-        base_station_m=config.base_station_m,
-        metrics=compute_metrics(logs, delivered, distances),
-        logs=logs,
-    )
+        report.logs[node.node_id] = log
+        dist = node_distance_m(node, config.base_station_m)
+        report.nodes[node.node_id] = NodeMetrics(
+            log.packets_emitted if link_delivery(dist, config.radio_range_m) else 0,
+            dist,
+            log.mean_packet_interval_s,
+            *_mean_max(log.notification_latencies_s),
+        )
+    return report
 
 
 def report_summary(report: DeploymentReport) -> dict:
     """report.json: the run's extent, the fleet aggregate and, per node, its
     ``ledger_summary`` under "ledgers" and its ``NodeMetrics`` under "nodes"."""
-    agg = report.metrics
-    aggregate = {f.name: getattr(agg, f.name) for f in fields(agg) if f.name != "per_node"}
-    aggregate["qos_histogram"] = {str(s): agg.qos_histogram[s] for s in range(1, 8)}
     return {
         "duration_s": report.duration_s,
         "radio_range_m": report.radio_range_m,
         "base_station_m": list(report.base_station_m),
-        "aggregate": {"node_count": len(agg.per_node), **aggregate},
-        "nodes": {node_id: asdict(m) for node_id, m in agg.per_node.items()},
+        "aggregate": report.aggregate,
+        "nodes": {node_id: asdict(m) for node_id, m in report.nodes.items()},
         "ledgers": {node_id: ledger_summary(log) for node_id, log in report.logs.items()},
     }
 
 
-def write_deployment_report(report: DeploymentReport, out_dir) -> None:
-    """report.json only; ``run_deployment(..., log_dir=...)`` writes the node logs."""
+def write_deployment_report(report: DeploymentReport, out_dir) -> dict:
+    """Writes report.json and returns what it wrote (``report_summary``);
+    ``run_deployment(..., log_dir=...)`` writes the node logs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(report_summary(report), out / "report.json")
+    summary = report_summary(report)
+    write_json(summary, out / "report.json")
+    return summary

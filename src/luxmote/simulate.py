@@ -189,23 +189,27 @@ class EnergyLedger:
         self.leak_j += times * other.leak_j
 
 
-_LEFT_OUT = {"summary": False}  # metadata of a field ledger_summary leaves out
+_LEFT_OUT = {"summary": False}  # metadata of a field no report holds
+_PER_NODE = {"sum": False}  # metadata of a field the fleet aggregate does not sum
 
 
 @dataclass
 class NodeLog:
     """Complete observable outcome of one node run, and the one declaration
     of its per-node quantities: ``ledger_summary`` reports every field not
-    marked ``_LEFT_OUT``.  Left out are the storage size, the per-event
-    records (kept only with detail, so marked ``detail_only`` too) and the
-    raw material of a deployment's ``NodeMetrics``."""
+    marked ``_LEFT_OUT``, and a deployment's aggregate sums each of those
+    not marked ``_PER_NODE`` over the fleet, starting from its default
+    times 0.  Left out are the storage size, the per-event records (kept
+    only with detail, so marked ``detail_only`` too) and the raw material of
+    a deployment's ``NodeMetrics``; per node only are the run's identity,
+    length and voltages."""
 
-    node_id: str
-    mode: ApplicationMode
-    duration_s: float
+    node_id: str = field(metadata=_PER_NODE)
+    mode: ApplicationMode = field(metadata=_PER_NODE)
+    duration_s: float = field(metadata=_PER_NODE)
     capacitance_f: float = field(metadata=_LEFT_OUT)
-    initial_voltage_v: float
-    final_voltage_v: float = 0.0
+    initial_voltage_v: float = field(metadata=_PER_NODE)
+    final_voltage_v: float = field(default=0.0, metadata=_PER_NODE)
     alive_at_end: bool = True
     records: list = field(default_factory=list, metadata={**_LEFT_OUT, "detail_only": True})
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
@@ -704,9 +708,13 @@ class _NodeSim:
         period = self.intervals[qos - 1]
         t_event = self.heap[0][0] if self.heap else math.inf
         t_limit = min(t_event, self.t_sample, self.duration)
+        horizon = t_limit - HISTORY_LEN * period
+        if t + period > horizon:  # no period to skip: replay nothing
+            self._wakeup(t)
+            return
         jitter = math.ulp(t_limit)
         cap, one = phys.replay_period(self.v, self.p_panel, self.e_wakeup, period, jitter)
-        k, t_last, t_next = _wake_times(t, period, t_limit - HISTORY_LEN * period, cap)
+        k, t_last, t_next = _wake_times(t, period, horizon, cap)
         if k == 0:
             self._wakeup(t)
             return

@@ -286,8 +286,8 @@ class TestCriterion9RangeModel:
         )
         traces = {"edge": Trace.constant(300.0), "beyond": Trace.constant(300.0)}
         result = run_deployment(config, traces, duration_s=600.0)
-        edge = result.metrics.per_node["edge"]
-        beyond = result.metrics.per_node["beyond"]
+        edge = result.nodes["edge"]
+        beyond = result.nodes["beyond"]
         edge_emitted = result.logs["edge"].packets_emitted
         beyond_emitted = result.logs["beyond"].packets_emitted
         assert edge_emitted > 0

@@ -373,7 +373,7 @@ class TestDeploymentOutputBytes:
         "dim_log.csv": "d99c778f4e17ce7e0da32717887072750a8b797ff4be6a55184f1e7a36bf5e4f",
         "leaky_log.csv": "d1b8bd989c5ee16a24e183898e60f2d5b68ad3e3172ced935d4e78d6a6858c9c",
         "pir_log.csv": "2264dee76b140c4b9c56ce6f90beda440d15c4b07761d631022e974eaec54b32",
-        "report.json": "316b1000391b190d3791efc5facf4e4eab330c42fa44eb78fc307b8b6b570af0",
+        "report.json": "857e84e6ce25f9e0b9ed626978abe0d6bd1398a3e8c924b57efc59f99cfe6f21",
     }
 
     def test_outputs_byte_identical(self, tmp_path):
@@ -437,7 +437,8 @@ class TestDeploymentProcesses:
         memory = run_deployment(config, light, events, **kwargs)
         written = run_deployment(config, light, events, log_dir=tmp_path / "logs", **kwargs)
         assert list(written.logs) == list(memory.logs)
-        assert written.metrics == memory.metrics
+        assert written.nodes == memory.nodes
+        assert written.aggregate == memory.aggregate
         for node_id, log in written.logs.items():
             assert log.records == []
             assert memory.logs[node_id].records
@@ -720,7 +721,7 @@ class TestValidateConfig:
         path.write_text('{"pinned_qos": %s}' % value)
         assert main(["validate-config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"{path}.pinned_qos: must be null or an integer 1..7, got {json.loads(value)!r}" in err
+        assert f"{path}: pinned_qos must be an integer in [1, 7], got {json.loads(value)!r}" in err
 
     @pytest.mark.parametrize("value", ["null", "1", "7"])
     def test_pinned_qos_accepts_null_and_integers(self, tmp_path, value):

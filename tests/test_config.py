@@ -1,6 +1,7 @@
 """Config loading: schema validation with field-level diagnostics."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -109,8 +110,14 @@ class TestNodeConfig:
     "parse, obj, message",
     [
         (parse_node_config, [], "node: must be an object"),
-        (parse_node_config, {"node_id": 7}, "node.node_id: must be a non-empty string"),
-        (parse_node_config, {"node_id": ""}, "node.node_id: must be a non-empty string"),
+        (parse_node_config, {"node_id": 7}, "node: node_id must be a string, got 7"),
+        (
+            parse_node_config,
+            {"node_id": ""},
+            re.escape(
+                "node: node_id must not be empty, '.' or '..' or contain '/', '\\' or NUL, got ''"
+            ),
+        ),
         (parse_node_config, {"position_m": [1.0]}, r"node.position_m: must be \[x, y\]"),
         (parse_node_config, {"supercap": 1.0}, "node.supercap: must be an object"),
         (parse_node_config, {"table": {}}, "node.table: must be a list of 7 rows"),

@@ -169,6 +169,31 @@ def test_skips_stop_before_light_samples(monkeypatch):
     assert len(calls) < slim.controller_steps / 2
 
 
+def test_no_replay_without_a_period_to_skip(monkeypatch):
+    # A skip ends HISTORY_LEN periods before the next light sample or the
+    # end of the run, so the wakeups after it have no period to skip: they
+    # take the event path without replaying one.
+    horizons, replays = [], []
+    wake_times, replay = simulate._wake_times, simulate._Phys.replay_period
+
+    def recorded_wake_times(t, period, horizon, cap):
+        horizons.append((t, period, horizon))
+        return wake_times(t, period, horizon, cap)
+
+    def recorded_replay(phys, *args):
+        replays.append(args)
+        return replay(phys, *args)
+
+    monkeypatch.setattr(simulate, "_wake_times", recorded_wake_times)
+    monkeypatch.setattr(simulate._Phys, "replay_period", recorded_replay)
+    cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=3.5))
+    light = Trace([0.0, 40_000.0], [300.0, 400.0])
+    log = run_node(cfg, light, duration_s=86_400.0, detail=False)
+    assert log.controller_steps > 4_000
+    assert horizons and len(replays) == len(horizons)
+    assert all(t + period <= horizon for t, period, horizon in horizons)
+
+
 def test_event_detection_between_motion_events():
     cfg = NodeConfig(
         mode=ApplicationMode.EVENT_DETECTION,
