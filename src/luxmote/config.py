@@ -1,12 +1,15 @@
 """Declarative JSON run configuration.
 
 One file describes either a single node or a whole deployment; a third schema
-describes an exploration grid.  Every domain invariant is enforced at load
-time and violations name the offending field.  Numbers must be finite:
-``NaN``, ``Infinity`` and literals that overflow to infinity (``1e999``) are
-rejected with their JSON path, and so is a document nested too deeply for
-the parser.  All sections and keys are optional and fall back to the model
-defaults; unknown keys are rejected so typos fail loudly.
+describes an exploration grid.  The models enforce every field rule, types
+included (``check_fields``); this module checks the JSON shape (objects,
+lists, ``[x, y]`` points and 6-entry table rows), rejects unknown keys so
+typos fail loudly, maps mode names, and puts the file and section before
+each model's message: ``<file>.supercap: capacitance_f must be a number,
+got True``.  ``NaN``, ``Infinity`` and literals that overflow to infinity
+(``1e999``) are rejected with their JSON path, and so are a document nested
+too deeply for the parser and a file that is not UTF-8.  All sections and
+keys are optional and fall back to the model defaults.
 
 Node schema (all keys optional unless noted):
 
@@ -46,7 +49,6 @@ import math
 from pathlib import Path
 
 from .deployment import DeploymentConfig
-from .energy import ConverterModel, HarvesterModel, LoadModel, SupercapState
 from .explore import SweepGrid
 from .qos import ApplicationMode, QosTable
 from .simulate import NodeConfig
@@ -56,33 +58,20 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
+def _check_object(obj, allowed, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
 def _build(cls, section: dict, where: str):
+    # The model checks each field's type and range; this names the file.
     try:
         return cls(**section)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-
-
-def _number(value, where: str) -> float:
-    # bool is an int in Python, but a JSON true is not a number.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ConfigError(f"{where}: must be a finite number, got {value}") from None
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: must be an integer, got {value!r}")
-    return value
 
 
 def _mode(value, where: str) -> ApplicationMode:
@@ -94,76 +83,46 @@ def _mode(value, where: str) -> ApplicationMode:
         ) from None
 
 
-def _point(obj: dict, key: str, where: str) -> tuple[float, float]:
-    pos = obj[key]
-    if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-        raise ConfigError(f"{where}.{key}: must be [x, y]")
-    return (_number(pos[0], f"{where}.{key}[0]"), _number(pos[1], f"{where}.{key}[1]"))
+def _check_list(obj: dict, key: str, where: str, what: str = "a list", size=None) -> None:
+    value = obj.get(key)
+    if key in obj and not (isinstance(value, list) and size in (None, len(value))):
+        raise ConfigError(f"{where}.{key}: must be {what}")
 
 
-def _section(obj: dict, key: str, cls, where: str):
+def _section(obj: dict, key: str, where: str):
+    # The section's model is the type of NodeConfig's default for it.
+    cls = type(NodeConfig.__dataclass_fields__[key].default)
     section = obj.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}.{key}: must be an object")
-    where = f"{where}.{key}"
-    _check_keys(section, cls.__dataclass_fields__, where)
-    numbers = {name: _number(value, f"{where}.{name}") for name, value in section.items()}
-    return _build(cls, numbers, where)
+    _check_object(section, cls.__dataclass_fields__, f"{where}.{key}")
+    return _build(cls, section, f"{where}.{key}")
 
 
 def parse_node_config(obj: dict, where: str = "node") -> NodeConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: must be an object")
-    _check_keys(obj, NodeConfig.__dataclass_fields__, where)
-
-    # NodeConfig checks node_id and pinned_qos; _build names the file.
-    kwargs = {key: obj[key] for key in ("node_id", "pinned_qos") if key in obj}
+    _check_object(obj, NodeConfig.__dataclass_fields__, where)
+    _check_list(obj, "position_m", where, "[x, y]", size=2)
+    kwargs = dict(obj)
     if "mode" in obj:
         kwargs["mode"] = _mode(obj["mode"], f"{where}.mode")
-    if "position_m" in obj:
-        kwargs["position_m"] = _point(obj, "position_m", where)
-    if "v_on" in obj:
-        kwargs["v_on"] = _number(obj["v_on"], f"{where}.v_on")
-
-    kwargs["supercap"] = _section(obj, "supercap", SupercapState, where)
-    kwargs["harvester"] = _section(obj, "harvester", HarvesterModel, where)
-    kwargs["converter"] = _section(obj, "converter", ConverterModel, where)
-    kwargs["load"] = _section(obj, "load", LoadModel, where)
+    for key in ("supercap", "harvester", "converter", "load"):
+        kwargs[key] = _section(obj, key, where)
     if "table" in obj:
-        rows = obj["table"]
-        if not isinstance(rows, list):
-            raise ConfigError(f"{where}.table: must be a list of 7 rows")
-        cells = []
-        for i, row in enumerate(rows):
+        _check_list(obj, "table", where, "a list of 7 rows")
+        for i, row in enumerate(obj["table"]):
             if not (isinstance(row, (list, tuple)) and len(row) == 6):
                 raise ConfigError(
                     f"{where}.table[{i}]: each row is [state, v_lo, v_hi, sense_s, pir_s, adv_s]"
                 )
-            state = _integer(row[0], f"{where}.table[{i}][0]")
-            numbers = (_number(x, f"{where}.table[{i}][{j}]") for j, x in enumerate(row[1:], 1))
-            cells.append((state, *numbers))
-        try:
-            kwargs["table"] = QosTable(rows=tuple(cells))
-        except ValueError as exc:
-            raise ConfigError(f"{where}.table: {exc}") from None
-
+        kwargs["table"] = _build(QosTable, {"rows": obj["table"]}, f"{where}.table")
     return _build(NodeConfig, kwargs, where)
 
 
 def parse_deployment_config(obj: dict, where: str = "deployment") -> DeploymentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: must be an object")
-    _check_keys(obj, DeploymentConfig.__dataclass_fields__, where)
-    kwargs = {}
-    if "base_station_m" in obj:
-        kwargs["base_station_m"] = _point(obj, "base_station_m", where)
-    if "radio_range_m" in obj:
-        kwargs["radio_range_m"] = _number(obj["radio_range_m"], f"{where}.radio_range_m")
-    nodes = obj.get("nodes", [])
-    if not isinstance(nodes, list):
-        raise ConfigError(f"{where}.nodes: must be a list")
+    _check_object(obj, DeploymentConfig.__dataclass_fields__, where)
+    _check_list(obj, "base_station_m", where, "[x, y]", size=2)
+    _check_list(obj, "nodes", where)
+    kwargs = dict(obj)
     kwargs["nodes"] = tuple(
-        parse_node_config(n, where=f"{where}.nodes[{i}]") for i, n in enumerate(nodes)
+        parse_node_config(n, where=f"{where}.nodes[{i}]") for i, n in enumerate(obj.get("nodes", []))
     )
     return _build(DeploymentConfig, kwargs, where)
 
@@ -172,16 +131,10 @@ _GRID_KEYS = ("capacitances_f", "qos_states", "mode", "lux_levels", "node")
 
 
 def parse_sweep_grid(obj: dict, where: str = "grid") -> tuple[SweepGrid, NodeConfig]:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: must be an object")
-    _check_keys(obj, _GRID_KEYS, where)
-    kwargs = {}
+    _check_object(obj, _GRID_KEYS, where)
+    kwargs = {key: value for key, value in obj.items() if key != "node"}
     for key in ("capacitances_f", "qos_states", "lux_levels"):
-        if key in obj:
-            if not isinstance(obj[key], list):
-                raise ConfigError(f"{where}.{key}: must be a list")
-            entry = _integer if key == "qos_states" else _number
-            kwargs[key] = tuple(entry(x, f"{where}.{key}[{i}]") for i, x in enumerate(obj[key]))
+        _check_list(obj, key, where)
     if "mode" in obj:
         kwargs["mode"] = _mode(obj["mode"], f"{where}.mode")
     grid = _build(SweepGrid, kwargs, where)
@@ -193,11 +146,11 @@ def _load_json(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None

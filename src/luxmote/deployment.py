@@ -19,7 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .energy import require_finite
+from .energy import check_fields
 from .simulate import EnergyLedger, NodeConfig, NodeLog, ledger_summary, run_node, write_json
 
 
@@ -30,17 +30,9 @@ class DeploymentConfig:
     radio_range_m: float = 30.0
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        require_finite(self)
+        check_fields(self)
         if self.radio_range_m <= 0:
             raise ValueError(f"radio_range_m must be > 0, got {self.radio_range_m}")
-        if len(self.base_station_m) != 2:
-            raise ValueError(f"base_station_m must be (x, y), got {self.base_station_m}")
-        object.__setattr__(
-            self,
-            "base_station_m",
-            (float(self.base_station_m[0]), float(self.base_station_m[1])),
-        )
         ids = [n.node_id for n in self.nodes]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})

@@ -16,18 +16,81 @@ rail.  The buck converter sits between them, so a load-side joule costs
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields
+from functools import cache
 
 
-def require_finite(model) -> None:
-    """Reject a dataclass whose float fields, or float entries of its tuple
-    or list fields, are NaN or infinite; the message names the field.
-    Comparisons with NaN are false, so range checks alone let NaN through."""
-    for f in fields(model):
-        value = getattr(model, f.name)
-        for x in value if isinstance(value, (tuple, list)) else (value,):
-            if isinstance(x, float) and not math.isfinite(x):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+def finite_number(value, where: str) -> float:
+    """``value``, an int or a float but not a bool (an int in Python), as a
+    finite float.  Raises ValueError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range; str() may refuse it
+        from decimal import Decimal
+
+        raise ValueError(f"{where} must be a finite number, got {Decimal(value):.3e}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be a finite number, got {number}")
+    return number
+
+
+def check_fields(model) -> None:
+    """Hold each init field of a dataclass to its declared type and store the
+    checked value: a float field takes ``finite_number``, an int field an int,
+    a str field a str, ``Optional[X]`` also None; ``tuple[X, ...]``,
+    ``tuple[X, Y]`` and NamedTuple rows take a tuple or a list, checked entry
+    by entry (``position_m[0]``, ``rows[2].v_lo``); any other type (an enum,
+    a model) needs an instance.  Raises ValueError naming the field."""
+    for name, check in _field_checks(type(model)):
+        object.__setattr__(model, name, check(getattr(model, name), name))
+
+
+@cache
+def _field_checks(cls) -> tuple:
+    # The annotations are strings (``from __future__ import annotations``).
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _check_for(hints[f.name])) for f in fields(cls) if f.init)
+
+
+def _check_for(tp):
+    """A function (value, where) -> checked value that enforces type ``tp``."""
+    if tp is float:
+        return finite_number
+    args = typing.get_args(tp)
+    if type(None) in args:  # Optional[X]
+        inner = _check_for(args[0])
+        return lambda value, where: None if value is None else inner(value, where)
+    row = getattr(tp, "_fields", None)  # a NamedTuple, checked as a fixed tuple
+    if row is not None or typing.get_origin(tp) is tuple:
+        if row is not None:
+            args = tuple(typing.get_type_hints(tp).values())  # in field order
+        variadic = args[-1] is Ellipsis
+        checks = [_check_for(a) for a in args if a is not Ellipsis]
+
+        def check_entries(value, where):
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"{where} must be a tuple, got {value!r}")
+            if not variadic and len(value) != len(checks):
+                raise ValueError(f"{where} must hold {len(checks)} entries, got {value!r}")
+            labels = [f".{name}" for name in row] if row else map("[{}]".format, range(len(value)))
+            entries = zip(checks * len(value) if variadic else checks, labels, value)
+            checked = [check(x, where + label) for check, label, x in entries]
+            return tp._make(checked) if row else tuple(checked)
+
+        return check_entries
+    kind = {int: "an integer", str: "a string"}.get(tp) or (
+        ("an " if tp.__name__[0] in "AEIOU" else "a ") + tp.__name__
+    )
+
+    def check_instance(value, where):
+        if isinstance(value, bool) or not isinstance(value, tp):
+            raise ValueError(f"{where} must be {kind}, got {value!r}")
+        return value
+
+    return check_instance
 
 
 @dataclass(frozen=True)
@@ -48,17 +111,13 @@ class SupercapState:
     leak_current_a: float = 0.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.capacitance_f <= 0:
             raise ValueError(f"capacitance_f must be > 0, got {self.capacitance_f}")
         if not 0.0 <= self.voltage_v <= self.v_rated:
-            raise ValueError(
-                f"voltage_v must be within [0, {self.v_rated}], got {self.voltage_v}"
-            )
+            raise ValueError(f"voltage_v must be within [0, {self.v_rated}], got {self.voltage_v}")
         if not self.v_cutoff < self.v_rated:
-            raise ValueError(
-                f"v_cutoff must be below v_rated ({self.v_cutoff} >= {self.v_rated})"
-            )
+            raise ValueError(f"v_cutoff must be below v_rated ({self.v_cutoff} >= {self.v_rated})")
         if self.v_cutoff < 0:
             raise ValueError(f"v_cutoff must be >= 0, got {self.v_cutoff}")
         if self.leak_current_a < 0:
@@ -79,7 +138,7 @@ class HarvesterModel:
     lux_ref: float = 300.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.i_ref_a < 0 or self.v_ref_v < 0:
             raise ValueError(f"i_ref_a and v_ref_v must be >= 0, got {self.i_ref_a}, {self.v_ref_v}")
         if self.lux_ref <= 0:
@@ -108,7 +167,7 @@ class ConverterModel:
     v_out_v: float = 3.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         for name in ("eta_boost", "eta_cold", "eta_buck"):
             eta = getattr(self, name)
             if not 0.0 < eta <= 1.0:
@@ -141,16 +200,10 @@ class LoadModel:
     e_controller_step_j: float = 0.0
 
     def __post_init__(self):
-        require_finite(self)
-        for name in (
-            "i_standby_a",
-            "e_sense_tx_j",
-            "e_event_detect_j",
-            "e_advertise_j",
-            "e_controller_step_j",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_fields(self)
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
 def standby_power(load: LoadModel, conv: ConverterModel) -> float:

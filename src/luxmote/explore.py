@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .energy import require_finite, standby_power
+from .energy import check_fields, standby_power
 from .qos import ApplicationMode
 from .simulate import NodeConfig, _Phys, action_energy_j
 
@@ -97,12 +97,7 @@ class SweepGrid:
     lux_levels: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "capacitances_f", tuple(float(c) for c in self.capacitances_f))
-        if not all(isinstance(s, int) or float(s).is_integer() for s in self.qos_states):
-            raise ValueError(f"qos states must be whole numbers, got {self.qos_states}")
-        object.__setattr__(self, "qos_states", tuple(int(s) for s in self.qos_states))
-        object.__setattr__(self, "lux_levels", tuple(float(x) for x in self.lux_levels))
-        require_finite(self)
+        check_fields(self)
         if not self.capacitances_f or not self.qos_states:
             raise ValueError("sweep grid needs at least one capacitance and one state")
         if any(c <= 0 for c in self.capacitances_f):

@@ -25,11 +25,12 @@ whenever the voltage sits at the table ceiling.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
+
+from .energy import check_fields
 
 HISTORY_LEN = 5
 
@@ -82,13 +83,12 @@ class QosTable:
     )
 
     def __post_init__(self):
-        rows = tuple(QosRow(*r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != 7:
-            raise ValueError(f"table must have exactly 7 rows, got {len(rows)}")
-        if sorted(r.state for r in rows) != list(range(1, 8)):
+        check_fields(self)
+        if len(self.rows) != 7:
+            raise ValueError(f"table must have exactly 7 rows, got {len(self.rows)}")
+        if sorted(r.state for r in self.rows) != list(range(1, 8)):
             raise ValueError("table states must be exactly 1..7")
-        by_voltage = sorted(rows, key=lambda r: r.v_lo)
+        by_voltage = sorted(self.rows, key=lambda r: r.v_lo)
         for row in by_voltage:
             if not row.v_lo < row.v_hi:
                 raise ValueError(f"state {row.state}: empty bucket [{row.v_lo}, {row.v_hi})")
@@ -109,8 +109,6 @@ class QosTable:
         # States increase with voltage, so by_voltage is also in state order.
         for col in ("sense_interval_s", "pir_interval_s", "adv_interval_s"):
             values = [getattr(r, col) for r in by_voltage]
-            if not all(0 < v < math.inf for v in values):
-                raise ValueError(f"{col}: intervals must be positive and finite")
             for row, value in zip(by_voltage, values):
                 if value < MIN_INTERVAL_S:
                     raise ValueError(
@@ -119,7 +117,7 @@ class QosTable:
             if any(b >= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{col}: intervals must strictly decrease with state")
         object.__setattr__(self, "v_min", by_voltage[0].v_lo)
-        object.__setattr__(self, "v_max", max(r.v_hi for r in rows))
+        object.__setattr__(self, "v_max", max(r.v_hi for r in self.rows))
         object.__setattr__(self, "lower_edges", tuple(r.v_lo for r in by_voltage))
         object.__setattr__(
             self,

@@ -63,7 +63,8 @@ from .energy import (
     HarvesterModel,
     LoadModel,
     SupercapState,
-    require_finite,
+    check_fields,
+    finite_number,
     standby_power,
 )
 from .qos import (
@@ -112,10 +113,10 @@ class NodeConfig:
     pinned_qos: Optional[int] = None
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
+        if self.pinned_qos is not None and not 1 <= self.pinned_qos <= 7:
+            raise ValueError(f"pinned_qos must be an integer in [1, 7], got {self.pinned_qos}")
         # The id names the node's trace and log files.
-        if not isinstance(self.node_id, str):
-            raise ValueError(f"node_id must be a string, got {self.node_id!r}")
         if self.node_id in ("", ".", "..") or any(c in self.node_id for c in "/\\\0"):
             raise ValueError(
                 "node_id must not be empty, '.' or '..' or contain '/', '\\' or NUL, "
@@ -131,14 +132,6 @@ class NodeConfig:
                 f"v_cutoff {self.supercap.v_cutoff} below the table floor "
                 f"{self.table.v_min}: a live node could fall outside the table"
             )
-        qos = self.pinned_qos
-        if qos is not None and (
-            isinstance(qos, bool) or not isinstance(qos, int) or not 1 <= qos <= 7
-        ):
-            raise ValueError(f"pinned_qos must be an integer in [1, 7], got {qos!r}")
-        if len(self.position_m) != 2:
-            raise ValueError(f"position_m must be (x, y), got {self.position_m}")
-        object.__setattr__(self, "position_m", (float(self.position_m[0]), float(self.position_m[1])))
 
 
 class LogRecord(NamedTuple):
@@ -522,7 +515,8 @@ class _NodeSim:
     """Event loop for a single node; see run_node."""
 
     def __init__(self, config, light, events, duration_s, detail):
-        if not 0.0 < duration_s < math.inf:
+        self.duration = finite_number(duration_s, "duration_s")
+        if not self.duration > 0.0:
             raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
         if events is not None and config.mode is not ApplicationMode.EVENT_DETECTION:
             raise ValueError(
@@ -531,7 +525,6 @@ class _NodeSim:
         self.phys = _Phys(config)
         self.table = config.table
         self.mode = config.mode
-        self.duration = float(duration_s)
         self.detail = detail
         eta_buck = config.converter.eta_buck
         self.e_wakeup = action_energy_j(config) / eta_buck

@@ -15,6 +15,7 @@ import luxmote.deployment
 from luxmote.cli import main
 from luxmote.config import load_deployment_config, load_node_config
 from luxmote.deployment import run_deployment
+from luxmote.qos import QosRow
 from luxmote.simulate import run_node, write_node_log_csv
 from luxmote.traces import load_trace_csv
 
@@ -648,7 +649,7 @@ class TestExplore:
         path.write_text(json.dumps({key: entries}))
         out = tmp_path / "frontier.csv"
         assert main(["explore", "--config", str(path), "--out", str(out)]) == 1
-        assert f"{path}.{key}[{i}]: {message}, got {entries[i]!r}" in capsys.readouterr().err
+        assert f"{path}: {key}[{i}] {message}, got {entries[i]!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -713,15 +714,17 @@ class TestValidateConfig:
         path = tmp_path / "bad.json"
         path.write_text(template % ("1" + "0" * 400))
         assert main(["validate-config", "--config", str(path)]) == 1
-        assert f"{path}.{field}: must be a finite number" in capsys.readouterr().err
+        assert f"{path}: {field} must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["7.9", "7.0", "true", '"7"', "0", "8"])
     def test_pinned_qos_must_be_an_integer_in_range(self, tmp_path, capsys, value):
+        # the type rule is NodeConfig's field type; the range rule its own
+        rule = " in [1, 7]" if value in ("0", "8") else ""
         path = tmp_path / "bad.json"
         path.write_text('{"pinned_qos": %s}' % value)
         assert main(["validate-config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"{path}: pinned_qos must be an integer in [1, 7], got {json.loads(value)!r}" in err
+        assert f"{path}: pinned_qos must be an integer{rule}, got {json.loads(value)!r}" in err
 
     @pytest.mark.parametrize("value", ["null", "1", "7"])
     def test_pinned_qos_accepts_null_and_integers(self, tmp_path, value):
@@ -733,11 +736,11 @@ class TestValidateConfig:
     @pytest.mark.parametrize(
         "template, field",
         [
-            ('{"position_m": [%s, 1]}', "position_m[0]"),
-            ('{"v_on": %s}', "v_on"),
-            ('{"nodes": [], "base_station_m": [0, %s]}', "base_station_m[1]"),
-            ('{"nodes": [], "radio_range_m": %s}', "radio_range_m"),
-            ('{"nodes": [{"position_m": [1, %s]}]}', "nodes[0].position_m[1]"),
+            ('{"position_m": [%s, 1]}', ": position_m[0]"),
+            ('{"v_on": %s}', ": v_on"),
+            ('{"nodes": [], "base_station_m": [0, %s]}', ": base_station_m[1]"),
+            ('{"nodes": [], "radio_range_m": %s}', ": radio_range_m"),
+            ('{"nodes": [{"position_m": [1, %s]}]}', ".nodes[0]: position_m[1]"),
         ],
     )
     def test_non_number_names_field(self, tmp_path, capsys, bad, template, field):
@@ -745,7 +748,7 @@ class TestValidateConfig:
         path.write_text(template % bad)
         assert main(["validate-config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"{path}.{field}: must be a number, got {json.loads(bad)!r}" in err
+        assert f"{path}{field} must be a number, got {json.loads(bad)!r}" in err
 
     @pytest.mark.parametrize("bad", ["true", '"1"', "null", "[1]"])
     @pytest.mark.parametrize(
@@ -763,7 +766,7 @@ class TestValidateConfig:
         path.write_text('{"%s": {"%s": %s}}' % (section, field, bad))
         assert main(["validate-config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"{path}.{section}.{field}: must be a number, got {json.loads(bad)!r}" in err
+        assert f"{path}.{section}: {field} must be a number, got {json.loads(bad)!r}" in err
 
     TABLE = [
         [7, 3.4, 3.6, 20.0, 10.0, 0.1],
@@ -799,7 +802,7 @@ class TestValidateConfig:
         path.write_text(json.dumps({"table": rows}))
         assert main(["validate-config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"{path}.table[{i}][{j}]: {message}, got {bad!r}" in err
+        assert f"{path}.table: rows[{i}].{QosRow._fields[j]} {message}, got {bad!r}" in err
 
     def test_untyped_grid_lists_rejected(self, tmp_path, capsys):
         path = tmp_path / "grid.json"
@@ -807,7 +810,7 @@ class TestValidateConfig:
             '{"capacitances_f": [true, "2"], "qos_states": [7.9, true], "lux_levels": ["10"]}'
         )
         assert main(["validate-config", "--config", str(path)]) == 1
-        assert f"{path}.capacitances_f[0]: must be a number, got True" in capsys.readouterr().err
+        assert f"{path}: capacitances_f[0] must be a number, got True" in capsys.readouterr().err
 
     def test_deeply_nested_json_names_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

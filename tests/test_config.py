@@ -190,6 +190,19 @@ class TestLoadAny:
         with pytest.raises(ConfigError):
             load_node_config("/nonexistent/config.json")
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"node_id": "\xff"}')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+            load_node_config(path)
+
+    def test_integer_of_too_many_digits_names_file(self, tmp_path):
+        # json refuses (or, without an int-to-str limit, the model refuses)
+        path = tmp_path / "big.json"
+        path.write_text('{"v_on": 1%s}' % ("0" * 5000))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_node_config(path)
+
     def test_invalid_json_named(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

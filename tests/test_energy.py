@@ -1,6 +1,7 @@
 """Unit and property tests for the physical energy models."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,14 +75,55 @@ NAN, INF = float("nan"), float("inf")
         (lambda: LoadModel(i_standby_a=NAN), "i_standby_a"),
         (lambda: LoadModel(e_controller_step_j=INF), "e_controller_step_j"),
         (lambda: NodeConfig(v_on=NAN), "v_on"),
-        (lambda: NodeConfig(position_m=(0.0, INF)), "position_m"),
+        (lambda: NodeConfig(position_m=(0.0, INF)), r"position_m\[1\]"),
         (lambda: DeploymentConfig(radio_range_m=NAN), "radio_range_m"),
-        (lambda: SweepGrid(lux_levels=(10.0, NAN)), "lux_levels"),
+        (lambda: SweepGrid(lux_levels=(10.0, NAN)), r"lux_levels\[1\]"),
     ],
 )
 def test_nonfinite_field_rejected_by_name(build, field):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SupercapState(capacitance_f=True), "capacitance_f must be a number, got True"),
+        (lambda: SupercapState(capacitance_f="1"), "capacitance_f must be a number, got '1'"),
+        (
+            lambda: SupercapState(capacitance_f=10**400),
+            "capacitance_f must be a finite number, got 1.000e+400",
+        ),
+        (lambda: DeploymentConfig(radio_range_m=True), "radio_range_m must be a number, got True"),
+        (lambda: NodeConfig(v_on="2.4"), "v_on must be a number, got '2.4'"),
+        (
+            lambda: NodeConfig(mode="advertising"),
+            "mode must be an ApplicationMode, got 'advertising'",
+        ),
+        (lambda: NodeConfig(supercap=None), "supercap must be a SupercapState, got None"),
+        (lambda: NodeConfig(position_m=("a", 1)), "position_m[0] must be a number, got 'a'"),
+        (lambda: NodeConfig(node_id=7), "node_id must be a string, got 7"),
+        (lambda: LoadModel(e_sense_tx_j=None), "e_sense_tx_j must be a number, got None"),
+        (lambda: SweepGrid(qos_states=(True,)), "qos_states[0] must be an integer, got True"),
+        (lambda: SweepGrid(capacitances_f=1.0), "capacitances_f must be a tuple, got 1.0"),
+        (
+            lambda: DeploymentConfig(nodes=(NodeConfig(), "n2")),
+            "nodes[1] must be a NodeConfig, got 'n2'",
+        ),
+    ],
+)
+def test_mistyped_field_rejected_by_name(build, message):
+    # Once accepted (True as 1 F, a mode name) or failed in a comparison
+    # naming no field; the JSON path alone checked types.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_checked_fields_are_stored_as_declared():
+    cfg = NodeConfig(v_on=3, position_m=[1, 2])
+    assert cfg.v_on == 3.0 and type(cfg.v_on) is float
+    assert cfg.position_m == (1.0, 2.0) and all(type(x) is float for x in cfg.position_m)
+    assert SweepGrid(capacitances_f=[1], lux_levels=[10]).capacitances_f == (1.0,)
 
 
 @pytest.mark.parametrize(
@@ -93,8 +135,8 @@ def test_nonfinite_field_rejected_by_name(build, field):
         (lambda: ConverterModel(v_boost_min=-0.1), "^v_boost_min must be >= 0"),
         (lambda: ConverterModel(v_out_v=0.0), "^v_out_v must be > 0"),
         (lambda: NodeConfig(supercap=SupercapState(v_cutoff=2.0)), "^v_cutoff 2.0 below the table floor"),
-        (lambda: NodeConfig(position_m=(1.0, 2.0, 3.0)), r"^position_m must be \(x, y\)"),
-        (lambda: DeploymentConfig(base_station_m=(0.0,)), r"^base_station_m must be \(x, y\)"),
+        (lambda: NodeConfig(position_m=(1.0, 2.0, 3.0)), r"^position_m must hold 2 entries, got \(1.0, 2.0, 3.0\)$"),
+        (lambda: DeploymentConfig(base_station_m=(0.0,)), r"^base_station_m must hold 2 entries, got \(0.0,\)$"),
         (lambda: SweepGrid(lux_levels=(10.0, -1.0)), "^lux levels must be >= 0"),
     ],
 )

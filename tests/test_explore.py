@@ -284,11 +284,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("state", [7.9, 6.5, math.nan, math.inf])
     def test_fractional_states_rejected(self, state):
-        with pytest.raises(ValueError, match="qos states must be whole numbers"):
+        with pytest.raises(ValueError, match=rf"^qos_states\[1\] must be an integer, got {state}$"):
             SweepGrid(qos_states=(1, state))
 
-    def test_whole_float_states_become_ints(self):
-        assert SweepGrid(qos_states=(7.0, 1)).qos_states == (7, 1)
+    def test_whole_float_states_rejected(self):
+        # as in a JSON grid: a state is an integer, and 7.0 is a float
+        with pytest.raises(ValueError, match=r"^qos_states\[0\] must be an integer, got 7.0$"):
+            SweepGrid(qos_states=(7.0, 1))
 
     @pytest.mark.parametrize("levels", [(10.0, 10.000001), (25.0, 25.0)])
     def test_levels_sharing_a_column_rejected(self, levels):

@@ -1,0 +1,192 @@
+"""Fuzzing at the input boundary.
+
+Any JSON value given to the three ``parse_*`` functions validates or raises
+``ConfigError``; any model built with a mistyped field raises a ValueError
+that names the field; and any node config that validates runs for one
+simulated hour on a one-sample light trace, or raises ValueError.
+"""
+
+import math
+import typing
+from dataclasses import fields
+
+import pytest
+
+from luxmote.config import ConfigError, parse_deployment_config, parse_node_config, parse_sweep_grid
+from luxmote.deployment import DeploymentConfig
+from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState
+from luxmote.explore import SweepGrid
+from luxmote.qos import DEFAULT_TABLE, QosTable
+from luxmote.simulate import NodeConfig, run_node
+from luxmote.traces import Trace
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SECTIONS = {
+    "supercap": SupercapState,
+    "harvester": HarvesterModel,
+    "converter": ConverterModel,
+    "load": LoadModel,
+}
+MODELS = (*SECTIONS.values(), NodeConfig, DeploymentConfig, SweepGrid, QosTable)
+KNOWN_KEYS = sorted(
+    {f.name for model in MODELS for f in fields(model)} | {"node", "nodes", "table"}
+)
+MODES = ["periodic_sensing", "event_detection", "advertising"]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10),
+    st.integers(),
+    st.integers(10**300, 10**400).map(lambda n: n * (-1) ** (n % 2)),
+    st.floats(),
+    st.floats(0.0, 10.0),
+    st.sampled_from(MODES + ["n01", "", "a/b", "."]),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=7)
+    | st.dictionaries(st.sampled_from(KNOWN_KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    parse=st.sampled_from([parse_node_config, parse_deployment_config, parse_sweep_grid]),
+    obj=json_values,
+)
+def test_any_json_value_validates_or_raises_config_error(parse, obj):
+    try:
+        parse(obj)
+    except ConfigError:
+        pass
+
+
+def mistyped(tp):
+    """Values that break the type ``tp``, each on its own."""
+    if tp is float:
+        return st.sampled_from([True, False, "1", None, [1.0], {}, math.nan, -math.inf, 10**400])
+    if tp is int:
+        return st.sampled_from([True, 7.0, 2.5, "7", None, [7]])
+    if tp is str:
+        return st.sampled_from([7, None, True, b"n01", ["n01"]])
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return mistyped(args[0]).filter(lambda value: value is not None)
+    if typing.get_origin(tp) is tuple:
+        entry = args[0] if args[-1] is Ellipsis else args[1]
+        # a scalar, a string, or a well-shaped tuple with one bad entry
+        good = {float: 1.0, int: 1}.get(entry, None)
+        size = 3 if args[-1] is Ellipsis else len(args)
+        return st.one_of(
+            st.sampled_from([1.0, "ab", None]),
+            mistyped(entry).map(lambda bad: (good,) * (size - 1) + (bad,)),
+        )
+    return st.sampled_from([None, "x", 1.0, {}, object()])
+
+
+FIELDS = [
+    (model, f.name, typing.get_type_hints(model)[f.name])
+    for model in MODELS
+    for f in fields(model)
+    if f.init and model is not QosTable
+]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(data=st.data(), target=st.sampled_from(FIELDS))
+def test_mistyped_field_raises_value_error_naming_it(data, target):
+    model, name, tp = target
+    bad = data.draw(mistyped(tp))
+    with pytest.raises(ValueError) as err:
+        model(**{name: bad})
+    assert str(err.value).startswith(name), str(err.value)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    row=st.integers(0, 6),
+    column=st.integers(0, 5),
+    bad=st.sampled_from([True, "3.4", None, math.nan, [1.0]]),
+)
+def test_mistyped_table_cell_raises_value_error_naming_it(row, column, bad):
+    rows = [list(r) for r in DEFAULT_TABLE.rows]
+    rows[row][column] = bad
+    name = DEFAULT_TABLE.rows[0]._fields[column]
+    with pytest.raises(ValueError, match=rf"^rows\[{row}\]\.{name} must be "):
+        QosTable(rows=rows)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    column=st.sampled_from(["time_s", "value"]),
+    at=st.integers(0, 2),
+    bad=st.sampled_from([True, False, "1", None, [1.0], b"1"]),
+)
+def test_mistyped_trace_sample_raises_value_error_naming_it(column, at, bad):
+    times, values = [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+    (times if column == "time_s" else values)[at] = bad
+    with pytest.raises(ValueError, match=f"^sample {at + 1}: {column} must be a number"):
+        Trace(times, values)
+
+
+def in_range(lo, hi):
+    """Mostly valid numbers, sometimes just outside [lo, hi]."""
+    span = hi - lo
+    return st.floats(lo - 0.1 * span, hi + 0.1 * span) | st.integers(math.floor(lo), math.ceil(hi))
+
+
+node_objects = st.fixed_dictionaries(
+    {},
+    optional={
+        "mode": st.sampled_from(MODES),
+        "v_on": in_range(2.1, 3.6),
+        "pinned_qos": st.none() | st.integers(0, 8),
+        "supercap": st.fixed_dictionaries(
+            {},
+            optional={
+                "capacitance_f": in_range(1e-3, 5.0),
+                "voltage_v": in_range(0.0, 5.5),
+                "v_cutoff": in_range(2.1, 2.5),
+                "leak_current_a": in_range(0.0, 1e-5),
+            },
+        ),
+        "harvester": st.fixed_dictionaries(
+            {}, optional={"i_ref_a": in_range(0.0, 1e-4), "lux_ref": in_range(1.0, 1000.0)}
+        ),
+        "converter": st.fixed_dictionaries(
+            {},
+            optional={
+                "v_boost_min": in_range(0.0, 3.0),
+                "eta_boost": in_range(0.1, 1.0),
+                "eta_cold": in_range(0.0, 0.2),
+                "eta_buck": in_range(0.1, 1.0),
+            },
+        ),
+        "load": st.fixed_dictionaries(
+            {}, optional={"i_standby_a": in_range(0.0, 1e-5), "e_sense_tx_j": in_range(0.0, 1e-4)}
+        ),
+    },
+)
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(obj=node_objects, lux=st.floats(0.0, 2000.0) | st.just(0))
+def test_any_valid_config_runs_an_hour_or_raises_value_error(obj, lux):
+    try:
+        config = parse_node_config(obj)
+    except ConfigError:
+        hypothesis.event("config rejected")
+        return
+    try:
+        log = run_node(config, Trace.constant(lux), duration_s=3600.0, detail=False)
+    except ValueError:
+        hypothesis.event("run rejected")
+        return
+    hypothesis.event("ran")
+    assert log.duration_s == 3600.0
+    assert log.energy_residual_relative <= 1e-6

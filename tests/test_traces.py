@@ -1,5 +1,8 @@
 """Trace construction, sample-and-hold lookup, and CSV round-tripping."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,42 @@ class TestConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(TraceError):
             Trace(times_s=np.array([0.0]), values=np.array([np.nan]))
+
+    @pytest.mark.parametrize(
+        "times, values, message",
+        [
+            ([0.0], [True], "sample 1: value must be a number, got True"),
+            ([0.0, False], [1.0, 2.0], "sample 2: time_s must be a number, got False"),
+            (np.array([True]), [1.0], "sample 1: time_s must be a number, got True"),
+            ([0.0], ["5"], "sample 1: value must be a number, got '5'"),
+            ([0.0], [None], "sample 1: value must be a number, got None"),
+            (0.0, [1.0], "time_s must be a sequence of numbers, got 0.0"),
+        ],
+    )
+    def test_non_numbers_rejected(self, times, values, message):
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            Trace(times, values)
+
+    def test_ints_and_int_arrays_accepted(self):
+        trace = Trace(np.arange(3), [0, 1, 2])
+        assert trace.times_s.dtype == trace.values.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "times, values, message",
+        [
+            # at one sample: non-finite time, non-finite value, stall, negative
+            ([0.0, math.nan], [1.0, -math.inf], "sample 2: time_s nan is not finite"),
+            ([0.0, 0.0], [1.0, math.inf], "sample 2: value inf is not finite"),
+            ([0.0, 0.0], [1.0, -1.0], "sample 2: time 0.0 does not increase past 0.0"),
+            ([0.0, 1.0], [1.0, -1.0], "sample 2: negative value -1.0"),
+            # the first failing sample, whatever its rule
+            ([0.0, 1.0, 1.0, math.inf], [1.0, -2.0, 1.0, 1.0], "sample 2: negative value -2.0"),
+            ([0.0, 2.0, 1.0], [1.0, 1.0, -1.0], "sample 3: time 1.0 does not increase past 2.0"),
+        ],
+    )
+    def test_first_failing_sample_and_rule_reported(self, times, values, message):
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            Trace(times, values)
 
 
 class TestValueAt:
@@ -98,6 +137,25 @@ class TestCsv:
         assert load_trace_csv(path).values.tolist() == [1.0, 2.0]
         path.write_text("time_s,value\n0.0,1.0\n\n10.0,-2.0\n")
         with pytest.raises(TraceError, match="bad.csv: line 4: negative value -2.0"):
+            load_trace_csv(path)
+
+    def test_fault_after_blank_lines_cites_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,value\n0.0,1.0\n\n\n10.0,2.0\n\n10.0,3.0\n")
+        with pytest.raises(TraceError, match=r"bad.csv: line 7: time 10.0 does not increase past 10.0$"):
+            load_trace_csv(path)
+
+    def test_parse_fault_reported_before_an_earlier_rule_fault(self, tmp_path):
+        # the lines are parsed first, then Trace checks the samples
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,value\n0.0,-1.0\n1.0,abc\n")
+        with pytest.raises(TraceError, match="bad.csv: line 3: could not convert"):
+            load_trace_csv(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"time_s,value\n0.0,1.0\n\xff,2.0\n")
+        with pytest.raises(TraceError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             load_trace_csv(path)
 
     def test_wrong_column_count_cites_line(self, tmp_path):
