@@ -20,7 +20,9 @@ from pathlib import Path
 from typing import Optional
 
 from .energy import check_fields
-from .simulate import EnergyLedger, NodeConfig, NodeLog, ledger_summary, run_node, write_json
+from .simulate import (
+    EnergyLedger, NodeConfig, NodeLog, check_duration, ledger_summary, run_node, write_json,
+)
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,7 @@ def run_deployment(
     """
     if log_dir is not None and not detail:
         raise ValueError("log_dir needs detail=True")
+    duration_s = check_duration(duration_s)  # also for a fleet with no node
     event_traces = event_traces or {}
     missing = [n.node_id for n in config.nodes if n.node_id not in light_traces]
     if missing:
@@ -233,7 +236,7 @@ def run_deployment(
                 reader.close()
                 worker.join()
 
-    report = DeploymentReport(float(duration_s), config.radio_range_m, config.base_station_m)
+    report = DeploymentReport(duration_s, config.radio_range_m, config.base_station_m)
     # Indices are taken in order and every taken node ends, so a node never
     # run comes after a failed one.
     for k, node in enumerate(config.nodes):

@@ -26,7 +26,7 @@ whenever the voltage sits at the table ceiling.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -176,28 +176,35 @@ def trend(buffer) -> float:
     return num / _TREND_DEN
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Controller memory carried across wakeups.
-
-    ``light_buf`` and ``volt_buf`` are the last 5 readings (zero-filled until
-    warm), ``index`` counts table re-seeds (0 = never seeded), ``qos`` is the
-    state chosen at the last step and ``next_qos`` the running target the
-    adjustment rules operate on.  Values are immutable; ``step`` returns a new
-    state, so any number of controllers can run in parallel.
-    """
-
+class _ControllerFields(NamedTuple):
     light_buf: tuple[float, ...] = (0.0,) * HISTORY_LEN
     volt_buf: tuple[float, ...] = (0.0,) * HISTORY_LEN
     index: int = 0
     qos: int = 1
     next_qos: int = 1
 
-    def __post_init__(self):
+
+class ControllerState(_ControllerFields):
+    """Controller memory carried across wakeups.
+
+    ``light_buf`` and ``volt_buf`` are the last 5 readings (zero-filled until
+    warm), ``index`` counts table re-seeds (0 = never seeded), ``qos`` is the
+    state chosen at the last step and ``next_qos`` the running target the
+    adjustment rules operate on.  A state is a tuple, so it is immutable and
+    any number of controllers can run in parallel.  Construction checks the
+    fields; ``step`` builds its result with ``tuple.__new__`` and ``reset``
+    with ``_replace``, which skip the checks that their values pass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.light_buf) != HISTORY_LEN or len(self.volt_buf) != HISTORY_LEN:
             raise ValueError("history buffers must hold exactly 5 entries")
         if not (1 <= self.qos <= 7 and 1 <= self.next_qos <= 7):
             raise ValueError("qos and next_qos must be in [1, 7]")
+        return self
 
 
 def step(
@@ -230,16 +237,13 @@ def step(
     if volt > v_max:
         volt = v_max
 
-    next_qos = ctrl.next_qos
-    index = ctrl.index
+    (_, l1, l2, l3, l4), (_, v1, v2, v3, v4), index, _, next_qos = ctrl
     at_max = volt >= v_max - V_MAX_TOL
     if index == 0 or at_max:
         next_qos = lookup_state(table, volt)
         index += 1
 
-    _, l1, l2, l3, l4 = ctrl.light_buf
     light_buf = (l1, l2, l3, l4, light)
-    _, v1, v2, v3, v4 = ctrl.volt_buf
     volt_buf = (v1, v2, v3, v4, volt)
 
     # Each rule adds -1 or +1 and the sum is clamped, so a rule whose two
@@ -259,11 +263,7 @@ def step(
         next_qos = 7
     # The buffers hold 5 entries and the state is clamped, so the new value
     # skips ControllerState's checks.
-    new = object.__new__(ControllerState)
-    new.__dict__.update(
-        light_buf=light_buf, volt_buf=volt_buf, index=index,
-        qos=next_qos, next_qos=next_qos,
-    )
+    new = tuple.__new__(ControllerState, (light_buf, volt_buf, index, next_qos, next_qos))
     return new, next_qos
 
 
@@ -296,9 +296,4 @@ def reset(ctrl: ControllerState) -> ControllerState:
     Used when a node recovers from a brown-out; the next step re-seeds from
     the table. Idempotent.
     """
-    return replace(
-        ctrl,
-        light_buf=(0.0,) * HISTORY_LEN,
-        volt_buf=(0.0,) * HISTORY_LEN,
-        index=0,
-    )
+    return ctrl._replace(light_buf=(0.0,) * HISTORY_LEN, volt_buf=(0.0,) * HISTORY_LEN, index=0)

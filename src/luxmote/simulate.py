@@ -10,9 +10,11 @@ and light-trace sample boundaries.
 Events wait on a heap, except for two kinds: a node's one pending wakeup has
 a slot of its own, and the light samples, already in time order, are walked
 with a cursor.  Events at equal times are ordered trace sample < death <
-recovery < external < wakeup.  A run is a pure function of (config, traces,
-duration): nothing in it is random, and there is no wall clock and no global
-state.
+recovery < external < wakeup.  The loop dispatches those two, nearly every
+event, inline on the node's state held in locals; the rare external events,
+deaths and recoveries go to handlers.  A run is a pure function of (config,
+traces, duration): nothing in it is random, and there is no wall clock and
+no global state.
 
 With detail, each dispatched event and light sample leaves a record.  A run
 given a log file (``run_node``'s ``log_path``) writes each record there as
@@ -28,7 +30,9 @@ crossings are solved exactly.  A constant-current leak I makes a stretch
 C·V·dV/dt = P - I·V, still solved in closed form: the crossing time is
 t(V) = (C/I)(V0 - V) - (C·P/I²)·ln((P - I·V)/(P - I·V0)) and the voltage
 after a span takes a few Newton steps on it.  Both agree with a 50-digit
-reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.
+reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.  A leaky
+crossing is not solved where an energy bound already puts it past the
+segment's end (``_Phys.crossing_s``); the solve would decide the same.
 
 Runs without per-event detail (``detail=False``) skip over wakeups while the
 controller provably keeps its state (a pinned QoS state, or
@@ -48,13 +52,13 @@ and the two runs may settle it differently.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from enum import IntEnum
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -377,7 +381,7 @@ class _Phys:
                 if thr < self.v_boost < v:
                     thr = self.v_boost
             p = p_in - p_out  # equals p_net without a leak
-            t_hit = self.crossing_s(v, p, thr)
+            t_hit = self.crossing_s(v, p, thr, span)
             if t_hit <= span:
                 span, v_new = t_hit, thr
             else:
@@ -404,16 +408,28 @@ class _Phys:
                 # boost threshold or rated clamp: regime change, keep going
         return v, used, None
 
-    def crossing_s(self, v, p, thr):
+    def crossing_s(self, v, p, thr, within=math.inf):
         """Seconds from ``v`` to ``thr`` under C·V·dV/dt = p - I·V, with ``p``
         the storage-side harvest less load; infinite if never reached.  It is
         (½C·thr² - ½C·v²)/p without a leak, and with one the closed form of
-        ``_leak_at``, infinite when the equilibrium p/I lies at or past thr."""
+        ``_leak_at``, infinite when the equilibrium p/I lies at or past thr.
+
+        A leaky crossing that an energy bound puts past ``within`` seconds is
+        infinite too, with no solve.  The stored energy moves at p - I·V: at
+        most p - I·v while it rises, at least that while it falls.  So if even
+        the line ½Cv² + (p - I·v)·t stops short of ½C·thr² at t = within, by
+        1e-9 of the energies (the solve errs near 1e-13), the solved time also
+        exceeds within, and a caller that only compares it decides the same."""
         c, i = self.c, self.i_leak
         if not i:
             if p == 0.0 or (p > 0.0) != (thr > v):
                 return math.inf
             return (0.5 * c * thr * thr - 0.5 * c * v * v) / p
+        drift = (p - i * v) * within
+        e_v, e_thr = 0.5 * c * v * v, 0.5 * c * thr * thr
+        short = e_thr - e_v - drift if thr > v else e_v + drift - e_thr
+        if short > 1e-9 * (e_v + e_thr + abs(drift)):
+            return math.inf
         if p == 0.0:  # the leak alone: a linear drain
             return c * (v - thr) / i if thr <= v else math.inf
         v_eq = p / i
@@ -511,13 +527,19 @@ def action_energy_j(config: NodeConfig) -> float:
     return load.e_controller_step_j  # event detection: only the controller runs
 
 
+def check_duration(duration_s) -> float:
+    """A run's ``duration_s`` as a float, held to finite and > 0."""
+    duration = finite_number(duration_s, "duration_s")
+    if not duration > 0.0:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    return duration
+
+
 class _NodeSim:
     """Event loop for a single node; see run_node."""
 
     def __init__(self, config, light, events, duration_s, detail):
-        self.duration = finite_number(duration_s, "duration_s")
-        if not self.duration > 0.0:
-            raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+        self.duration = check_duration(duration_s)
         if events is not None and config.mode is not ApplicationMode.EVENT_DETECTION:
             raise ValueError(
                 f"node {config.node_id}: events trace given but mode is {config.mode.value}"
@@ -561,10 +583,10 @@ class _NodeSim:
         self.pending_events: list[float] = []
         self._last_packet_t = None
         self.died_at = None if self.alive else 0.0
-        # Writes a record as a CSV line when run streams the log; lux_field
-        # holds the current lux as formatted there.
-        self.write_record = None
-        self.lux_field = None
+        # With detail, emit(t, v, lux_out, qos, action, packets) records an
+        # event; lux_out is the current lux as emit takes it (see run).
+        self.emit = None
+        self.lux_out = None
         self.log = NodeLog(
             node_id=config.node_id,
             mode=config.mode,
@@ -576,73 +598,102 @@ class _NodeSim:
         if events is not None:
             for t in events.times_s.tolist():
                 if 0.0 <= t < self.duration:
-                    self._push(t, EventKind.EXTERNAL_EVENT)
-
-    def _push(self, t, kind):
-        heapq.heappush(self.heap, (t, kind))
+                    heappush(self.heap, (t, EventKind.EXTERNAL_EVENT))
 
     def run(self, out=None) -> NodeLog:
         """Runs the node to the end.  With ``out``, an open text file, each
         record is written there as a CSV line as it is made (see
-        ``_log_writer``), and none is kept."""
+        ``_log_writer``), and none is kept.
+
+        The wakeup and the light sample are dispatched here, on the node's
+        state held in locals; it is synced with the instance only around the
+        rare handlers and a summary run's ``_skip``."""
         stream = out is not None
         if stream:
-            self.write_record = _log_writer(out, self.log.node_id)
-            self.lux_field = repr(self.lux)
-        heap = self.heap
-        duration = self.duration
-        advance = self.phys.advance
-        led = self.log.ledger
-        # Only summary runs may skip wakeups; detailed runs keep the plain
-        # wakeup with no extra checks.
-        wakeup = self._wakeup if self.detail else self._wakeup_or_skip
+            self.emit = _log_writer(out, self.log.node_id)
+            self.lux_out = repr(self.lux)
+        elif self.detail:
+            keep = self.log.records.append
+            # tuple.__new__ builds the record without LogRecord's Python-level __new__.
+            self.emit = lambda *record: keep(tuple.__new__(LogRecord, record))
+            self.lux_out = self.lux
+        heap, duration, log, emit = self.heap, self.duration, self.log, self.emit
+        phys = self.phys
+        advance, pay, v_cutoff, p_per_lux = phys.advance, phys.pay, phys.v_cutoff, phys.p_per_lux
+        led, histogram, book = log.ledger, log.qos_histogram, self._book_packets
+        table, intervals, e_wakeup, pinned = self.table, self.intervals, self.e_wakeup, self.pinned_qos
+        sends = self.mode is not ApplicationMode.EVENT_DETECTION
+        # Only summary runs may skip wakeups.
+        skip = None if self.detail else self._skip
         sample_t, sample_v = self.sample_t, self.sample_v
-        p_per_lux = self.phys.p_per_lux
         i_sample = 0
         t_sample = sample_t[0]
         steps = 0
+        v, alive, p_panel, lux, lux_out = self.v, self.alive, self.p_panel, self.lux, self.lux_out
+        now, next_wake, ctrl, qos = self.now, self.next_wake, self.ctrl, self.qos
         while True:
             t_event = heap[0][0] if heap else math.inf
-            t_wake = self.next_wake
             # Ties go to the sample, then the heap, then the wakeup.
-            t_next = t_event if t_event <= t_wake else t_wake
+            t_next = t_event if t_event <= next_wake else next_wake
             if t_sample <= t_next:
                 t_next = t_sample
             t_stop = t_next if t_next < duration else duration
             crossing = None
-            while self.now < t_stop:
-                self.v, span, crossing = advance(
-                    self.v, self.alive, self.p_panel, t_stop - self.now, led
-                )
-                self.now += span
+            while now < t_stop:
+                v, span, crossing = advance(v, alive, p_panel, t_stop - now, led)
+                now += span
                 steps += 1
                 if crossing is not None:
                     break
             # A crossing queues its event at the crossing time; look again.
             if crossing == "death":
-                self._push(self.now, EventKind.DEATH)
+                heappush(heap, (now, EventKind.DEATH))
             elif crossing == "recovery":
-                self._push(self.now, EventKind.RECOVERY)
+                heappush(heap, (now, EventKind.RECOVERY))
             elif t_next >= duration:
                 break
             elif t_sample == t_next:
                 self.lux = lux = sample_v[i_sample]
-                self.p_panel = p_per_lux * lux
-                if stream:
-                    self.lux_field = repr(lux)
-                self._record(t_sample, "sample", 0)
+                self.p_panel = p_panel = p_per_lux * lux
+                if emit is not None:
+                    self.lux_out = lux_out = repr(lux) if stream else lux
+                    emit(t_sample, v, lux_out, qos, "sample", 0)
                 i_sample += 1
                 self.t_sample = t_sample = sample_t[i_sample]
-            elif t_event <= t_wake:
-                t, kind = heapq.heappop(heap)
+            elif t_event <= next_wake:
+                t, kind = heappop(heap)
+                self.v, self.next_wake, self.ctrl, self.qos = v, next_wake, ctrl, qos
                 if kind is EventKind.EXTERNAL_EVENT:
                     self._external(t)
-                elif kind is EventKind.DEATH and self.alive:
+                elif kind is EventKind.DEATH and alive:
                     self._die(t)
-                elif kind is EventKind.RECOVERY and not self.alive:
+                elif kind is EventKind.RECOVERY and not alive:
                     self._recover(t)
+                v, alive, next_wake, ctrl = self.v, self.alive, self.next_wake, self.ctrl
             else:
-                wakeup(t_wake)
+                t = next_wake
+                if skip is not None:
+                    self.v, self.ctrl = v, ctrl
+                    if skip(t):
+                        v, now, next_wake, qos = self.v, self.now, self.next_wake, self.qos
+                        continue
+                if pinned is None:
+                    ctrl, qos = step(ctrl, v, lux, table)
+                histogram[qos] += 1
+                log.controller_steps += 1
+                v = pay(v, e_wakeup, led)
+                emitted = 0
+                if v < v_cutoff:
+                    next_wake = math.inf
+                    heappush(heap, (t, EventKind.DEATH))
+                else:
+                    if sends:
+                        book(1, t, t)
+                        emitted = 1
+                    next_wake = t + intervals[qos - 1]
+                if emit is not None:
+                    emit(t, v, lux_out, qos, "wakeup", emitted)
+        self.v = v
         return self._finalize(steps)
 
     def _book_packets(self, k, t_first, t_last) -> None:
@@ -655,33 +706,10 @@ class _NodeSim:
         log.packet_gap_count += k - first
         self._last_packet_t = t_last
 
-    def _wakeup(self, t):
-        qos = self.pinned_qos
-        if qos is None:
-            self.ctrl, qos = step(self.ctrl, self.v, self.lux, self.table)
-        self.qos = qos
-        log = self.log
-        log.qos_histogram[qos] += 1
-        log.controller_steps += 1
-
-        self.v = self.phys.pay(self.v, self.e_wakeup, log.ledger)
-        if self.v < self.phys.v_cutoff:
-            self.next_wake = math.inf
-            self._push(t, EventKind.DEATH)
-            self._record(t, "wakeup", 0)
-            return
-
-        emitted = 0
-        if self.mode is not ApplicationMode.EVENT_DETECTION:
-            self._book_packets(1, t, t)
-            emitted = 1
-        self.next_wake = t + self.intervals[qos - 1]
-        self._record(t, "wakeup", emitted)
-
-    def _wakeup_or_skip(self, t):
-        """The wakeup at ``t``, or a skip over this and later wakeups, booked
-        from one replayed period, while the controller provably keeps its
-        state and the period provably repeats.
+    def _skip(self, t) -> bool:
+        """Skips the wakeup at ``t`` and later ones, booked from one replayed
+        period, while the controller provably keeps its state and the period
+        provably repeats; returns False, having changed nothing, otherwise.
 
         The skip stops at least HISTORY_LEN periods before the next queued
         event or light sample and the end of the run.  The wakeups in between
@@ -695,22 +723,19 @@ class _NodeSim:
         if (phys.i_leak and self.v != phys.v_rated) or (
             self.pinned_qos is None and not is_fixed_point(self.ctrl, self.lux, self.table)
         ):
-            self._wakeup(t)
-            return
+            return False
         qos = self.pinned_qos or 7
         period = self.intervals[qos - 1]
         t_event = self.heap[0][0] if self.heap else math.inf
         t_limit = min(t_event, self.t_sample, self.duration)
         horizon = t_limit - HISTORY_LEN * period
         if t + period > horizon:  # no period to skip: replay nothing
-            self._wakeup(t)
-            return
+            return False
         jitter = math.ulp(t_limit)
         cap, one = phys.replay_period(self.v, self.p_panel, self.e_wakeup, period, jitter)
         k, t_last, t_next = _wake_times(t, period, horizon, cap)
         if k == 0:
-            self._wakeup(t)
-            return
+            return False
         log = self.log
         log.ledger.add(one, k)
         v = self.v
@@ -727,6 +752,7 @@ class _NodeSim:
             self._book_packets(k, t, t_last)
         self.now = t_next
         self.next_wake = t_next
+        return True
 
     def _external(self, t):
         if not self.alive:
@@ -735,7 +761,7 @@ class _NodeSim:
         self.log.events_detected += 1
         self.v = self.phys.pay(self.v, self.e_event, self.log.ledger)
         if self.v < self.phys.v_cutoff:
-            self._push(t, EventKind.DEATH)
+            heappush(self.heap, (t, EventKind.DEATH))
             self._record(t, "event", 0)
             return
         holdoff = self.holdoffs[self.qos - 1]
@@ -757,7 +783,7 @@ class _NodeSim:
         if self.next_wake < math.inf:
             # Its time stays an integration boundary, which keeps results
             # bit-identical to an event loop that queues every wakeup.
-            self._push(self.next_wake, EventKind.DROPPED_WAKEUP)
+            heappush(self.heap, (self.next_wake, EventKind.DROPPED_WAKEUP))
             self.next_wake = math.inf
         self.died_at = t
         self.log.deaths += 1
@@ -773,15 +799,8 @@ class _NodeSim:
         self.next_wake = t
 
     def _record(self, t, action, packets):
-        if self.detail:
-            write = self.write_record
-            if write is not None:
-                write(t, self.v, self.lux_field, self.qos, action, packets)
-            else:
-                # tuple.__new__ builds the record without LogRecord's Python-level __new__.
-                self.log.records.append(
-                    tuple.__new__(LogRecord, (t, self.v, self.lux, self.qos, action, packets))
-                )
+        if self.emit is not None:
+            self.emit(t, self.v, self.lux_out, self.qos, action, packets)
 
     def _finalize(self, steps) -> NodeLog:
         log = self.log

@@ -88,8 +88,15 @@ class Trace:
     @classmethod
     def from_samples(cls, samples) -> "Trace":
         """Build from an iterable of (time_s, value) pairs."""
-        pairs = list(samples)
-        return cls(times_s=[t for t, _ in pairs], values=[v for _, v in pairs])
+        times, values = [], []
+        for i, pair in enumerate(samples):
+            try:
+                t, v = pair
+            except (TypeError, ValueError):
+                raise TraceError(f"expected a (time_s, value) pair, got {pair!r}", i) from None
+            times.append(t)
+            values.append(v)
+        return cls(times_s=times, values=values)
 
 
 def load_trace_csv(path) -> Trace:

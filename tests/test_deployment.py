@@ -1,6 +1,7 @@
 """Deployment tests: delivery model, node independence, metric aggregation."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import pytest
@@ -79,6 +80,13 @@ class TestRunDeployment:
         assert aggregate["dead_seconds"] == 0.0 and isinstance(aggregate["dead_seconds"], float)
         assert aggregate["ledger"] == asdict(EnergyLedger())
         assert aggregate["qos_histogram"] == {str(s): 0 for s in range(1, 8)}
+
+    @pytest.mark.parametrize("duration", ["100", -5.0, 0.0, True, math.nan, math.inf])
+    def test_empty_fleet_duration_checked(self, duration):
+        # Without a node to run, no run_node checked it: "100", -5.0 and True
+        # once reached the report.
+        with pytest.raises(ValueError, match="^duration_s must be"):
+            run_deployment(DeploymentConfig(), {}, duration_s=duration)
 
     def test_missing_trace_names_node(self):
         config = small_fleet(2)

@@ -1,12 +1,15 @@
-"""Exact results of three fixed runs, pinned bit for bit.
+"""Exact results of four fixed runs, pinned bit for bit.
 
-The expected values come from an event loop that queued every wakeup on its
-heap, so they check that keeping the one pending wakeup in a slot changes no
-result.  Each scenario covers a brown-out and a recovery: (a) an advertising
-node at 300 lux; (b) an event-detection node under dense motion events,
-which dies with a wakeup pending; (c) a node pinned at QoS state 7, which
-also dies with wakeups pending.  Floats are compared by ``repr``, detail
-records by the SHA-256 of their ``repr`` lines.
+The expected values of the first three come from an event loop that queued
+every wakeup on its heap, so they check that keeping the one pending wakeup
+in a slot changes no result.  Each scenario covers a brown-out and a
+recovery: (a) an advertising node at 300 lux; (b) an event-detection node
+under dense motion events, which dies with a wakeup pending; (c) a node
+pinned at QoS state 7, which also dies with wakeups pending; (d) a node with
+1 µA leaky storage under stepped light, which charges onto its ``v_rated``
+clamp, dies in the dark, leaks below ``v_boost_min`` and cold-starts back
+past it to recover.  Floats are compared by ``repr``, detail records by the
+SHA-256 of their ``repr`` lines.
 """
 
 import hashlib
@@ -51,10 +54,22 @@ def _pinned():
     return run_node(cfg, light, duration_s=30_000.0)
 
 
+def _leaky():
+    cfg = NodeConfig(
+        node_id="leaky",
+        supercap=SupercapState(
+            capacitance_f=0.01, voltage_v=3.0, v_rated=3.6, leak_current_a=1e-6
+        ),
+    )
+    light = Trace([0.0, 2000.0, 13000.0, 16000.0], [3000.0, 0.0, 300.0, 150.0])
+    return run_node(cfg, light, duration_s=20_000.0)
+
+
 SCENARIOS = {
     "advertising": _advertising,
     "event_detection": _event_detection,
     "pinned": _pinned,
+    "leaky": _leaky,
 }
 
 
@@ -185,4 +200,39 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                         'energy_residual_relative': '2.3248092314782774e-15'},
             'qos_histogram': [0, 0, 0, 0, 0, 0, 0, 776],
             'records': 785,
-            'records_sha256': '0554a1b4352b44600e349eeb65f8493130df0f8e96b9dae365c9e6bcccceb39b'}}
+            'records_sha256': '0554a1b4352b44600e349eeb65f8493130df0f8e96b9dae365c9e6bcccceb39b'},
+ 'leaky': {'summary': {'node_id': 'leaky',
+                       'mode': 'periodic_sensing',
+                       'duration_s': '20000.0',
+                       'initial_voltage_v': '3.0',
+                       'final_voltage_v': '3.6',
+                       'alive_at_end': True,
+                       'ledger': {'harvest_panel_j': '1.7437500000000106',
+                                  'harvest_stored_j': '0.1454877439150443',
+                                  'drain_stored_j': '0.06892125439045775',
+                                  'load_j': '0.062029128951414124',
+                                  'leak_j': '0.056766489524586516',
+                                  'conversion_loss_j': '1.60515438152401',
+                                  'throughput_j': '0.27117548783008855'},
+                       'qos_histogram': {'1': 11,
+                                         '2': 0,
+                                         '3': 1,
+                                         '4': 1,
+                                         '5': 1,
+                                         '6': 1,
+                                         '7': 370},
+                       'controller_steps': 385,
+                       'packets_emitted': 385,
+                       'dead_seconds': '5740.290349528239',
+                       'deaths': 1,
+                       'recoveries': 1,
+                       'events_detected': 0,
+                       'events_missed_dead': 0,
+                       'notifications_emitted': 0,
+                       'events_unnotified': 0,
+                       'uptime_fraction': '0.7129854825235881',
+                       'energy_residual_j': '-2.0816681711721685e-17',
+                       'energy_residual_relative': '7.676461422930996e-17'},
+           'qos_histogram': [0, 11, 0, 1, 1, 1, 1, 370],
+           'records': 390,
+           'records_sha256': '8bcb0bad5a86fa018cfe26c2d2bcaba9e8762615a6aa4ad434a34494060e1c83'}}

@@ -1,11 +1,13 @@
 """Property tests of the continuous-dynamics integrator ``_Phys.advance``,
-leak-free and leaky.
+leak-free and leaky, and of the energy bound in ``_Phys.crossing_s``.
 
 Draws cover leak currents 0 and 1e-10..1e-4 A, light from darkness to
 bright sun, live and dead nodes, and starting voltages on the thresholds and
 between them: a live node from the cutoff to the rated voltage, a dead one
 from 0 V to the recovery threshold.
 """
+
+import math
 
 import pytest
 
@@ -60,3 +62,38 @@ def test_advance_invariants(call):
     assert abs(delta - led.net_stored_j()) <= 1e-9 * scale
     if not phys.i_leak:
         assert led.leak_j == 0.0
+
+
+@st.composite
+def bounded_crossings(draw):
+    """A rising or falling segment of leak-free or leaky storage, a threshold
+    near or far from its start, and a span drawn freely, close to the
+    crossing or close to where the bound starts to rule it out."""
+    leak = draw(st.one_of(st.just(0.0), st.floats(1e-7, 1e-5)))
+    cfg = NodeConfig(
+        supercap=SupercapState(capacitance_f=draw(st.floats(0.01, 10.0)), leak_current_a=leak)
+    )
+    phys = _Phys(cfg)
+    v = draw(st.floats(0.0, phys.v_rated))
+    # p is the leak at v plus a net power that sets the direction.
+    net = draw(st.floats(1e-9, 1e-2)) * draw(st.sampled_from([1.0, -1.0]))
+    p = leak * v + net
+    near = v * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+    thr = draw(st.one_of(st.just(near), st.floats(0.0, phys.v_rated)))
+    t_full = phys.crossing_s(v, p, thr)
+    # The span at which ½Cv² + net·span, the bound's line, reaches ½C·thr².
+    t_line = 0.5 * phys.c * (thr * thr - v * v) / net
+    spans = [st.floats(1e-3, 1e7)]
+    for t in (t_full, t_line):
+        if 0.0 < t < math.inf:
+            spans.append(st.floats(0.999, 1.001).map(lambda r, t=t: t * r))
+    return phys, v, p, thr, draw(st.one_of(*spans))
+
+
+@hypothesis.settings(max_examples=400, deadline=1000)
+@hypothesis.given(bounded_crossings())
+def test_crossing_bound_changes_no_decision(case):
+    phys, v, p, thr, span = case
+    full = phys.crossing_s(v, p, thr)
+    bounded = phys.crossing_s(v, p, thr, within=span)
+    assert bounded == full or (bounded > span and full > span)

@@ -20,6 +20,18 @@ class TestConstruction:
         trace = Trace.from_samples([(0.0, 10.0), (5.0, 20.0)])
         assert len(trace) == 2
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([(0.0, 1.0), (0.0,)], "sample 2: expected a (time_s, value) pair, got (0.0,)"),
+            ([(0.0, 1.0, 2.0)], "sample 1: expected a (time_s, value) pair, got (0.0, 1.0, 2.0)"),
+            ([5.0], "sample 1: expected a (time_s, value) pair, got 5.0"),
+        ],
+    )
+    def test_from_samples_malformed_pair_named(self, samples, message):
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            Trace.from_samples(samples)
+
     def test_non_increasing_times_rejected(self):
         with pytest.raises(TraceError, match="does not increase"):
             Trace(times_s=np.array([0.0, 5.0, 5.0]), values=np.array([1.0, 2.0, 3.0]))
