@@ -52,23 +52,25 @@ def check_fields(model) -> None:
 def _field_checks(cls) -> tuple:
     # The annotations are strings (``from __future__ import annotations``).
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, _check_for(hints[f.name])) for f in fields(cls) if f.init)
+    return tuple((f.name, type_check(hints[f.name])) for f in fields(cls) if f.init)
 
 
-def _check_for(tp):
-    """A function (value, where) -> checked value that enforces type ``tp``."""
+@cache
+def type_check(tp):
+    """A function (value, where) -> checked value that enforces type ``tp``
+    as ``check_fields`` enforces a field's type."""
     if tp is float:
         return finite_number
     args = typing.get_args(tp)
     if type(None) in args:  # Optional[X]
-        inner = _check_for(args[0])
+        inner = type_check(args[0])
         return lambda value, where: None if value is None else inner(value, where)
     row = getattr(tp, "_fields", None)  # a NamedTuple, checked as a fixed tuple
     if row is not None or typing.get_origin(tp) is tuple:
         if row is not None:
             args = tuple(typing.get_type_hints(tp).values())  # in field order
         variadic = args[-1] is Ellipsis
-        checks = [_check_for(a) for a in args if a is not Ellipsis]
+        checks = [type_check(a) for a in args if a is not Ellipsis]
 
         def check_entries(value, where):
             if not isinstance(value, (tuple, list)):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .energy import check_fields
+from .energy import check_fields, type_check
 
 HISTORY_LEN = 5
 
@@ -191,20 +191,30 @@ class ControllerState(_ControllerFields):
     warm), ``index`` counts table re-seeds (0 = never seeded), ``qos`` is the
     state chosen at the last step and ``next_qos`` the running target the
     adjustment rules operate on.  A state is a tuple, so it is immutable and
-    any number of controllers can run in parallel.  Construction checks the
-    fields; ``step`` builds its result with ``tuple.__new__`` and ``reset``
-    with ``_replace``, which skip the checks that their values pass.
+    any number of controllers can run in parallel.  Construction holds each
+    field to its type as ``check_fields`` holds a model's (the readings
+    finite numbers, stored as floats, the counters integers), and raises a
+    ValueError naming the field; ``step`` builds its result with
+    ``tuple.__new__`` and ``reset`` with ``_replace``, which skip the checks
+    that their values pass.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.light_buf) != HISTORY_LEN or len(self.volt_buf) != HISTORY_LEN:
-            raise ValueError("history buffers must hold exactly 5 entries")
-        if not (1 <= self.qos <= 7 and 1 <= self.next_qos <= 7):
-            raise ValueError("qos and next_qos must be in [1, 7]")
-        return self
+        where = cls.__name__
+        state = type_check(_ControllerFields)(_ControllerFields(*args, **kwargs), where)
+        for name in ("light_buf", "volt_buf"):
+            if len(getattr(state, name)) != HISTORY_LEN:
+                raise ValueError(
+                    f"{where}.{name} must hold {HISTORY_LEN} entries, got {getattr(state, name)}"
+                )
+        if state.index < 0:
+            raise ValueError(f"{where}.index must be >= 0, got {state.index}")
+        for name in ("qos", "next_qos"):
+            if not 1 <= getattr(state, name) <= 7:
+                raise ValueError(f"{where}.{name} must be in [1, 7], got {getattr(state, name)}")
+        return tuple.__new__(cls, state)
 
 
 def step(

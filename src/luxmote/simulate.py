@@ -34,19 +34,26 @@ reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.  A leaky
 crossing is not solved where an energy bound already puts it past the
 segment's end (``_Phys.crossing_s``); the solve would decide the same.
 
-Runs without per-event detail (``detail=False``) skip over wakeups while the
-controller provably keeps its state (a pinned QoS state, or
-``qos.is_fixed_point``) and one period, replayed through the same payment and
+A controller step that leaves the controller at its fixed point
+(``qos.is_fixed_point``) proves that every step returns state 7 until the
+light changes or a recovery resets it.  So the wakeups after it take state 7
+without a step, up to HISTORY_LEN + 1 periods before the next light sample;
+the steps from there refill both histories before the light can change, and
+the records and ledger are those of a run that steps at every wakeup.
+
+Runs without per-event detail (``detail=False``) also skip over wakeups
+while the controller provably keeps its state (a pinned QoS state, or that
+fixed point) and one period, replayed through the same payment and
 integrator, provably repeats: pinned at ``v_rated``, leaky or not, or inside
 the regimes of leak-free storage.  k periods are then booked as k copies of
 its ledger; the wakeup times equal those of the event loop's repeated
-addition, computed per binade (``_wake_times``).  A skip never reaches a
-regime boundary and stops HISTORY_LEN periods before the next queued event or
-light sample and the end of the run.  Counters match a run with detail
-exactly; ledger floats and the final voltage agree to 1e-9 relative, as sums
-taken in another order.  The one exception is a tie in exact arithmetic, such
-as a drain that reaches the cutoff exactly at a wakeup: rounding settles it,
-and the two runs may settle it differently.
+addition (``_wake_times``).  A skip never reaches a regime boundary, stops
+HISTORY_LEN periods before the next queued event or light sample, and may
+run up to the end of the run.  Counters match a run with detail exactly;
+ledger floats and the final voltage agree to 1e-9 relative, as sums taken in
+another order.  The one exception is a tie in exact arithmetic, such as a
+drain that reaches the cutoff exactly at a wakeup: rounding settles it, and
+the two runs may settle it differently.
 """
 
 from __future__ import annotations
@@ -495,17 +502,28 @@ def _wake_times(t, period, horizon, cap):
     (at most ``cap``) wakeups from ``t`` on whose successor lies at or
     before ``horizon``, the last of them and that successor.
 
-    The times are computed per binade.  While ``s`` and ``s + period`` lie in
-    one binade ``[2^e, 2^(e+1))`` with ulp ``u``, ``fl(s + period) = s + d``,
-    ``d`` being ``period`` rounded to a multiple of ``u``.  Only where
-    ``period / u`` ends in exactly .5 does ties-to-even choose ``d`` by the
-    parity of ``s / u``, and after one step that parity no longer changes.
-    So once two additions within a binade give the same step ``d``, the
-    following times are ``s + j·d``, exact, up to ``2^(e+1) - u``, the
-    horizon and the cap (each with one step to spare).  Every other step, at
-    binade edges and near the horizon or cap, is a real addition; a skip
-    costs a few additions per binade instead of one per period.
+    Where ``t`` and ``period`` are both multiples of u = ulp(max(t,
+    horizon)), as whole-second times and every sensing and PIR interval of
+    the shipped table are, each ``t + j·period`` up to the horizon is a
+    multiple of u below 2^53·u: every addition is exact, and k comes from
+    one floor division, clamped at 0 for a horizon below ``t``.
+
+    Otherwise the times are computed per binade.  While ``s`` and
+    ``s + period`` lie in one binade ``[2^e, 2^(e+1))`` with ulp ``u``,
+    ``fl(s + period) = s + d``, ``d`` being ``period`` rounded to a multiple
+    of ``u``.  Only where ``period / u`` ends in exactly .5 does
+    ties-to-even choose ``d`` by the parity of ``s / u``, and after one step
+    that parity no longer changes.  So once two additions within a binade
+    give the same step ``d``, the following times are ``s + j·d``, exact,
+    up to ``2^(e+1) - u``, the horizon and the cap (each with one step to
+    spare).  Every other step, at binade edges and near the horizon or cap,
+    is a real addition; a skip costs a few additions per binade instead of
+    one per period.
     """
+    u = math.ulp(max(t, horizon))
+    if t % u == 0.0 and period % u == 0.0:
+        k = max(int(min((horizon - t) // period, cap)), 0)
+        return k, (t + (k - 1) * period if k else t), t + k * period
     k, before, t_last, t_next = 0, t, t, t
     while k + 1 <= cap and t_next + period <= horizon:
         k, before, t_last, t_next = k + 1, t_last, t_next, t_next + period
@@ -533,6 +551,10 @@ def check_duration(duration_s) -> float:
     if not duration > 0.0:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     return duration
+
+
+# A controller state is immutable, so every run can start from this one.
+_FRESH_CTRL = ControllerState()
 
 
 class _NodeSim:
@@ -564,7 +586,7 @@ class _NodeSim:
         self.pinned_qos = config.pinned_qos
         self.v = config.supercap.voltage_v
         self.alive = self.v >= config.supercap.v_cutoff
-        self.ctrl = ControllerState()
+        self.ctrl = _FRESH_CTRL
         self.qos = config.pinned_qos if config.pinned_qos is not None else self.ctrl.qos
         self.lux = light.value_at(0.0)
         self.p_panel = self.phys.p_per_lux * self.lux
@@ -607,7 +629,8 @@ class _NodeSim:
 
         The wakeup and the light sample are dispatched here, on the node's
         state held in locals; it is synced with the instance only around the
-        rare handlers and a summary run's ``_skip``."""
+        rare handlers and a summary run's ``_skip``, which is tried only
+        while the controller provably keeps its state."""
         stream = out is not None
         if stream:
             self.emit = _log_writer(out, self.log.node_id)
@@ -628,6 +651,14 @@ class _NodeSim:
         sample_t, sample_v = self.sample_t, self.sample_v
         i_sample = 0
         t_sample = sample_t[0]
+        # While ``fixed``, a step has left the controller at its fixed point
+        # for this light and it has not been reset since: a wakeup before
+        # ``t_refill`` takes state 7 with no step, and the steps in the
+        # HISTORY_LEN + 1 periods left before the next light sample refill
+        # the histories (see the module docstring).
+        fixed = False
+        refill_s = (HISTORY_LEN + 1) * intervals[6]
+        t_refill = t_sample - refill_s
         steps = 0
         v, alive, p_panel, lux, lux_out = self.v, self.alive, self.p_panel, self.lux, self.lux_out
         now, next_wake, ctrl, qos = self.now, self.next_wake, self.ctrl, self.qos
@@ -653,13 +684,15 @@ class _NodeSim:
             elif t_next >= duration:
                 break
             elif t_sample == t_next:
-                self.lux = lux = sample_v[i_sample]
+                lux = sample_v[i_sample]
                 self.p_panel = p_panel = p_per_lux * lux
                 if emit is not None:
                     self.lux_out = lux_out = repr(lux) if stream else lux
                     emit(t_sample, v, lux_out, qos, "sample", 0)
                 i_sample += 1
                 self.t_sample = t_sample = sample_t[i_sample]
+                fixed = False
+                t_refill = t_sample - refill_s
             elif t_event <= next_wake:
                 t, kind = heappop(heap)
                 self.v, self.next_wake, self.ctrl, self.qos = v, next_wake, ctrl, qos
@@ -669,18 +702,20 @@ class _NodeSim:
                     self._die(t)
                 elif kind is EventKind.RECOVERY and not alive:
                     self._recover(t)
+                    fixed = False
                 v, alive, next_wake, ctrl = self.v, self.alive, self.next_wake, self.ctrl
             else:
                 t = next_wake
-                if skip is not None:
-                    self.v, self.ctrl = v, ctrl
+                if skip is not None and (fixed or pinned is not None):
+                    self.v = v
                     if skip(t):
                         v, now, next_wake, qos = self.v, self.now, self.next_wake, self.qos
                         continue
-                if pinned is None:
+                # At the fixed point qos is 7, and nothing but a step changes it.
+                if pinned is None and not (fixed and t < t_refill):
                     ctrl, qos = step(ctrl, v, lux, table)
+                    fixed = t < t_refill and is_fixed_point(ctrl, lux, table)
                 histogram[qos] += 1
-                log.controller_steps += 1
                 v = pay(v, e_wakeup, led)
                 emitted = 0
                 if v < v_cutoff:
@@ -708,30 +743,28 @@ class _NodeSim:
 
     def _skip(self, t) -> bool:
         """Skips the wakeup at ``t`` and later ones, booked from one replayed
-        period, while the controller provably keeps its state and the period
-        provably repeats; returns False, having changed nothing, otherwise.
+        period, if the period provably repeats; returns False, having changed
+        nothing, otherwise.  ``run`` calls it only while the controller
+        provably keeps its state: pinned, or at its fixed point.
 
         The skip stops at least HISTORY_LEN periods before the next queued
-        event or light sample and the end of the run.  The wakeups in between
-        take the ordinary path, which refills both controller histories before
-        the light can change; the stale voltage history and seed counter left
-        by the skip change no step while the controller stays at its fixed
-        point.
+        event or light sample, and at the latest at the end of the run, which
+        nothing follows.  The wakeups before a light sample take the ordinary
+        path, which refills both controller histories before the light can
+        change; the stale voltage history and seed counter left by the skip
+        change no step while the controller stays at its fixed point.
         """
         phys = self.phys
         # A leaky period below v_rated never repeats: no replay.
-        if (phys.i_leak and self.v != phys.v_rated) or (
-            self.pinned_qos is None and not is_fixed_point(self.ctrl, self.lux, self.table)
-        ):
+        if phys.i_leak and self.v != phys.v_rated:
             return False
         qos = self.pinned_qos or 7
         period = self.intervals[qos - 1]
-        t_event = self.heap[0][0] if self.heap else math.inf
-        t_limit = min(t_event, self.t_sample, self.duration)
-        horizon = t_limit - HISTORY_LEN * period
+        t_change = min(self.heap[0][0] if self.heap else math.inf, self.t_sample)
+        horizon = min(t_change - HISTORY_LEN * period, self.duration)
         if t + period > horizon:  # no period to skip: replay nothing
             return False
-        jitter = math.ulp(t_limit)
+        jitter = math.ulp(min(t_change, self.duration))
         cap, one = phys.replay_period(self.v, self.p_panel, self.e_wakeup, period, jitter)
         k, t_last, t_next = _wake_times(t, period, horizon, cap)
         if k == 0:
@@ -747,7 +780,6 @@ class _NodeSim:
         self.v = phys.advance(v, True, self.p_panel, rest, log.ledger)[0]
         self.qos = qos
         log.qos_histogram[qos] += k
-        log.controller_steps += k
         if self.mode is not ApplicationMode.EVENT_DETECTION:
             self._book_packets(k, t, t_last)
         self.now = t_next
@@ -809,6 +841,7 @@ class _NodeSim:
         log.final_voltage_v = self.v
         log.alive_at_end = self.alive
         log.events_unnotified = len(self.pending_events)
+        log.controller_steps = sum(log.qos_histogram)
         # Rounding stays far below 1e-6 unless the run moves less energy than
         # the stored energy resolves: each integrator step rounds it by an ulp.
         residual = log.energy_residual_relative
@@ -832,11 +865,14 @@ def run_node(
     ``light`` drives the harvester (lux, sample-and-hold); ``events`` is only
     meaningful in event-detection mode and raises otherwise.  ``detail``
     controls whether per-event records are kept (summary counters and the
-    energy ledger are always maintained).  Without detail, a node at a
-    controller fixed point fast-forwards over wakeups, a leaky one only while
-    pinned at ``v_rated`` (see the module docstring): its counters equal those
-    of the detailed run, its ledger and final voltage agree to 1e-9 relative,
-    barring exact ties.  Deterministic given (config, traces, duration, detail).
+    energy ledger are always maintained).  At a proven controller fixed
+    point, wakeups take state 7 without a controller step, with the records
+    and ledger of a run that steps at each.  Without detail, a node at a
+    fixed point also fast-forwards over wakeups, up to the end of the run,
+    a leaky one only while pinned at ``v_rated`` (see the module docstring):
+    its counters equal those of the detailed run, its ledger and final
+    voltage agree to 1e-9 relative, barring exact ties.  Deterministic given
+    (config, traces, duration, detail).
 
     With ``log_path`` (``detail`` only), each record is written to that file
     as the run makes it, in the bytes ``write_node_log_csv`` writes, and the

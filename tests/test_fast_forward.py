@@ -6,6 +6,11 @@ them, a leaky node only while pinned at v_rated.  With detail every wakeup is
 dispatched one at a time, so the detailed run is the reference.  Counters
 and the QoS histogram must agree exactly, floats to 1e-9 relative, except
 where rounding settles an exact tie (see run_compare.py).
+
+Both kinds of run take state 7 at a wakeup without a controller step while
+the controller is at its fixed point, up to HISTORY_LEN + 1 periods before
+the next light sample.  A detailed run must then write the records and the
+ledger of the run that steps at every wakeup, bit for bit.
 """
 
 import math
@@ -108,6 +113,83 @@ def test_fleet_node_skips_charge_and_clamp(monkeypatch):
     assert len(calls) < 100
 
 
+def stepped_everywhere(monkeypatch, cfg, light, events, duration):
+    """Runs the node with detail twice, as it is and with the fixed point
+    never proven, so that every wakeup steps; both must write the same
+    bytes.  Returns the first run and its number of steps."""
+    calls = count_steps(monkeypatch)
+    gated = run_node(cfg, light, events, duration_s=duration)
+    gated_steps = len(calls)
+    monkeypatch.setattr(simulate, "is_fixed_point", lambda *args: False)
+    stepped = run_node(cfg, light, events, duration_s=duration)
+    assert gated.records == stepped.records
+    assert ledger_summary(gated) == ledger_summary(stepped)
+    assert len(calls) - gated_steps == stepped.controller_steps
+    return gated, gated_steps
+
+
+# With the light sample at 1220 s, the stretch without steps ends at 1100 s,
+# a wakeup of the 20 s sensing period; the other samples move that end an ulp
+# or half a period either way.
+@pytest.mark.parametrize(
+    "t_sample", [1220.0, math.nextafter(1220.0, 0.0), math.nextafter(1220.0, math.inf), 1210.0]
+)
+def test_no_step_at_the_fixed_point_under_stepped_light(monkeypatch, t_sample):
+    cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=3.0))
+    light = Trace([0.0, t_sample, 3000.0, 3600.0], [300.0, 150.0, 0.0, 300.0])
+    log, steps = stepped_everywhere(monkeypatch, cfg, light, None, 7200.0)
+    assert log.qos_histogram[7] < log.controller_steps
+    assert steps < log.controller_steps / 2
+
+
+# The stretch without steps ends at 1040 s, six 10 s PIR periods before the
+# light drop.  A motion event's payment in the last periods before the drop
+# leaves a dip in the voltage history, whose trend the step after the drop
+# reads: stale readings from before the stretch would read it otherwise.
+@pytest.mark.parametrize("t_event", [1003.0, 1039.5, 1040.0, 1061.0, 1075.0, 1085.0])
+def test_no_step_at_the_fixed_point_around_motion(monkeypatch, t_event):
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        supercap=SupercapState(capacitance_f=0.05, voltage_v=3.0),
+        load=LoadModel(e_event_detect_j=10e-3),
+    )
+    light = Trace([0.0, 1100.0], [300.0, 150.0])
+    log, steps = stepped_everywhere(monkeypatch, cfg, light, Trace([t_event], [1.0]), 1500.0)
+    assert log.events_detected == 1
+    assert steps < log.controller_steps / 2
+
+
+def test_no_step_at_the_fixed_point_through_brownouts(monkeypatch):
+    # The first two motion events drain the node below the cutoff; it
+    # recovers at about 1732 s, before the next light sample, and steps
+    # again until the controller is back at its fixed point.  The event at
+    # 2035 s drains it again.
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        supercap=SupercapState(capacitance_f=0.02, voltage_v=2.6),
+        load=LoadModel(e_event_detect_j=40e-3),
+    )
+    light = Trace([0.0, 3000.0, 6000.0], [300.0, 150.0, 300.0])
+    events = Trace([1003.0, 1005.0, 2035.0], [1.0] * 3)
+    log, steps = stepped_everywhere(monkeypatch, cfg, light, events, 8000.0)
+    assert log.deaths == log.recoveries == 2
+    recovered = [r.time_s for r in log.records if r.action == "recovery"]
+    assert 1005.0 < recovered[0] < 2035.0
+    assert steps < log.controller_steps / 10
+
+
+def test_detailed_advertising_day_steps_at_recoveries_only(monkeypatch):
+    # 380,103 wakeups, 4 brown-outs: the controller steps only until it is
+    # back at its fixed point after each recovery.
+    cfg = NodeConfig(
+        mode=ApplicationMode.ADVERTISING, supercap=SupercapState(capacitance_f=1.0, voltage_v=3.0)
+    )
+    calls = count_steps(monkeypatch)
+    log = run_node(cfg, Trace.constant(300.0), duration_s=86_400.0)
+    assert log.controller_steps == 380_103 and log.deaths == 4
+    assert len(calls) <= 100
+
+
 def test_histories_refill_before_the_light_changes():
     # A motion event's payment leaves a dip in the voltage history just
     # before a skip.  The light drop at 1100 s makes the next step read the
@@ -127,10 +209,17 @@ def test_leaky_interior_keeps_the_event_path(monkeypatch):
     dispatches every wakeup; this one never reaches the clamp."""
     cfg = NodeConfig(supercap=SupercapState(voltage_v=3.0, leak_current_a=1e-6))
     full = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=True)
-    calls = count_steps(monkeypatch)
+    skips = []
+    real = simulate._NodeSim._skip
+
+    def recorded_skip(sim, t):
+        skips.append(real(sim, t))
+        return skips[-1]
+
+    monkeypatch.setattr(simulate._NodeSim, "_skip", recorded_skip)
     slim = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=False)
     assert ledger_summary(full) == ledger_summary(slim)
-    assert len(calls) == slim.controller_steps
+    assert skips and not any(skips)
 
 
 def test_leaky_node_skips_while_pinned(monkeypatch):
@@ -279,7 +368,33 @@ TABLE_PERIODS = sorted({p for row in DEFAULT_TABLE.intervals.values() for p in r
 
 
 @st.composite
+def exact_wake_cases(draw):
+    """t and period multiples of u = ulp(max(t, horizon)), where every
+    wakeup time up to the horizon is exact: t below the horizon, above it
+    in its binade, or one binade above it."""
+    e = draw(st.integers(-12, 30))
+    u = 2.0 ** (e - 52)
+    horizon = draw(st.integers(2**52, 2**53 - 1)) * u  # in the binade of ulp u
+    where = draw(st.sampled_from(["below", "above", "binade above"]))
+    if where == "below":
+        t = draw(st.one_of(st.just(0), st.integers(0, int(horizon / u)))) * u
+    elif where == "above":
+        t = draw(st.integers(int(horizon / u), 2**53 - 1)) * u
+    else:
+        u *= 2.0
+        t = draw(st.integers(2**52, 2**53 - 1)) * u
+    # At most 20,000 periods to the horizon, for the reference's sake.
+    least = max(1, math.ceil((horizon - t) / u / 20_000))
+    period = draw(st.integers(least, 4 * least + 2**20)) * u
+    room = max(horizon - t, 0.0) / period
+    cap = draw(st.one_of(st.sampled_from([0.0, 1.0, math.inf]), st.floats(0.0, room + 5.0)))
+    return t, period, horizon, cap
+
+
+@st.composite
 def wake_cases(draw):
+    if draw(st.booleans()):
+        return draw(exact_wake_cases())
     if draw(st.booleans()):
         # period = odd * 2^q and t in the binade whose ulp is u = 2^(q+1),
         # where period / u ends in .5 and ties-to-even picks the step.

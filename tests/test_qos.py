@@ -199,6 +199,60 @@ class TestTrend:
             trend((1.0, 2.0, 3.0))
 
 
+class TestControllerState:
+    """Construction holds each field to its type and range and names the
+    field it rejects; ``step`` then never meets a value of the wrong type."""
+
+    @pytest.mark.parametrize("name", ["light_buf", "volt_buf"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (("a",) * 5, r"\[0\] must be a number, got 'a'"),
+            ((1.0, 2.0, True, 4.0, 5.0), r"\[2\] must be a number, got True"),
+            ((1.0, 2.0, 3.0, 4.0, float("nan")), r"\[4\] must be a finite number, got nan"),
+            ((1.0,) * 4, r" must hold 5 entries, got \(1.0, 1.0, 1.0, 1.0\)"),
+            (3.0, r" must be a tuple, got 3.0"),
+        ],
+    )
+    def test_history_buffers(self, name, value, message):
+        with pytest.raises(ValueError, match=rf"^ControllerState\.{name}{message}$"):
+            ControllerState(**{name: value})
+
+    @pytest.mark.parametrize("name", ["light_buf", "volt_buf"])
+    def test_history_readings_are_stored_as_floats(self, name):
+        ctrl = ControllerState(**{name: [1, 2, 3, 4, 5]})
+        assert getattr(ctrl, name) == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert all(type(x) is float for x in getattr(ctrl, name))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(True, "must be an integer, got True"), (1.0, "must be an integer, got 1.0"),
+         (-1, "must be >= 0, got -1")],
+    )
+    def test_index(self, value, message):
+        with pytest.raises(ValueError, match=rf"^ControllerState\.index {message}$"):
+            ControllerState(index=value)
+
+    @pytest.mark.parametrize("name", ["qos", "next_qos"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+         (0, r"must be in \[1, 7\], got 0"), (8, r"must be in \[1, 7\], got 8")],
+    )
+    def test_states(self, name, value, message):
+        with pytest.raises(ValueError, match=rf"^ControllerState\.{name} {message}$"):
+            ControllerState(**{name: value})
+
+    def test_fractional_state_never_reaches_step(self):
+        with pytest.raises(ValueError, match="qos must be an integer"):
+            ControllerState(qos=2.5, next_qos=2.5, index=1)
+
+    def test_positional_fields_are_checked_too(self):
+        with pytest.raises(ValueError, match=r"^ControllerState\.index must be an integer"):
+            ControllerState((0.0,) * 5, (0.0,) * 5, "1")
+        assert ControllerState((0.0,) * 5, (0.0,) * 5, 1, 7, 7).qos == 7
+
+
 class TestStep:
     def test_fresh_seed_and_adjust(self):
         # oracle: fresh controller, volt=3.5, light=500 -> 7
