@@ -9,7 +9,6 @@ with identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .config import (
 from .deployment import run_deployment, write_deployment_report
 from .explore import sweep, write_frontier_csv
 from .qos import ApplicationMode
-from .simulate import run_node, write_ledger_json
+from .simulate import check_duration, run_node, write_ledger_json
 from .traces import TraceError, load_trace_csv
 
 
@@ -61,13 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_duration(args) -> None:
-    if not 0.0 < args.duration_s < math.inf:
-        raise ConfigError(f"--duration-s must be finite and > 0, got {args.duration_s}")
-
-
 def cmd_simulate_node(args) -> int:
-    _check_duration(args)
+    check_duration(args.duration_s, "--duration-s")
     config = load_node_config(args.config)
     light = load_trace_csv(args.light_trace)
     events = load_trace_csv(args.events_trace) if args.events_trace else None
@@ -89,7 +83,7 @@ def cmd_simulate_node(args) -> int:
 
 
 def cmd_simulate_deployment(args) -> int:
-    _check_duration(args)
+    check_duration(args.duration_s, "--duration-s")
     config = load_deployment_config(args.config)
     trace_dir = Path(args.trace_dir)
     light_traces = {}

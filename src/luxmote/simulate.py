@@ -10,11 +10,12 @@ and light-trace sample boundaries.
 Events wait on a heap, except for two kinds: a node's one pending wakeup has
 a slot of its own, and the light samples, already in time order, are walked
 with a cursor.  Events at equal times are ordered trace sample < death <
-recovery < external < wakeup.  The loop dispatches those two, nearly every
-event, inline on the node's state held in locals; the rare external events,
-deaths and recoveries go to handlers.  A run is a pure function of (config,
-traces, duration): nothing in it is random, and there is no wall clock and
-no global state.
+recovery < external < wakeup.  ``_NodeSim.run`` owns the node's state, in
+its locals, and dispatches wakeups, light samples, deaths and recoveries
+inline; its two handlers, ``_external`` and a summary run's ``_skip``, take
+the state they read and return what they change.  A run is a pure function
+of (config, traces, duration): nothing in it is random, and there is no
+wall clock and no global state.
 
 With detail, each dispatched event and light sample leaves a record.  A run
 given a log file (``run_node``'s ``log_path``) writes each record there as
@@ -545,11 +546,11 @@ def action_energy_j(config: NodeConfig) -> float:
     return load.e_controller_step_j  # event detection: only the controller runs
 
 
-def check_duration(duration_s) -> float:
-    """A run's ``duration_s`` as a float, held to finite and > 0."""
-    duration = finite_number(duration_s, "duration_s")
+def check_duration(duration_s, where="duration_s") -> float:
+    """A run's duration as a float, held to finite and > 0; errors name ``where``."""
+    duration = finite_number(duration_s, where)
     if not duration > 0.0:
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+        raise ValueError(f"{where} must be finite and > 0, got {duration_s}")
     return duration
 
 
@@ -558,7 +559,9 @@ _FRESH_CTRL = ControllerState()
 
 
 class _NodeSim:
-    """Event loop for a single node; see run_node."""
+    """Event loop for a single node; see run_node.  The instance holds the
+    run's fixed data and its packet and notification books; ``run`` owns
+    the node's state."""
 
     def __init__(self, config, light, events, duration_s, detail):
         self.duration = check_duration(duration_s)
@@ -584,37 +587,23 @@ class _NodeSim:
             )
         self.holdoffs = config.table.intervals[ApplicationMode.EVENT_DETECTION]
         self.pinned_qos = config.pinned_qos
-        self.v = config.supercap.voltage_v
-        self.alive = self.v >= config.supercap.v_cutoff
-        self.ctrl = _FRESH_CTRL
-        self.qos = config.pinned_qos if config.pinned_qos is not None else self.ctrl.qos
         self.lux = light.value_at(0.0)
-        self.p_panel = self.phys.p_per_lux * self.lux
         # The light samples inside (0, duration) for run's cursor, then a sentinel.
         times, values = light.times_s.tolist(), light.values.tolist()
         lo, hi = bisect_right(times, 0.0), bisect_left(times, self.duration)
         self.sample_t = times[lo:hi] + [math.inf]
         self.sample_v = values[lo:hi]
-        self.t_sample = self.sample_t[0]
-        self.now = 0.0
-        # The one pending wakeup of a live node (infinite when there is none).
-        self.next_wake = 0.0 if self.alive else math.inf
         # (time, kind) pairs: entries that compare equal are interchangeable.
         self.heap: list[tuple[float, EventKind]] = []
         self.last_notification = -math.inf
         self.pending_events: list[float] = []
         self._last_packet_t = None
-        self.died_at = None if self.alive else 0.0
-        # With detail, emit(t, v, lux_out, qos, action, packets) records an
-        # event; lux_out is the current lux as emit takes it (see run).
-        self.emit = None
-        self.lux_out = None
         self.log = NodeLog(
             node_id=config.node_id,
             mode=config.mode,
             duration_s=self.duration,
             capacitance_f=config.supercap.capacitance_f,
-            initial_voltage_v=self.v,
+            initial_voltage_v=config.supercap.voltage_v,
         )
 
         if events is not None:
@@ -627,21 +616,23 @@ class _NodeSim:
         record is written there as a CSV line as it is made (see
         ``_log_writer``), and none is kept.
 
-        The wakeup and the light sample are dispatched here, on the node's
-        state held in locals; it is synced with the instance only around the
-        rare handlers and a summary run's ``_skip``, which is tried only
-        while the controller provably keeps its state."""
-        stream = out is not None
-        if stream:
-            self.emit = _log_writer(out, self.log.node_id)
-            self.lux_out = repr(self.lux)
+        The node's state lives in locals here and nowhere else.  Wakeups,
+        light samples, deaths and recoveries are dispatched inline;
+        ``_external`` and a summary run's ``_skip`` take the state they read
+        and return what they change."""
+        log, lux = self.log, self.lux
+        # With detail, emit(t, v, lux_out, qos, action, packets) records an
+        # event; lux_out is the current lux in the form emit takes.
+        emit = lux_out = None
+        if out is not None:
+            emit = _log_writer(out, log.node_id)
+            lux_out = repr(lux)
         elif self.detail:
-            keep = self.log.records.append
+            keep = log.records.append
             # tuple.__new__ builds the record without LogRecord's Python-level __new__.
-            self.emit = lambda *record: keep(tuple.__new__(LogRecord, record))
-            self.lux_out = self.lux
-        heap, duration, log, emit = self.heap, self.duration, self.log, self.emit
-        phys = self.phys
+            emit = lambda *record: keep(tuple.__new__(LogRecord, record))
+            lux_out = lux
+        heap, duration, phys = self.heap, self.duration, self.phys
         advance, pay, v_cutoff, p_per_lux = phys.advance, phys.pay, phys.v_cutoff, phys.p_per_lux
         led, histogram, book = log.ledger, log.qos_histogram, self._book_packets
         table, intervals, e_wakeup, pinned = self.table, self.intervals, self.e_wakeup, self.pinned_qos
@@ -660,8 +651,15 @@ class _NodeSim:
         refill_s = (HISTORY_LEN + 1) * intervals[6]
         t_refill = t_sample - refill_s
         steps = 0
-        v, alive, p_panel, lux, lux_out = self.v, self.alive, self.p_panel, self.lux, self.lux_out
-        now, next_wake, ctrl, qos = self.now, self.next_wake, self.ctrl, self.qos
+        v = log.initial_voltage_v
+        alive = v >= v_cutoff
+        died_at = None if alive else 0.0
+        p_panel = p_per_lux * lux
+        ctrl = _FRESH_CTRL
+        qos = pinned if pinned is not None else ctrl.qos
+        now = 0.0
+        # The one pending wakeup of a live node (infinite when there is none).
+        next_wake = 0.0 if alive else math.inf
         while True:
             t_event = heap[0][0] if heap else math.inf
             # Ties go to the sample, then the heap, then the wakeup.
@@ -685,31 +683,49 @@ class _NodeSim:
                 break
             elif t_sample == t_next:
                 lux = sample_v[i_sample]
-                self.p_panel = p_panel = p_per_lux * lux
+                p_panel = p_per_lux * lux
                 if emit is not None:
-                    self.lux_out = lux_out = repr(lux) if stream else lux
+                    lux_out = lux if out is None else repr(lux)
                     emit(t_sample, v, lux_out, qos, "sample", 0)
                 i_sample += 1
-                self.t_sample = t_sample = sample_t[i_sample]
+                t_sample = sample_t[i_sample]
                 fixed = False
                 t_refill = t_sample - refill_s
             elif t_event <= next_wake:
                 t, kind = heappop(heap)
-                self.v, self.next_wake, self.ctrl, self.qos = v, next_wake, ctrl, qos
                 if kind is EventKind.EXTERNAL_EVENT:
-                    self._external(t)
+                    if not alive:
+                        log.events_missed_dead += 1
+                        continue
+                    v, packets = self._external(t, v, qos)
+                    action = "event"
                 elif kind is EventKind.DEATH and alive:
-                    self._die(t)
+                    alive, died_at = False, t
+                    log.deaths += 1
+                    if next_wake < math.inf:
+                        # Its time stays an integration boundary, keeping results
+                        # bit-identical to an event loop that queues every wakeup.
+                        heappush(heap, (next_wake, EventKind.DROPPED_WAKEUP))
+                        next_wake = math.inf
+                    action, packets = "death", 0
                 elif kind is EventKind.RECOVERY and not alive:
-                    self._recover(t)
+                    alive, next_wake = True, t
+                    log.recoveries += 1
+                    log.dead_seconds += t - died_at
+                    ctrl = reset(ctrl)
                     fixed = False
-                v, alive, next_wake, ctrl = self.v, self.alive, self.next_wake, self.ctrl
+                    action, packets = "recovery", 0
+                else:  # a dropped wakeup, or a death or recovery already taken
+                    continue
+                if emit is not None:
+                    emit(t, v, lux_out, qos, action, packets)
             else:
                 t = next_wake
                 if skip is not None and (fixed or pinned is not None):
-                    self.v = v
-                    if skip(t):
-                        v, now, next_wake, qos = self.v, self.now, self.next_wake, self.qos
+                    skipped = skip(t, v, p_panel, t_event if t_event < t_sample else t_sample)
+                    if skipped is not None:
+                        qos, v, next_wake = skipped
+                        now = next_wake
                         continue
                 # At the fixed point qos is 7, and nothing but a step changes it.
                 if pinned is None and not (fixed and t < t_refill):
@@ -728,8 +744,7 @@ class _NodeSim:
                     next_wake = t + intervals[qos - 1]
                 if emit is not None:
                     emit(t, v, lux_out, qos, "wakeup", emitted)
-        self.v = v
-        return self._finalize(steps)
+        return self._finalize(steps, v, alive, died_at)
 
     def _book_packets(self, k, t_first, t_last) -> None:
         """Books ``k`` packets sent from ``t_first`` to ``t_last`` and the
@@ -741,105 +756,79 @@ class _NodeSim:
         log.packet_gap_count += k - first
         self._last_packet_t = t_last
 
-    def _skip(self, t) -> bool:
+    def _skip(self, t, v, p_panel, t_change):
         """Skips the wakeup at ``t`` and later ones, booked from one replayed
-        period, if the period provably repeats; returns False, having changed
-        nothing, otherwise.  ``run`` calls it only while the controller
+        period from voltage ``v`` under ``p_panel``, if the period provably
+        repeats.  Returns ``(qos, v, t_next)``: the state taken, and the
+        voltage and time of the first wakeup not skipped; or None, having
+        changed nothing.  ``run`` calls it only while the controller
         provably keeps its state: pinned, or at its fixed point.
 
-        The skip stops at least HISTORY_LEN periods before the next queued
-        event or light sample, and at the latest at the end of the run, which
-        nothing follows.  The wakeups before a light sample take the ordinary
-        path, which refills both controller histories before the light can
-        change; the stale voltage history and seed counter left by the skip
-        change no step while the controller stays at its fixed point.
+        The skip stops at least HISTORY_LEN periods before ``t_change``, the
+        next queued event or light sample, and at the latest at the end of
+        the run, which nothing follows.  The wakeups before a light sample
+        take the ordinary path, which refills both controller histories
+        before the light can change; the stale voltage history and seed
+        counter left by the skip change no step while the controller stays
+        at its fixed point.
         """
         phys = self.phys
         # A leaky period below v_rated never repeats: no replay.
-        if phys.i_leak and self.v != phys.v_rated:
-            return False
+        if phys.i_leak and v != phys.v_rated:
+            return None
         qos = self.pinned_qos or 7
         period = self.intervals[qos - 1]
-        t_change = min(self.heap[0][0] if self.heap else math.inf, self.t_sample)
         horizon = min(t_change - HISTORY_LEN * period, self.duration)
         if t + period > horizon:  # no period to skip: replay nothing
-            return False
+            return None
         jitter = math.ulp(min(t_change, self.duration))
-        cap, one = phys.replay_period(self.v, self.p_panel, self.e_wakeup, period, jitter)
+        cap, one = phys.replay_period(v, p_panel, self.e_wakeup, period, jitter)
         k, t_last, t_next = _wake_times(t, period, horizon, cap)
         if k == 0:
-            return False
+            return None
         log = self.log
         log.ledger.add(one, k)
-        v = self.v
         if v != phys.v_rated:
             v = math.sqrt(v * v + 2.0 * k * one.net_stored_j() / phys.c)
         # Each real period outlasts the replayed one; the excess, on the clamp
         # or else less than a period in all, is integrated as one stretch.
         rest = (t_next - t) - k * (period - jitter)
-        self.v = phys.advance(v, True, self.p_panel, rest, log.ledger)[0]
-        self.qos = qos
+        v = phys.advance(v, True, p_panel, rest, log.ledger)[0]
         log.qos_histogram[qos] += k
         if self.mode is not ApplicationMode.EVENT_DETECTION:
             self._book_packets(k, t, t_last)
-        self.now = t_next
-        self.next_wake = t_next
-        return True
+        return qos, v, t_next
 
-    def _external(self, t):
-        if not self.alive:
-            self.log.events_missed_dead += 1
-            return
-        self.log.events_detected += 1
-        self.v = self.phys.pay(self.v, self.e_event, self.log.ledger)
-        if self.v < self.phys.v_cutoff:
-            heappush(self.heap, (t, EventKind.DEATH))
-            self._record(t, "event", 0)
-            return
-        holdoff = self.holdoffs[self.qos - 1]
-        if t - self.last_notification >= holdoff:
-            self._book_packets(1, t, t)
-            self.log.notifications_emitted += 1
-            self.log.notification_latencies_s.append(0.0)
-            for t_pending in self.pending_events:
-                self.log.notification_latencies_s.append(t - t_pending)
-            self.pending_events.clear()
-            self.last_notification = t
-            self._record(t, "event", 1)
-        else:
-            self.pending_events.append(t)
-            self._record(t, "event", 0)
-
-    def _die(self, t):
-        self.alive = False
-        if self.next_wake < math.inf:
-            # Its time stays an integration boundary, which keeps results
-            # bit-identical to an event loop that queues every wakeup.
-            heappush(self.heap, (self.next_wake, EventKind.DROPPED_WAKEUP))
-            self.next_wake = math.inf
-        self.died_at = t
-        self.log.deaths += 1
-        self._record(t, "death", 0)
-
-    def _recover(self, t):
-        self.alive = True
-        self.log.recoveries += 1
-        self.log.dead_seconds += t - self.died_at
-        self.died_at = None
-        self.ctrl = reset(self.ctrl)
-        self._record(t, "recovery", 0)
-        self.next_wake = t
-
-    def _record(self, t, action, packets):
-        if self.emit is not None:
-            self.emit(t, self.v, self.lux_out, self.qos, action, packets)
-
-    def _finalize(self, steps) -> NodeLog:
+    def _external(self, t, v, qos):
+        """Pays for detecting an external event at ``t`` on a live node at
+        ``v`` in state ``qos``, then notifies, or holds the event while the
+        state's hold-off since the last notification runs.  Returns the
+        voltage after the payment and the packets sent, 0 or 1; a brown-out
+        queues the node's death and sends none."""
         log = self.log
-        if not self.alive:
-            log.dead_seconds += self.duration - self.died_at
-        log.final_voltage_v = self.v
-        log.alive_at_end = self.alive
+        log.events_detected += 1
+        v = self.phys.pay(v, self.e_event, log.ledger)
+        if v < self.phys.v_cutoff:
+            heappush(self.heap, (t, EventKind.DEATH))
+            return v, 0
+        if t - self.last_notification < self.holdoffs[qos - 1]:
+            self.pending_events.append(t)
+            return v, 0
+        self._book_packets(1, t, t)
+        log.notifications_emitted += 1
+        log.notification_latencies_s.append(0.0)
+        for t_pending in self.pending_events:
+            log.notification_latencies_s.append(t - t_pending)
+        self.pending_events.clear()
+        self.last_notification = t
+        return v, 1
+
+    def _finalize(self, steps, v, alive, died_at) -> NodeLog:
+        log = self.log
+        if not alive:
+            log.dead_seconds += self.duration - died_at
+        log.final_voltage_v = v
+        log.alive_at_end = alive
         log.events_unnotified = len(self.pending_events)
         log.controller_steps = sum(log.qos_histogram)
         # Rounding stays far below 1e-6 unless the run moves less energy than

@@ -82,8 +82,8 @@ class Trace:
         return float(self.values[max(idx, 0)])
 
     @classmethod
-    def constant(cls, value: float, t0: float = 0.0) -> "Trace":
-        return cls(times_s=[t0], values=[value])
+    def constant(cls, value: float) -> "Trace":
+        return cls(times_s=[0.0], values=[value])
 
     @classmethod
     def from_samples(cls, samples) -> "Trace":

@@ -212,8 +212,8 @@ def test_leaky_interior_keeps_the_event_path(monkeypatch):
     skips = []
     real = simulate._NodeSim._skip
 
-    def recorded_skip(sim, t):
-        skips.append(real(sim, t))
+    def recorded_skip(sim, *args):
+        skips.append(real(sim, *args))
         return skips[-1]
 
     monkeypatch.setattr(simulate._NodeSim, "_skip", recorded_skip)

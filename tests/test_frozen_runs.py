@@ -9,7 +9,10 @@ pinned at QoS state 7, which also dies with wakeups pending; (d) a node with
 1 µA leaky storage under stepped light, which charges onto its ``v_rated``
 clamp, dies in the dark, leaks below ``v_boost_min`` and cold-starts back
 past it to recover.  Floats are compared by ``repr``, detail records by the
-SHA-256 of their ``repr`` lines.
+SHA-256 of their ``repr`` lines.  Each scenario is also pinned as a summary
+run (``detail=False``), whose fast-forward books skipped wakeups as sums
+taken in another order: its floats may differ from the detailed run's in
+the last digits, and are pinned as they are.
 """
 
 import hashlib
@@ -22,16 +25,16 @@ from luxmote.simulate import NodeConfig, ledger_summary, run_node
 from luxmote.traces import Trace
 
 
-def _advertising():
+def _advertising(detail):
     cfg = NodeConfig(
         node_id="adv",
         mode=ApplicationMode.ADVERTISING,
         supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5),
     )
-    return run_node(cfg, Trace.constant(300.0), duration_s=25_000.0)
+    return run_node(cfg, Trace.constant(300.0), duration_s=25_000.0, detail=detail)
 
 
-def _event_detection():
+def _event_detection(detail):
     cfg = NodeConfig(
         node_id="pir",
         mode=ApplicationMode.EVENT_DETECTION,
@@ -41,20 +44,20 @@ def _event_detection():
     times = [5.0 * k for k in range(1, 4000)]
     events = Trace(times, [1.0] * len(times))
     light = Trace([0.0, 3000.0, 6000.0, 12000.0], [150.0, 0.0, 150.0, 0.0])
-    return run_node(cfg, light, events, duration_s=20_000.0)
+    return run_node(cfg, light, events, duration_s=20_000.0, detail=detail)
 
 
-def _pinned():
+def _pinned(detail):
     cfg = NodeConfig(
         node_id="pin",
         pinned_qos=7,
         supercap=SupercapState(capacitance_f=0.01, voltage_v=3.0),
     )
     light = Trace([0.0, 1000.0], [100.0, 10.0])
-    return run_node(cfg, light, duration_s=30_000.0)
+    return run_node(cfg, light, duration_s=30_000.0, detail=detail)
 
 
-def _leaky():
+def _leaky(detail):
     cfg = NodeConfig(
         node_id="leaky",
         supercap=SupercapState(
@@ -62,7 +65,7 @@ def _leaky():
         ),
     )
     light = Trace([0.0, 2000.0, 13000.0, 16000.0], [3000.0, 0.0, 300.0, 150.0])
-    return run_node(cfg, light, duration_s=20_000.0)
+    return run_node(cfg, light, duration_s=20_000.0, detail=detail)
 
 
 SCENARIOS = {
@@ -88,12 +91,23 @@ def _records_sha256(log):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_matches_recorded_results(name):
-    log = SCENARIOS[name]()
+    log = SCENARIOS[name](detail=True)
     expected = EXPECTED[name]
     assert _frozen(ledger_summary(log)) == expected["summary"]
     assert log.qos_histogram == expected["qos_histogram"]
     assert len(log.records) == expected["records"]
     assert _records_sha256(log) == expected["records_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_summary_run_matches_recorded_results(name):
+    # Without detail, three of the scenarios fast-forward over wakeups
+    # (advertising twice, pinned six times, leaky three times), so this pins
+    # the skip path bit for bit; the event-detection node never skips.
+    log = SCENARIOS[name](detail=False)
+    expected = EXPECTED[name]["summary_run"]
+    assert _frozen(ledger_summary(log)) == expected["summary"]
+    assert log.qos_histogram == expected["qos_histogram"]
 
 
 EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
@@ -130,7 +144,47 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                              'energy_residual_relative': '7.849366494839534e-13'},
                  'qos_histogram': [0, 0, 0, 0, 2, 0, 2, 129017],
                  'records': 129023,
-                 'records_sha256': '054d387f78dac89d352958dee47e8c458ed04d89dfe376245cea1d0c4d3dfdef'},
+                 'records_sha256': '054d387f78dac89d352958dee47e8c458ed04d89dfe376245cea1d0c4d3dfdef',
+                 'summary_run': {'summary': {'node_id': 'adv',
+                                             'mode': 'advertising',
+                                             'duration_s': '25000.0',
+                                             'initial_voltage_v': '2.5',
+                                             'final_voltage_v': '2.1571459452991233',
+                                             'alive_at_end': True,
+                                             'ledger': {'harvest_panel_j': '1.7437499999999997',
+                                                        'harvest_stored_j': '1.3949999999999998',
+                                                        'drain_stored_j': '2.193360685339777',
+                                                        'load_j': '1.974024616805799',
+                                                        'leak_j': '0.0',
+                                                        'conversion_loss_j': '0.5680860685339779',
+                                                        'throughput_j': '3.5883606853397767'},
+                                             'qos_histogram': {'1': 0,
+                                                               '2': 0,
+                                                               '3': 0,
+                                                               '4': 2,
+                                                               '5': 0,
+                                                               '6': 2,
+                                                               '7': 129017},
+                                             'controller_steps': 129021,
+                                             'packets_emitted': 129020,
+                                             'dead_seconds': '12096.79440874873',
+                                             'deaths': 1,
+                                             'recoveries': 1,
+                                             'events_detected': 0,
+                                             'events_missed_dead': 0,
+                                             'notifications_emitted': 0,
+                                             'events_unnotified': 0,
+                                             'uptime_fraction': '0.5161282236500508',
+                                             'energy_residual_j': '1.5543122344752192e-15',
+                                             'energy_residual_relative': '4.3315384677614803e-16'},
+                                 'qos_histogram': [0,
+                                                   0,
+                                                   0,
+                                                   0,
+                                                   2,
+                                                   0,
+                                                   2,
+                                                   129017]}},
  'event_detection': {'summary': {'node_id': 'pir',
                                  'mode': 'event_detection',
                                  'duration_s': '20000.0',
@@ -165,7 +219,47 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                  'energy_residual_relative': '3.096260994519706e-14'},
                      'qos_histogram': [0, 0, 0, 0, 6, 1, 6, 17],
                      'records': 176,
-                     'records_sha256': '5e225ef47f4e38ecbd3da0d7eb24afa9ca17ab3793b0598abbb23e731ef56b51'},
+                     'records_sha256': '5e225ef47f4e38ecbd3da0d7eb24afa9ca17ab3793b0598abbb23e731ef56b51',
+                     'summary_run': {'summary': {'node_id': 'pir',
+                                                 'mode': 'event_detection',
+                                                 'duration_s': '20000.0',
+                                                 'initial_voltage_v': '2.6',
+                                                 'final_voltage_v': '2.2723431336908435',
+                                                 'alive_at_end': False,
+                                                 'ledger': {'harvest_panel_j': '0.3138750000000056',
+                                                            'harvest_stored_j': '0.25109999999998905',
+                                                            'drain_stored_j': '0.2910114170692078',
+                                                            'load_j': '0.26191027536228645',
+                                                            'leak_j': '0.0',
+                                                            'conversion_loss_j': '0.09187614170693792',
+                                                            'throughput_j': '0.5421114170691969'},
+                                                 'qos_histogram': {'1': 0,
+                                                                   '2': 0,
+                                                                   '3': 0,
+                                                                   '4': 6,
+                                                                   '5': 1,
+                                                                   '6': 6,
+                                                                   '7': 17},
+                                                 'controller_steps': 30,
+                                                 'packets_emitted': 24,
+                                                 'dead_seconds': '19363.241545903904',
+                                                 'deaths': 7,
+                                                 'recoveries': 6,
+                                                 'events_detected': 130,
+                                                 'events_missed_dead': 3869,
+                                                 'notifications_emitted': 24,
+                                                 'events_unnotified': 3,
+                                                 'uptime_fraction': '0.03183792270480479',
+                                                 'energy_residual_j': '1.6785184353551585e-14',
+                                                 'energy_residual_relative': '3.096260994519706e-14'},
+                                     'qos_histogram': [0,
+                                                       0,
+                                                       0,
+                                                       0,
+                                                       6,
+                                                       1,
+                                                       6,
+                                                       17]}},
  'pinned': {'summary': {'node_id': 'pin',
                         'mode': 'periodic_sensing',
                         'duration_s': '30000.0',
@@ -200,7 +294,40 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                         'energy_residual_relative': '2.3248092314782774e-15'},
             'qos_histogram': [0, 0, 0, 0, 0, 0, 0, 776],
             'records': 785,
-            'records_sha256': '0554a1b4352b44600e349eeb65f8493130df0f8e96b9dae365c9e6bcccceb39b'},
+            'records_sha256': '0554a1b4352b44600e349eeb65f8493130df0f8e96b9dae365c9e6bcccceb39b',
+            'summary_run': {'summary': {'node_id': 'pin',
+                                        'mode': 'periodic_sensing',
+                                        'duration_s': '30000.0',
+                                        'initial_voltage_v': '3.0',
+                                        'final_voltage_v': '2.141772064126',
+                                        'alive_at_end': True,
+                                        'ledger': {'harvest_panel_j': '0.090675',
+                                                   'harvest_stored_j': '0.07254000000000002',
+                                                   'drain_stored_j': '0.09460406212664725',
+                                                   'load_j': '0.08514365591398251',
+                                                   'leak_j': '0.0',
+                                                   'conversion_loss_j': '0.027595406212664722',
+                                                   'throughput_j': '0.16714406212664729'},
+                                        'qos_histogram': {'1': 0,
+                                                          '2': 0,
+                                                          '3': 0,
+                                                          '4': 0,
+                                                          '5': 0,
+                                                          '6': 0,
+                                                          '7': 776},
+                                        'controller_steps': 776,
+                                        'packets_emitted': 773,
+                                        'dead_seconds': '14552.114695339938',
+                                        'deaths': 4,
+                                        'recoveries': 4,
+                                        'events_detected': 0,
+                                        'events_missed_dead': 0,
+                                        'notifications_emitted': 0,
+                                        'events_unnotified': 0,
+                                        'uptime_fraction': '0.5149295101553354',
+                                        'energy_residual_j': '-3.8163916471489756e-17',
+                                        'energy_residual_relative': '2.2832947809161447e-16'},
+                            'qos_histogram': [0, 0, 0, 0, 0, 0, 0, 776]}},
  'leaky': {'summary': {'node_id': 'leaky',
                        'mode': 'periodic_sensing',
                        'duration_s': '20000.0',
@@ -235,4 +362,37 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                        'energy_residual_relative': '7.676461422930996e-17'},
            'qos_histogram': [0, 11, 0, 1, 1, 1, 1, 370],
            'records': 390,
-           'records_sha256': '8bcb0bad5a86fa018cfe26c2d2bcaba9e8762615a6aa4ad434a34494060e1c83'}}
+           'records_sha256': '8bcb0bad5a86fa018cfe26c2d2bcaba9e8762615a6aa4ad434a34494060e1c83',
+           'summary_run': {'summary': {'node_id': 'leaky',
+                                       'mode': 'periodic_sensing',
+                                       'duration_s': '20000.0',
+                                       'initial_voltage_v': '3.0',
+                                       'final_voltage_v': '3.6',
+                                       'alive_at_end': True,
+                                       'ledger': {'harvest_panel_j': '1.7437500000000021',
+                                                  'harvest_stored_j': '0.14548774391504596',
+                                                  'drain_stored_j': '0.06892125439045857',
+                                                  'load_j': '0.0620291289514127',
+                                                  'leak_j': '0.05676648952458726',
+                                                  'conversion_loss_j': '1.6051543815240021',
+                                                  'throughput_j': '0.27117548783009177'},
+                                       'qos_histogram': {'1': 11,
+                                                         '2': 0,
+                                                         '3': 1,
+                                                         '4': 1,
+                                                         '5': 1,
+                                                         '6': 1,
+                                                         '7': 370},
+                                       'controller_steps': 385,
+                                       'packets_emitted': 385,
+                                       'dead_seconds': '5740.290349528239',
+                                       'deaths': 1,
+                                       'recoveries': 1,
+                                       'events_detected': 0,
+                                       'events_missed_dead': 0,
+                                       'notifications_emitted': 0,
+                                       'events_unnotified': 0,
+                                       'uptime_fraction': '0.7129854825235881',
+                                       'energy_residual_j': '-1.249000902703301e-16',
+                                       'energy_residual_relative': '4.605876853758543e-16'},
+                           'qos_histogram': [0, 11, 0, 1, 1, 1, 1, 370]}}}
