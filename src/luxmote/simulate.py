@@ -231,8 +231,7 @@ class NodeLog:
     notifications_emitted: int = 0
     notification_latencies_s: list = field(default_factory=list, metadata=_LEFT_OUT)
     events_unnotified: int = 0
-    # The residual rounding alone can reach: each integrator step rounds the
-    # stored energy by up to an ulp of the rated one, with a margin of 4.
+    # What rounding alone can leave: 4 ulps of the rated stored energy a step.
     residual_floor_j: float = field(default=0.0, metadata=_LEFT_OUT)
 
     @property
@@ -256,13 +255,9 @@ class NodeLog:
 
     @property
     def energy_residual_relative(self) -> float:
-        """The residual over the energy the run moved, or over 1e6 times its
-        rounding floor when that is larger: a run that moves less energy than
-        its storage resolves reads at most 1e-6 while within rounding."""
-        scale = max(
-            self.ledger.throughput_j, abs(self.delta_stored_j), 1e6 * self.residual_floor_j, 1e-30
-        )
-        return abs(self.energy_residual_j) / scale
+        """The residual over the energy moved, or over 1e6 × residual_floor_j if that is larger."""
+        moved = max(self.ledger.throughput_j, abs(self.delta_stored_j))
+        return abs(self.energy_residual_j) / max(moved, 1e6 * self.residual_floor_j, 1e-30)
 
 
 class _Phys:
@@ -498,9 +493,7 @@ class _Phys:
         if p > 0.0:
             x_line = -(w + span * i / c) / v_eq
             x = max(x, x_line) if w > 0.0 else min(x, x_line)
-        # x_line overflows to -inf only where the span outlasts the approach
-        # to v_eq beyond float range: the segment ends on the equilibrium,
-        # and Newton's inf - inf would give nan.
+        # x_line = -inf: the span outlasts the float range, ending on v_eq.
         if x > -math.inf:
             for _ in range(60):
                 t, v_x = self._leak_at(v, v_eq, x)
@@ -609,13 +602,9 @@ class _NodeSim:
         lo, hi = bisect_right(times, 0.0), bisect_left(times, self.duration)
         self.sample_t = times[lo:hi] + [math.inf]
         self.sample_v = values[lo:hi]
-        # A tiny lux_ref can carry the harvested energy past the float range.
         lux_max = max(self.lux, float(light.values[lo:hi].max(initial=0.0)))
         if not math.isfinite(self.phys.p_per_lux * lux_max * self.duration):
-            raise ValueError(
-                f"node {config.node_id}: the panel's energy at {lux_max} lux over "
-                f"{self.duration} s overflows (harvester lux_ref {config.harvester.lux_ref})"
-            )
+            raise ValueError(f"node {config.node_id}: the panel's energy overflows at {lux_max} lux")
         # (time, kind) pairs: entries that compare equal are interchangeable.
         self.heap: list[tuple[float, EventKind]] = []
         self.last_notification = -math.inf
@@ -749,8 +738,7 @@ class _NodeSim:
                     if skipped is not None:
                         qos, v, next_wake = skipped
                         now = next_wake
-                        # Its jump and its closing stretch each round the voltage.
-                        steps += 2
+                        steps += 2  # its jump and closing stretch each round v
                         continue
                 # At the fixed point qos is 7, and nothing but a step changes it.
                 if pinned is None and not (fixed and t < t_refill):
@@ -857,8 +845,7 @@ class _NodeSim:
         log.events_unnotified = len(self.pending_events)
         log.controller_steps = sum(log.qos_histogram)
         log.residual_floor_j = 4 * steps * math.ulp(self.phys.e_max)
-        residual = log.energy_residual_relative
-        if not residual <= 1e-6:
+        if not (residual := log.energy_residual_relative) <= 1e-6:
             raise RuntimeError(f"node {log.node_id}: conservation residual {residual!r} > 1e-6")
         return log
 
