@@ -116,8 +116,7 @@ def cmd_explore(args) -> int:
     grid, base = load_sweep_grid(args.config)
     rows = sweep(grid, base)
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_frontier_csv(rows, out, lux_levels=grid.lux_levels)
     print(f"{len(rows)} frontier rows written to {out}")
     return 0

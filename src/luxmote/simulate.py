@@ -12,16 +12,17 @@ a slot of its own, and the light samples, already in time order, are walked
 with a cursor.  Events at equal times are ordered trace sample < death <
 recovery < external < wakeup.  ``_NodeSim.run`` owns the node's state, in
 its locals, and dispatches wakeups, light samples, deaths and recoveries
-inline; its two handlers, ``_external`` and a summary run's ``_skip``, take
-the state they read and return what they change.  A run is a pure function
-of (config, traces, duration): nothing in it is random, and there is no
-wall clock and no global state.
+inline; its two handlers, ``_external`` and ``_skip``, take the state they
+read and return what they change.  A run is a pure function of (config,
+traces, duration): nothing in it is random, and there is no wall clock and
+no global state.
 
-With detail, each dispatched event and light sample leaves a record.  A run
-given a log file (``run_node``'s ``log_path``) writes each record there as
-its CSV line at the moment it is made, and holds none; otherwise the records
-are kept in the ``NodeLog``.  ``_log_writer`` owns the line layout, so the
-streamed file and ``write_node_log_csv`` of kept records are the same bytes.
+A run emits each dispatched event and light sample as a record to the sink
+it is given, and a run without one skips wakeups (below).  ``run_node``
+gives a detailed run a log file's writer (``log_path``), which holds no
+record, or else an appender to the ``NodeLog``'s records.  ``_log_writer``
+owns the record format, so the streamed file and ``write_node_log_csv`` of
+kept records are the same bytes.
 
 Continuous stretches are integrated in closed form: with piecewise-constant
 lux the net storage-side power P is constant between regime boundaries (the
@@ -42,12 +43,12 @@ without a step, up to HISTORY_LEN + 1 periods before the next light sample;
 the steps from there refill both histories before the light can change, and
 the records and ledger are those of a run that steps at every wakeup.
 
-Runs without per-event detail (``detail=False``) also skip over wakeups
-while the controller provably keeps its state (a pinned QoS state, or that
-fixed point) and one period, replayed through the same payment and
-integrator, provably repeats: pinned at ``v_rated``, leaky or not, or inside
-the regimes of leak-free storage.  k periods are then booked as k copies of
-its ledger; the wakeup times equal those of the event loop's repeated
+Runs without a sink (``detail=False``) also skip over wakeups while the
+controller provably keeps its state (a pinned QoS state, or that fixed
+point) and one period, replayed through the same payment and integrator,
+provably repeats: pinned at ``v_rated``, leaky or not, or inside the
+regimes of leak-free storage.  k periods are then booked as k copies of its
+ledger; the wakeup times equal those of the event loop's repeated
 addition (``_wake_times``).  A skip never reaches a regime boundary, stops
 HISTORY_LEN periods before the next queued event or light sample, and may
 run up to the end of the run.  Counters match a run with detail exactly;
@@ -441,6 +442,8 @@ class _Phys:
         if p == 0.0:  # the leak alone: a linear drain
             return c * (v - thr) / i if thr <= v else math.inf
         v_eq = p / i
+        if math.isinf(v_eq):  # a leak below the rounding of p: leak-free
+            return (e_thr - e_v) / p if (p > 0.0) == (thr > v) else math.inf
         w = v_eq - v
         # z = (v_eq - thr)/w - 1 is <= -1 when v_eq lies at or before thr.
         if w == 0.0 or (w > 0.0) != (thr > v) or (z := (v - thr) / w) <= -1.0:
@@ -477,6 +480,8 @@ class _Phys:
         if p == 0.0:  # the leak alone: a linear drain
             return max(v - i * span / c, thr)
         v_eq = p / i
+        if math.isinf(v_eq):  # a leak below the rounding of p: leak-free
+            return min(v_free, thr) if p > 0.0 else max(v_free, thr)
         w = v_eq - v
         if w == 0.0 or (w > 0.0) != (thr > v):
             # On the equilibrium to rounding (p - I·v, p/I - v disagree): hold.
@@ -486,12 +491,14 @@ class _Phys:
         if p > 0.0:
             x_line = -(w + span * i / c) / v_eq
             x = max(x, x_line) if w > 0.0 else min(x, x_line)
-        for _ in range(60):
-            t, v_x = self._leak_at(v, v_eq, x)
-            dx = (t - span) * i / (c * v_x)
-            x = min(x + dx, 0.0)
-            if abs(dx) <= 1e-13 * abs(x):
-                break
+        # x_line = -inf: the span outlasts the float range, ending on v_eq.
+        if x > -math.inf:
+            for _ in range(60):
+                t, v_x = self._leak_at(v, v_eq, x)
+                dx = (t - span) * i / (c * v_x)
+                x = min(x + dx, 0.0)
+                if abs(dx) <= 1e-13 * abs(x):
+                    break
         v_new = self._leak_at(v, v_eq, x)[1]
         # Rounding must not carry the voltage past the threshold.
         return min(v_new, thr) if w > 0.0 else max(v_new, thr)
@@ -563,7 +570,7 @@ class _NodeSim:
     run's fixed data and its packet and notification books; ``run`` owns
     the node's state."""
 
-    def __init__(self, config, light, events, duration_s, detail):
+    def __init__(self, config, light, events, duration_s):
         self.duration = check_duration(duration_s)
         if events is not None and config.mode is not ApplicationMode.EVENT_DETECTION:
             raise ValueError(
@@ -572,7 +579,6 @@ class _NodeSim:
         self.phys = _Phys(config)
         self.table = config.table
         self.mode = config.mode
-        self.detail = detail
         eta_buck = config.converter.eta_buck
         self.e_wakeup = action_energy_j(config) / eta_buck
         self.e_event = config.load.e_event_detect_j / eta_buck
@@ -593,8 +599,13 @@ class _NodeSim:
         lo, hi = bisect_right(times, 0.0), bisect_left(times, self.duration)
         self.sample_t = times[lo:hi] + [math.inf]
         self.sample_v = values[lo:hi]
+        lux_max = max([self.lux, *self.sample_v])
+        if not math.isfinite(self.phys.p_per_lux * lux_max * self.duration):
+            raise ValueError(f"node {config.node_id}: the panel's energy overflows at {lux_max} lux")
         # (time, kind) pairs: entries that compare equal are interchangeable.
-        self.heap: list[tuple[float, EventKind]] = []
+        # The event times strictly increase, and a sorted list is a heap.
+        ext = events.times_s.tolist() if events is not None else []
+        self.heap = [(t, EventKind.EXTERNAL_EVENT) for t in ext if 0.0 <= t < self.duration]
         self.last_notification = -math.inf
         self.pending_events: list[float] = []
         self._last_packet_t = None
@@ -606,39 +617,23 @@ class _NodeSim:
             initial_voltage_v=config.supercap.voltage_v,
         )
 
-        if events is not None:
-            for t in events.times_s.tolist():
-                if 0.0 <= t < self.duration:
-                    heappush(self.heap, (t, EventKind.EXTERNAL_EVENT))
-
-    def run(self, out=None) -> NodeLog:
-        """Runs the node to the end.  With ``out``, an open text file, each
-        record is written there as a CSV line as it is made (see
-        ``_log_writer``), and none is kept.
+    def run(self, emit=None) -> NodeLog:
+        """Runs the node to the end.  With ``emit``, the sink of its records,
+        each dispatched event and light sample is passed to it as
+        ``emit(t, v, lux, qos, action, packets)`` as it is made.  A run without
+        a sink skips the wakeups that provably repeat (``_skip``).
 
         The node's state lives in locals here and nowhere else.  Wakeups,
         light samples, deaths and recoveries are dispatched inline;
-        ``_external`` and a summary run's ``_skip`` take the state they read
-        and return what they change."""
+        ``_external`` and ``_skip`` take the state they read and return what
+        they change."""
         log, lux = self.log, self.lux
-        # With detail, emit(t, v, lux_out, qos, action, packets) records an
-        # event; lux_out is the current lux in the form emit takes.
-        emit = lux_out = None
-        if out is not None:
-            emit = _log_writer(out, log.node_id)
-            lux_out = repr(lux)
-        elif self.detail:
-            keep = log.records.append
-            # tuple.__new__ builds the record without LogRecord's Python-level __new__.
-            emit = lambda *record: keep(tuple.__new__(LogRecord, record))
-            lux_out = lux
         heap, duration, phys = self.heap, self.duration, self.phys
         advance, pay, v_cutoff, p_per_lux = phys.advance, phys.pay, phys.v_cutoff, phys.p_per_lux
         led, histogram, book = log.ledger, log.qos_histogram, self._book_packets
         table, intervals, e_wakeup, pinned = self.table, self.intervals, self.e_wakeup, self.pinned_qos
         sends = self.mode is not ApplicationMode.EVENT_DETECTION
-        # Only summary runs may skip wakeups.
-        skip = None if self.detail else self._skip
+        skip = None if emit else self._skip
         sample_t, sample_v = self.sample_t, self.sample_v
         i_sample = 0
         t_sample = sample_t[0]
@@ -685,8 +680,7 @@ class _NodeSim:
                 lux = sample_v[i_sample]
                 p_panel = p_per_lux * lux
                 if emit is not None:
-                    lux_out = lux if out is None else repr(lux)
-                    emit(t_sample, v, lux_out, qos, "sample", 0)
+                    emit(t_sample, v, lux, qos, "sample", 0)
                 i_sample += 1
                 t_sample = sample_t[i_sample]
                 fixed = False
@@ -718,7 +712,7 @@ class _NodeSim:
                 else:  # a dropped wakeup, or a death or recovery already taken
                     continue
                 if emit is not None:
-                    emit(t, v, lux_out, qos, action, packets)
+                    emit(t, v, lux, qos, action, packets)
             else:
                 t = next_wake
                 if skip is not None and (fixed or pinned is not None):
@@ -743,7 +737,7 @@ class _NodeSim:
                         emitted = 1
                     next_wake = t + intervals[qos - 1]
                 if emit is not None:
-                    emit(t, v, lux_out, qos, "wakeup", emitted)
+                    emit(t, v, lux, qos, "wakeup", emitted)
         return self._finalize(steps, v, alive, died_at)
 
     def _book_packets(self, k, t_first, t_last) -> None:
@@ -852,32 +846,37 @@ def run_node(
     """Simulate one node over [0, duration_s).
 
     ``light`` drives the harvester (lux, sample-and-hold); ``events`` is only
-    meaningful in event-detection mode and raises otherwise.  ``detail``
-    controls whether per-event records are kept (summary counters and the
-    energy ledger are always maintained).  At a proven controller fixed
-    point, wakeups take state 7 without a controller step, with the records
-    and ledger of a run that steps at each.  Without detail, a node at a
-    fixed point also fast-forwards over wakeups, up to the end of the run,
-    a leaky one only while pinned at ``v_rated`` (see the module docstring):
-    its counters equal those of the detailed run, its ledger and final
-    voltage agree to 1e-9 relative, barring exact ties.  Deterministic given
+    meaningful in event-detection mode and raises otherwise.  Summary
+    counters and the energy ledger are always kept.  At a proven controller
+    fixed point, wakeups take state 7 without a controller step, with the
+    records and ledger of a run that steps at each.  Deterministic given
     (config, traces, duration, detail).
 
-    With ``log_path`` (``detail`` only), each record is written to that file
-    as the run makes it, in the bytes ``write_node_log_csv`` writes, and the
-    returned log keeps none.  The file is made once the inputs are checked,
-    and removed again if the run fails.
+    ``detail`` and ``log_path`` choose the sink the run emits its records
+    to.  With ``log_path`` (``detail`` only), each record is written to that
+    file as the run makes it, in the bytes ``write_node_log_csv`` writes,
+    and the returned log keeps none; the file is made once the inputs are
+    checked, and removed again if the run fails.  With ``detail`` alone, the
+    records are kept in the returned log.  Without detail the run has no
+    sink, and a node at a fixed point also fast-forwards over wakeups, up to
+    the end of the run, a leaky one only while pinned at ``v_rated`` (see
+    the module docstring): its counters equal those of the detailed run, its
+    ledger and final voltage agree to 1e-9 relative, barring exact ties.
     """
     if log_path is not None and not detail:
         raise ValueError("log_path needs detail=True")
-    sim = _NodeSim(config, light, events, duration_s, detail)
-    if log_path is None:
+    sim = _NodeSim(config, light, events, duration_s)
+    if not detail:
         return sim.run()
+    if log_path is None:
+        keep = sim.log.records.append
+        # tuple.__new__ builds the record without LogRecord's Python-level __new__.
+        return sim.run(lambda *record: keep(tuple.__new__(LogRecord, record)))
     path = Path(log_path)
     fh = _open_log(path)
     try:
         with fh:
-            return sim.run(fh)
+            return sim.run(_log_writer(fh, config.node_id))
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -890,8 +889,7 @@ def _open_log(path):
 def _log_writer(fh, node_id):
     """Writes a node log's CSV header to ``fh`` and returns the function
     that writes one record, ``(time_s, voltage_v, lux, qos, action,
-    packets)`` with ``lux`` already formatted by ``repr``: the one layout of
-    a node log."""
+    packets)``: the one layout of a node log."""
     # Only node_id can need quoting; csv.writer quotes it once, and each
     # record is then formatted as the writer would format it.
     quoted = io.StringIO()
@@ -899,9 +897,15 @@ def _log_writer(fh, node_id):
     node_id = quoted.getvalue()[:-2]
     write = fh.write
     write("time_s,node_id,voltage_v,lux,qos,action,packets\r\n")
+    # lux is formatted once per float object, and so once per light sample;
+    # by identity, as -0.0 == 0.0, and held so that its id is not reused.
+    last_lux = lux_out = None
 
     def record(t, v, lux, qos, action, packets):
-        write(f"{t!r},{node_id},{v!r},{lux},{qos},{action},{packets}\r\n")
+        nonlocal last_lux, lux_out
+        if lux is not last_lux:
+            last_lux, lux_out = lux, repr(lux)
+        write(f"{t!r},{node_id},{v!r},{lux_out},{qos},{action},{packets}\r\n")
 
     return record
 
@@ -910,8 +914,8 @@ def write_node_log_csv(log: NodeLog, path) -> None:
     """Per-event log as CSV: time_s,node_id,voltage_v,lux,qos,action,packets."""
     with _open_log(path) as fh:
         record = _log_writer(fh, log.node_id)
-        for t, v, lux, qos, action, packets in log.records:
-            record(t, v, repr(lux), qos, action, packets)
+        for rec in log.records:
+            record(*rec)
 
 
 def ledger_summary(log: NodeLog) -> dict:

@@ -207,10 +207,11 @@ class TestLeakPath:
             ref = mpmath.findroot(t_minus_span, (v0m, end), solver="anderson")
         assert v == pytest.approx(float(ref), rel=1e-11)
 
-    @pytest.mark.parametrize("i_leak", [1e-30, 1e-200])
+    @pytest.mark.parametrize("i_leak", [1e-30, 1e-200, 5e-324])
     def test_vanishing_leak_gives_the_leak_free_result(self, i_leak):
         # At 1e-200 A, x = ln((p/I - V)/(p/I - v)) is ~1e-195 and its square
-        # underflows; the closed form must not lose the quadratic term.
+        # underflows; the closed form must not lose the quadratic term.  At
+        # 5e-324 A the equilibrium p/I itself overflows.
         def both(v0, alive, lux, dt):
             leaky = NodeConfig(supercap=SupercapState(voltage_v=v0, leak_current_a=i_leak))
             return advance(NodeConfig(), v0, alive, lux, dt), advance(leaky, v0, alive, lux, dt)
@@ -714,7 +715,8 @@ class TestLightSampleCursor:
 class TestNodeLogCsv:
     @pytest.mark.parametrize("node_id", ["n01", 'a,"b', "line\nbreak", " padded ", "semi;colon"])
     def test_bytes_match_csv_writer_rows(self, tmp_path, node_id):
-        light = Trace.from_samples([(0.0, 300.0), (25.0, 0.0)])
+        # -0.0 == 0.0 but formats differently; 300.0 recurs as another float.
+        light = Trace.from_samples([(0.0, 300.0), (25.0, 0.0), (50.0, -0.0), (60.0, 300.0), (75.0, 300.0)])
         log = run_node(NodeConfig(node_id=node_id), light, duration_s=100.0)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
