@@ -23,7 +23,7 @@ from .deployment import run_deployment, write_deployment_report
 from .explore import sweep, write_frontier_csv
 from .qos import ApplicationMode
 from .simulate import check_duration, run_node, write_ledger_json
-from .traces import TraceError, load_trace_csv
+from .traces import load_trace_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, TraceError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and TraceError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,16 +3,16 @@ to a base station and fleet-level metrics.
 
 Nodes share no energy or radio state, so each is simulated independently; a
 node's outcome in a deployment equals its outcome when run alone.  A run
-that writes its node logs to a directory runs the nodes in up to one process
-per available CPU: each process takes the next node not yet taken, and
-writes the node's log line by line as the node runs.  Delivery is
-hard-range: every packet of a node within the radio range reaches the base
-station, none of a node beyond it.
+that writes its node logs to a directory runs the nodes in a pool of up to
+one worker process per available CPU: a free worker takes the next node not
+yet taken, and writes the node's log line by line as the node runs.
+Delivery is hard-range: every packet of a node within the radio range
+reaches the base station, none of a node beyond it.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -131,34 +131,11 @@ def compute_metrics(logs: dict, nodes: dict) -> dict:
     return aggregate
 
 
-def _run_pulled(take, nodes, light_traces, event_traces, duration_s, detail, log_dir) -> dict:
-    """Runs ``nodes[k]`` for each index k that ``take()`` returns, until k
-    is past the end or a node fails: {k: its NodeLog, or the exception it
-    raised}.  With ``log_dir``, each node's log is written there as the node
-    runs."""
-    done = {}
-    while (k := take()) < len(nodes):
-        node = nodes[k]
-        log_path = None if log_dir is None else Path(log_dir) / f"{node.node_id}_log.csv"
-        try:
-            done[k] = run_node(
-                node,
-                light_traces[node.node_id],
-                event_traces.get(node.node_id),
-                duration_s=duration_s,
-                detail=detail,
-                log_path=log_path,
-            )
-        except Exception as exc:
-            done[k] = exc
-            break
-    return done
-
-
-def _pull_in_worker(results, take, job) -> None:
-    """A forked worker's run: ``_run_pulled``, its outcomes sent to the caller."""
-    with results:
-        results.send(_run_pulled(take, *job))
+def _run_one(node, light, events, *, duration_s, detail, log_dir) -> NodeLog:
+    """Runs one node of a deployment.  With ``log_dir``, the node's log is
+    written there as the node runs."""
+    log_path = None if log_dir is None else Path(log_dir) / f"{node.node_id}_log.csv"
+    return run_node(node, light, events, duration_s=duration_s, detail=detail, log_path=log_path)
 
 
 def run_deployment(
@@ -179,11 +156,10 @@ def run_deployment(
 
     With ``log_dir`` (``detail`` only), each node's ``<node_id>_log.csv`` is
     written there as the node runs, and its NodeLog keeps no records.  The
-    nodes then run in up to one process per available CPU, this one and
-    forked workers: each process takes the next node index from one shared
-    counter until none is left, so a process that draws short nodes takes
-    more of them.  The error raised is always that of the first failing node
-    in config order.
+    nodes then run in a pool of forked workers, one per available CPU and at
+    most one per node, while this process waits; a free worker takes the
+    next node not yet taken.  The error raised is always that of the first
+    failing node in config order, or ``BrokenProcessPool`` if a worker dies.
     """
     if log_dir is not None and not detail:
         raise ValueError("log_dir needs detail=True")
@@ -199,50 +175,21 @@ def run_deployment(
             affinity = getattr(os, "sched_getaffinity", None)
             cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
             n = max(1, min(cpus, len(config.nodes)))
-    job = (config.nodes, light_traces, event_traces, duration_s, detail, log_dir)
+    nodes = config.nodes
+    lights = [light_traces[node.node_id] for node in nodes]
+    events = [event_traces.get(node.node_id) for node in nodes]
+    run = functools.partial(_run_one, duration_s=duration_s, detail=detail, log_dir=log_dir)
     if n == 1:
-        outcomes = _run_pulled(itertools.count().__next__, *job)
+        logs = list(map(run, nodes, lights, events))
     else:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        ctx = multiprocessing.get_context("fork")
-        counter = ctx.Value("i", 0)  # the index of the next node to run
-
-        def take():
-            with counter.get_lock():
-                k = counter.value
-                counter.value = k + 1
-            return k
-
-        workers = []
-        try:
-            for _ in range(n - 1):
-                reader, writer = ctx.Pipe(duplex=False)
-                worker = ctx.Process(target=_pull_in_worker, args=(writer, take, job))
-                worker.start()
-                writer.close()  # so that a worker's death ends the read with EOFError
-                workers.append((reader, worker))
-            outcomes = _run_pulled(take, *job)  # this process pulls nodes too
-            for reader, worker in workers:
-                try:
-                    outcomes.update(reader.recv())
-                except EOFError:
-                    worker.join()
-                    raise RuntimeError(
-                        f"node worker {worker.pid} ended with exit code {worker.exitcode}"
-                    ) from None
-        finally:
-            for reader, worker in workers:
-                reader.close()
-                worker.join()
+        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+            logs = list(pool.map(run, nodes, lights, events))
 
     report = DeploymentReport(duration_s, config.radio_range_m, config.base_station_m)
-    # Indices are taken in order and every taken node ends, so a node never
-    # run comes after a failed one.
-    for k, node in enumerate(config.nodes):
-        log = outcomes[k]
-        if isinstance(log, Exception):
-            raise log
+    for node, log in zip(nodes, logs):
         report.logs[node.node_id] = log
         dist = node_distance_m(node, config.base_station_m)
         report.nodes[node.node_id] = NodeMetrics(

@@ -720,6 +720,9 @@ class _NodeSim:
                     if skipped is not None:
                         qos, v, next_wake = skipped
                         now = next_wake
+                        # Its closed-form voltage and integrated rest each
+                        # round the stored energy like an integrator step.
+                        steps += 2
                         continue
                 # At the fixed point qos is 7, and nothing but a step changes it.
                 if pinned is None and not (fixed and t < t_refill):

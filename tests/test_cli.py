@@ -1,5 +1,6 @@
 """CLI tests: exit codes, diagnostics, and byte-identical reruns."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -398,32 +400,24 @@ class TestDeploymentProcesses:
 
     DURATION_S = 6 * 3600
 
-    @staticmethod
-    def _record_pullers(monkeypatch, tmp_path):
-        # Each process that enters the loop pulling nodes appends its pid to
-        # one file, also when the other processes leave it no node.
-        pids = tmp_path / "pullers.txt"
-        pull = luxmote.deployment._run_pulled
-
-        def recording(*args):
-            with pids.open("a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return pull(*args)
-
-        monkeypatch.setattr(luxmote.deployment, "_run_pulled", recording)
-        return pids
-
     def test_process_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         config, traces = _mixed_fleet(tmp_path, self.DURATION_S)
-        pids = self._record_pullers(monkeypatch, tmp_path)
+        sizes = []  # the worker count of each pool made
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         outputs = []
         for cpus in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             out = tmp_path / f"out{len(cpus)}"
             assert main(_deploy_argv(config, traces, self.DURATION_S, out)) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-            assert len(set(pids.read_text().split())) == len(cpus)
-            pids.unlink()
+            assert sizes == ([] if len(cpus) == 1 else [len(cpus)])
+            sizes.clear()
         names = ["dim_log.csv", "leaky_log.csv", "periodic_log.csv", "pir_log.csv", "report.json"]
         assert sorted(outputs[0]) == names
         assert outputs[0] == outputs[1] == outputs[2]
@@ -450,7 +444,7 @@ class TestDeploymentProcesses:
 
     def test_logs_match_in_memory_runs(self, tmp_path, monkeypatch):
         # Ids that need csv quoting, and a node that starts dead in the dark
-        # and logs the header alone, each written by whichever process pulls it.
+        # and logs the header alone, each written by whichever process takes it.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         traces = tmp_path / "traces"
         traces.mkdir()
@@ -474,7 +468,7 @@ class TestDeploymentProcesses:
         assert (out / "dead_log.csv").read_bytes().count(b"\n") == 1
 
     def test_each_node_runs_once_with_more_processes_than_cpus(self, tmp_path, monkeypatch):
-        # A lost update of the shared node counter would run a node twice or
+        # More workers than CPUs still run each node once, none twice or
         # never; every run appends its node id to one file.
         cpus = len(os.sched_getaffinity(0)) + 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -499,8 +493,7 @@ class TestDeploymentProcesses:
         assert sorted(p.name for p in out.iterdir()) == [f"{i}_log.csv" for i in ids]
 
     def test_worker_that_dies_is_an_error(self, tmp_path, monkeypatch):
-        # The worker dies on the first node it takes; this process waits for
-        # that before running its own node, so the worker surely takes one.
+        # Nodes run in the pool's workers only; the first to take one dies.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         died = tmp_path / "died"
         caller = os.getpid()
@@ -510,15 +503,12 @@ class TestDeploymentProcesses:
             if os.getpid() != caller:
                 died.touch()
                 os._exit(3)
-            deadline = time.monotonic() + 30.0
-            while not died.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
             return run_node(*args, **kwargs)
 
         monkeypatch.setattr(luxmote.deployment, "run_node", dying)
         config = load_deployment_config(self._lit_fleet(tmp_path, ("a", "b", "c"))[0])
         light = {i: load_trace_csv(tmp_path / "traces" / f"{i}_light.csv") for i in ("a", "b", "c")}
-        with pytest.raises(RuntimeError, match=r"^node worker \d+ ended with exit code 3$"):
+        with pytest.raises(BrokenProcessPool):
             run_deployment(config, light, duration_s=600.0, detail=True, log_dir=tmp_path / "out")
         assert died.exists()
 
@@ -552,9 +542,8 @@ class TestDeploymentProcesses:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     def test_first_failing_write_in_config_order(self, tmp_path, monkeypatch, capsys, cpus):
-        # With two processes "zeta" is a worker's only node, while this
-        # process fails on "alpha" after "ok": the worker's failure comes
-        # first in config order.
+        # With two workers "zeta" and "alpha" may fail in either, in either
+        # order in time: the failure raised is zeta's, first in config order.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         config, traces = self._lit_fleet(tmp_path, ("ok", "zeta", "alpha"))
         out = tmp_path / "out"

@@ -316,6 +316,19 @@ def test_dead_node_in_near_darkness_passes_its_conservation_check(samples):
     assert abs(log.energy_residual_j) <= 1e-15 * samples
 
 
+def test_skipped_wakeups_count_toward_the_rounding_floor():
+    # A pinned node with a free load in near darkness moves ~1e-12 J in an
+    # hour; without a sink its wakeups are skipped, and the skip's own
+    # rounding must fit the floor its integrator steps alone would give.
+    cfg = NodeConfig(load=LoadModel(i_standby_a=0.0, e_sense_tx_j=0.0), pinned_qos=1)
+    light = Trace.constant(1.38e-9)
+    skipped = run_node(cfg, light, duration_s=3600.0, detail=False)
+    stepped = run_node(cfg, light, duration_s=3600.0, detail=True)
+    for name in ("controller_steps", "packets_emitted", "deaths", "recoveries", "qos_histogram"):
+        assert getattr(skipped, name) == getattr(stepped, name)
+    assert skipped.controller_steps > 0
+
+
 class TestRunNodeBasics:
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
