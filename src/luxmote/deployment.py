@@ -112,11 +112,12 @@ def compute_metrics(logs: dict, nodes: dict) -> dict:
             aggregate[f.name] = {str(s): sum(c) for s, c in enumerate(zip(total, *values)) if s}
         else:
             aggregate[f.name] = sum(values, total)
-    gaps = {}  # mode value -> [gap sum, gap count]
+    gaps = {}  # mode value -> [first-to-last packet seconds, packets after the first]
     for log in ordered:
         gap = gaps.setdefault(log.mode.value, [0.0, 0])
-        gap[0] += log.packet_gap_sum_s
-        gap[1] += log.packet_gap_count
+        if log.packets_emitted:
+            gap[0] += log.last_packet_s - log.first_packet_s
+            gap[1] += log.packets_emitted - 1
     latency_mean, latency_max = _mean_max(
         [lat for log in ordered for lat in log.notification_latencies_s]
     )

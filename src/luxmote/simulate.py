@@ -7,15 +7,17 @@ evaluation plus the mode's action energy), external events (motion/door
 impulses in event-detection mode), brown-out death and cold-start recovery,
 and light-trace sample boundaries.
 
-Events wait on a heap, except for two kinds: a node's one pending wakeup has
-a slot of its own, and the light samples, already in time order, are walked
-with a cursor.  Events at equal times are ordered trace sample < death <
-recovery < external < wakeup.  ``_NodeSim.run`` owns the node's state, in
-its locals, and dispatches wakeups, light samples, deaths and recoveries
-inline; its two handlers, ``_external`` and ``_skip``, take the state they
-read and return what they change.  A run is a pure function of (config,
-traces, duration): nothing in it is random, and there is no wall clock and
-no global state.
+No event waits on a queue.  The light samples and the external events,
+each already in time order, are walked with a cursor apiece.  A live node's
+one pending wakeup has a slot, and the node's one pending crossing another:
+its death while it lives, its recovery while it is dead.  A death drops the
+pending wakeup, and a recovery wakes the node at once.  Events at equal
+times are ordered light sample < crossing < external event < wakeup.
+``_NodeSim.run`` owns the node's state, in its locals, and dispatches
+wakeups, light samples, deaths and recoveries inline; its two handlers,
+``_external`` and ``_skip``, take the state they read and return what they
+change.  A run is a pure function of (config, traces, duration): nothing in
+it is random, and there is no wall clock and no global state.
 
 A run emits each dispatched event and light sample as a record to the sink
 it is given, and a run without one skips wakeups (below).  ``run_node``
@@ -50,7 +52,7 @@ provably repeats: pinned at ``v_rated``, leaky or not, or inside the
 regimes of leak-free storage.  k periods are then booked as k copies of its
 ledger; the wakeup times equal those of the event loop's repeated
 addition (``_wake_times``).  A skip never reaches a regime boundary, stops
-HISTORY_LEN periods before the next queued event or light sample, and may
+HISTORY_LEN periods before the next external event or light sample, and may
 run up to the end of the run.  Counters match a run with detail exactly;
 ledger floats and the final voltage agree to 1e-9 relative, as sums taken in
 another order.  The one exception is a tie in exact arithmetic, such as a
@@ -66,8 +68,6 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from enum import IntEnum
-from heapq import heappop, heappush
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -85,27 +85,13 @@ from .qos import (
     ApplicationMode,
     ControllerState,
     HISTORY_LEN,
+    MIN_INTERVAL_S,
     QosTable,
     is_fixed_point,
     reset,
     step,
 )
 from .traces import Trace
-
-
-class EventKind(IntEnum):
-    """Queued event types; the numeric value is the tie-break priority at equal times.
-
-    Light samples and the wakeup are not queued: a trace sample at time t
-    takes effect at t, so the sample cursor goes before queued events at the
-    same instant, and the wakeup slot after them.  DROPPED_WAKEUP, a wakeup
-    pending at death, does nothing but end an integration segment.
-    """
-
-    DEATH = 0
-    RECOVERY = 1
-    EXTERNAL_EVENT = 2
-    DROPPED_WAKEUP = 3
 
 
 @dataclass(frozen=True)
@@ -222,8 +208,8 @@ class NodeLog:
     qos_histogram: list = field(default_factory=lambda: [0] * 8)  # index 1..7
     controller_steps: int = 0
     packets_emitted: int = 0
-    packet_gap_sum_s: float = field(default=0.0, metadata=_LEFT_OUT)
-    packet_gap_count: int = field(default=0, metadata=_LEFT_OUT)
+    first_packet_s: float = field(default=0.0, metadata=_LEFT_OUT)
+    last_packet_s: float = field(default=0.0, metadata=_LEFT_OUT)
     dead_seconds: float = 0.0
     deaths: int = 0
     recoveries: int = 0
@@ -239,9 +225,9 @@ class NodeLog:
 
     @property
     def mean_packet_interval_s(self) -> Optional[float]:
-        if self.packet_gap_count == 0:
+        if self.packets_emitted < 2:
             return None
-        return self.packet_gap_sum_s / self.packet_gap_count
+        return (self.last_packet_s - self.first_packet_s) / (self.packets_emitted - 1)
 
     @property
     def delta_stored_j(self) -> float:
@@ -567,8 +553,8 @@ _FRESH_CTRL = ControllerState()
 
 class _NodeSim:
     """Event loop for a single node; see run_node.  The instance holds the
-    run's fixed data and its packet and notification books; ``run`` owns
-    the node's state."""
+    run's fixed data and its notification books; ``run`` owns the node's
+    state."""
 
     def __init__(self, config, light, events, duration_s):
         self.duration = check_duration(duration_s)
@@ -602,13 +588,24 @@ class _NodeSim:
         lux_max = max([self.lux, *self.sample_v])
         if not math.isfinite(self.phys.p_per_lux * lux_max * self.duration):
             raise ValueError(f"node {config.node_id}: the panel's energy overflows at {lux_max} lux")
-        # (time, kind) pairs: entries that compare equal are interchangeable.
-        # The event times strictly increase, and a sorted list is a heap.
+        # A recovery follows a death only after a recharge from below the
+        # cutoff to v_on.  If even the fastest one (leak-free, no load, the
+        # boost efficiency, the brightest light) takes MIN_INTERVAL_S and
+        # moves the clock (the ulp rule above), deaths are at most the
+        # wakeups, and the run ends.
+        phys = self.phys
+        t_recharge = max(MIN_INTERVAL_S, math.ulp(self.duration))
+        e_recharge = 0.5 * phys.c * (phys.v_on**2 - phys.v_cutoff**2)
+        if e_recharge < t_recharge * phys.eta_boost * phys.p_per_lux * lux_max:
+            raise ValueError(
+                f"node {config.node_id}: supercap.capacitance_f {phys.c} F recharges from "
+                f"v_cutoff to v_on in under {t_recharge} s at {lux_max} lux"
+            )
+        # The external events inside [0, duration), in time order, then a sentinel.
         ext = events.times_s.tolist() if events is not None else []
-        self.heap = [(t, EventKind.EXTERNAL_EVENT) for t in ext if 0.0 <= t < self.duration]
+        self.ext_t = [t for t in ext if 0.0 <= t < self.duration] + [math.inf]
         self.last_notification = -math.inf
         self.pending_events: list[float] = []
-        self._last_packet_t = None
         self.log = NodeLog(
             node_id=config.node_id,
             mode=config.mode,
@@ -628,15 +625,15 @@ class _NodeSim:
         ``_external`` and ``_skip`` take the state they read and return what
         they change."""
         log, lux = self.log, self.lux
-        heap, duration, phys = self.heap, self.duration, self.phys
+        duration, phys = self.duration, self.phys
         advance, pay, v_cutoff, p_per_lux = phys.advance, phys.pay, phys.v_cutoff, phys.p_per_lux
         led, histogram, book = log.ledger, log.qos_histogram, self._book_packets
         table, intervals, e_wakeup, pinned = self.table, self.intervals, self.e_wakeup, self.pinned_qos
         sends = self.mode is not ApplicationMode.EVENT_DETECTION
         skip = None if emit else self._skip
-        sample_t, sample_v = self.sample_t, self.sample_v
-        i_sample = 0
-        t_sample = sample_t[0]
+        sample_t, sample_v, ext_t = self.sample_t, self.sample_v, self.ext_t
+        i_sample = i_ext = 0
+        t_sample, t_ext = sample_t[0], ext_t[0]
         # While ``fixed``, a step has left the controller at its fixed point
         # for this light and it has not been reset since: a wakeup before
         # ``t_refill`` takes state 7 with no step, and the steps in the
@@ -653,11 +650,14 @@ class _NodeSim:
         ctrl = _FRESH_CTRL
         qos = pinned if pinned is not None else ctrl.qos
         now = 0.0
-        # The one pending wakeup of a live node (infinite when there is none).
+        # The one pending wakeup of a live node, and the node's one pending
+        # crossing: its death while alive, its recovery while dead (each
+        # infinite when there is none).
         next_wake = 0.0 if alive else math.inf
+        t_cross = math.inf
         while True:
-            t_event = heap[0][0] if heap else math.inf
-            # Ties go to the sample, then the heap, then the wakeup.
+            t_event = t_cross if t_cross <= t_ext else t_ext
+            # Ties go to the sample, the crossing, the external event, the wakeup.
             t_next = t_event if t_event <= next_wake else next_wake
             if t_sample <= t_next:
                 t_next = t_sample
@@ -669,11 +669,9 @@ class _NodeSim:
                 steps += 1
                 if crossing is not None:
                     break
-            # A crossing queues its event at the crossing time; look again.
-            if crossing == "death":
-                heappush(heap, (now, EventKind.DEATH))
-            elif crossing == "recovery":
-                heappush(heap, (now, EventKind.RECOVERY))
+            # A crossing becomes the pending one, at the crossing time; look again.
+            if crossing is not None:
+                t_cross = now
             elif t_next >= duration:
                 break
             elif t_sample == t_next:
@@ -686,37 +684,38 @@ class _NodeSim:
                 fixed = False
                 t_refill = t_sample - refill_s
             elif t_event <= next_wake:
-                t, kind = heappop(heap)
-                if kind is EventKind.EXTERNAL_EVENT:
+                t = t_event
+                if t_cross <= t_ext:
+                    t_cross = math.inf
+                    if alive:  # the wakeup pending at death is dropped
+                        alive, died_at, next_wake = False, t, math.inf
+                        log.deaths += 1
+                        action = "death"
+                    else:
+                        alive, next_wake = True, t
+                        log.recoveries += 1
+                        log.dead_seconds += t - died_at
+                        ctrl = reset(ctrl)
+                        fixed = False
+                        action = "recovery"
+                    packets = 0
+                else:
+                    i_ext += 1
+                    t_ext = ext_t[i_ext]
                     if not alive:
                         log.events_missed_dead += 1
                         continue
                     v, packets = self._external(t, v, qos)
+                    if v < v_cutoff:
+                        t_cross = t
                     action = "event"
-                elif kind is EventKind.DEATH and alive:
-                    alive, died_at = False, t
-                    log.deaths += 1
-                    if next_wake < math.inf:
-                        # Its time stays an integration boundary, keeping results
-                        # bit-identical to an event loop that queues every wakeup.
-                        heappush(heap, (next_wake, EventKind.DROPPED_WAKEUP))
-                        next_wake = math.inf
-                    action, packets = "death", 0
-                elif kind is EventKind.RECOVERY and not alive:
-                    alive, next_wake = True, t
-                    log.recoveries += 1
-                    log.dead_seconds += t - died_at
-                    ctrl = reset(ctrl)
-                    fixed = False
-                    action, packets = "recovery", 0
-                else:  # a dropped wakeup, or a death or recovery already taken
-                    continue
                 if emit is not None:
                     emit(t, v, lux, qos, action, packets)
             else:
+                # No crossing is pending here: it would have come first.
                 t = next_wake
                 if skip is not None and (fixed or pinned is not None):
-                    skipped = skip(t, v, p_panel, t_event if t_event < t_sample else t_sample)
+                    skipped = skip(t, v, p_panel, t_ext if t_ext < t_sample else t_sample)
                     if skipped is not None:
                         qos, v, next_wake = skipped
                         now = next_wake
@@ -732,8 +731,7 @@ class _NodeSim:
                 v = pay(v, e_wakeup, led)
                 emitted = 0
                 if v < v_cutoff:
-                    next_wake = math.inf
-                    heappush(heap, (t, EventKind.DEATH))
+                    next_wake, t_cross = math.inf, t
                 else:
                     if sends:
                         book(1, t, t)
@@ -744,14 +742,12 @@ class _NodeSim:
         return self._finalize(steps, v, alive, died_at)
 
     def _book_packets(self, k, t_first, t_last) -> None:
-        """Books ``k`` packets sent from ``t_first`` to ``t_last`` and the
-        gaps between them and the packet before them."""
+        """Books ``k`` packets sent from ``t_first`` to ``t_last``."""
         log = self.log
-        first = self._last_packet_t is None
+        if not log.packets_emitted:
+            log.first_packet_s = t_first
         log.packets_emitted += k
-        log.packet_gap_sum_s += t_last - (t_first if first else self._last_packet_t)
-        log.packet_gap_count += k - first
-        self._last_packet_t = t_last
+        log.last_packet_s = t_last
 
     def _skip(self, t, v, p_panel, t_change):
         """Skips the wakeup at ``t`` and later ones, booked from one replayed
@@ -762,7 +758,7 @@ class _NodeSim:
         provably keeps its state: pinned, or at its fixed point.
 
         The skip stops at least HISTORY_LEN periods before ``t_change``, the
-        next queued event or light sample, and at the latest at the end of
+        next external event or light sample, and at the latest at the end of
         the run, which nothing follows.  The wakeups before a light sample
         take the ordinary path, which refills both controller histories
         before the light can change; the stale voltage history and seed
@@ -800,13 +796,13 @@ class _NodeSim:
         """Pays for detecting an external event at ``t`` on a live node at
         ``v`` in state ``qos``, then notifies, or holds the event while the
         state's hold-off since the last notification runs.  Returns the
-        voltage after the payment and the packets sent, 0 or 1; a brown-out
-        queues the node's death and sends none."""
+        voltage after the payment and the packets sent, 0 or 1; a payment
+        that leaves the node below its cutoff sends none, and ``run`` takes
+        the node's death from the voltage."""
         log = self.log
         log.events_detected += 1
         v = self.phys.pay(v, self.e_event, log.ledger)
         if v < self.phys.v_cutoff:
-            heappush(self.heap, (t, EventKind.DEATH))
             return v, 0
         if t - self.last_notification < self.holdoffs[qos - 1]:
             self.pending_events.append(t)

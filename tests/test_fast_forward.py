@@ -244,7 +244,7 @@ def test_pinned_node_through_light_steps(pinned):
 
 
 def test_skips_stop_before_light_samples(monkeypatch):
-    # Light samples are not on the event heap, so the skip's own limit must
+    # The skip stops before the next external event, so its own limit must
     # include the next sample: a skip past a light step would book the old
     # light's harvest and miss the controller's reaction to the new one.
     cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5))

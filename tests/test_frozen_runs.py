@@ -1,15 +1,19 @@
 """Exact results of four fixed runs, pinned bit for bit.
 
-The expected values of the first three come from an event loop that queued
-every wakeup on its heap, so they check that keeping the one pending wakeup
-in a slot changes no result.  Each scenario covers a brown-out and a
-recovery: (a) an advertising node at 300 lux; (b) an event-detection node
-under dense motion events, which dies with a wakeup pending; (c) a node
-pinned at QoS state 7, which also dies with wakeups pending; (d) a node with
-1 µA leaky storage under stepped light, which charges onto its ``v_rated``
-clamp, dies in the dark, leaks below ``v_boost_min`` and cold-starts back
-past it to recover.  Floats are compared by ``repr``, detail records by the
-SHA-256 of their ``repr`` lines.  Each scenario is also pinned as a summary
+Each scenario covers a brown-out and a recovery: (a) an advertising node
+at 300 lux; (b) an event-detection node under dense motion events, which
+dies with a wakeup pending; (c) a node pinned at QoS state 7, which also
+dies with wakeups pending; (d) a node with 1 µA leaky storage under stepped
+light, which charges onto its ``v_rated`` clamp, dies in the dark, leaks
+below ``v_boost_min`` and cold-starts back past it to recover.  The expected
+values of (a) come from an event loop that queued every wakeup on a heap,
+and those of (a) and (d) from one that queued deaths, recoveries and motion
+events there: they check that the cursors and slots that replaced the queue
+change no result.  (b) and (c) were recorded again when a wakeup pending at
+a death stopped ending an integration segment of the dead node's recharge:
+their times and voltages moved by at most 3e-15 relative, and no count,
+state or action changed.  Floats are compared by ``repr``, detail records
+by the SHA-256 of their ``repr`` lines.  Each scenario is also pinned as a summary
 run (``detail=False``), whose fast-forward books skipped wakeups as sums
 taken in another order: its floats may differ from the detailed run's in
 the last digits, and are pinned as they are.
@@ -191,8 +195,8 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                  'initial_voltage_v': '2.6',
                                  'final_voltage_v': '2.2723431336908435',
                                  'alive_at_end': False,
-                                 'uptime_fraction': '0.03183792270480479',
-                                 'dead_seconds': '19363.241545903904',
+                                 'uptime_fraction': '0.03183792270480734',
+                                 'dead_seconds': '19363.241545903853',
                                  'deaths': 7,
                                  'recoveries': 6,
                                  'controller_steps': 30,
@@ -208,30 +212,30 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                  'events_missed_dead': 3869,
                                  'notifications_emitted': 24,
                                  'events_unnotified': 3,
-                                 'ledger': {'harvest_panel_j': '0.3138750000000056',
+                                 'ledger': {'harvest_panel_j': '0.3138750000000058',
                                             'harvest_stored_j': '0.25109999999998905',
                                             'drain_stored_j': '0.2910114170692078',
-                                            'load_j': '0.26191027536228645',
+                                            'load_j': '0.26191027536228684',
                                             'leak_j': '0.0',
-                                            'conversion_loss_j': '0.09187614170693792',
+                                            'conversion_loss_j': '0.0918761417069377',
                                             'throughput_j': '0.5421114170691969'},
                                  'energy_residual_j': '1.6785184353551585e-14',
                                  'energy_residual_relative': '3.096260994519706e-14'},
                      'qos_histogram': [0, 0, 0, 0, 6, 1, 6, 17],
                      'records': 176,
-                     'records_sha256': '5e225ef47f4e38ecbd3da0d7eb24afa9ca17ab3793b0598abbb23e731ef56b51',
+                     'records_sha256': 'c7c8bbeffd3aa8d88836a31672ee560c24b97ac9f0ea80f2c538c72fae5fb0bb',
                      'summary_run': {'summary': {'node_id': 'pir',
                                                  'mode': 'event_detection',
                                                  'duration_s': '20000.0',
                                                  'initial_voltage_v': '2.6',
                                                  'final_voltage_v': '2.2723431336908435',
                                                  'alive_at_end': False,
-                                                 'ledger': {'harvest_panel_j': '0.3138750000000056',
+                                                 'ledger': {'harvest_panel_j': '0.3138750000000058',
                                                             'harvest_stored_j': '0.25109999999998905',
                                                             'drain_stored_j': '0.2910114170692078',
-                                                            'load_j': '0.26191027536228645',
+                                                            'load_j': '0.26191027536228684',
                                                             'leak_j': '0.0',
-                                                            'conversion_loss_j': '0.09187614170693792',
+                                                            'conversion_loss_j': '0.0918761417069377',
                                                             'throughput_j': '0.5421114170691969'},
                                                  'qos_histogram': {'1': 0,
                                                                    '2': 0,
@@ -242,14 +246,14 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                                                    '7': 17},
                                                  'controller_steps': 30,
                                                  'packets_emitted': 24,
-                                                 'dead_seconds': '19363.241545903904',
+                                                 'dead_seconds': '19363.241545903853',
                                                  'deaths': 7,
                                                  'recoveries': 6,
                                                  'events_detected': 130,
                                                  'events_missed_dead': 3869,
                                                  'notifications_emitted': 24,
                                                  'events_unnotified': 3,
-                                                 'uptime_fraction': '0.03183792270480479',
+                                                 'uptime_fraction': '0.03183792270480734',
                                                  'energy_residual_j': '1.6785184353551585e-14',
                                                  'energy_residual_relative': '3.096260994519706e-14'},
                                      'qos_histogram': [0,
@@ -266,8 +270,8 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                         'initial_voltage_v': '3.0',
                         'final_voltage_v': '2.1417720641261657',
                         'alive_at_end': True,
-                        'uptime_fraction': '0.5149295101553107',
-                        'dead_seconds': '14552.114695340677',
+                        'uptime_fraction': '0.5149295101553111',
+                        'dead_seconds': '14552.11469534067',
                         'deaths': 4,
                         'recoveries': 4,
                         'controller_steps': 776,
@@ -283,18 +287,18 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                         'events_missed_dead': 0,
                         'notifications_emitted': 0,
                         'events_unnotified': 0,
-                        'ledger': {'harvest_panel_j': '0.09067500000000067',
-                                   'harvest_stored_j': '0.07254000000000083',
-                                   'drain_stored_j': '0.09460406212664493',
-                                   'load_j': '0.085143655913979',
+                        'ledger': {'harvest_panel_j': '0.09067500000000069',
+                                   'harvest_stored_j': '0.07254000000000084',
+                                   'drain_stored_j': '0.09460406212664496',
+                                   'load_j': '0.08514365591397903',
                                    'leak_j': '0.0',
                                    'conversion_loss_j': '0.027595406212665777',
-                                   'throughput_j': '0.16714406212664576'},
-                        'energy_residual_j': '3.885780586188048e-16',
-                        'energy_residual_relative': '2.3248092314782774e-15'},
+                                   'throughput_j': '0.1671440621266458'},
+                        'energy_residual_j': '4.0245584642661925e-16',
+                        'energy_residual_relative': '2.407838132602501e-15'},
             'qos_histogram': [0, 0, 0, 0, 0, 0, 0, 776],
             'records': 785,
-            'records_sha256': '0554a1b4352b44600e349eeb65f8493130df0f8e96b9dae365c9e6bcccceb39b',
+            'records_sha256': 'c54bf3a416bf3d386de48a8e8c1dcb2694b55e694b1c5cd78637c5e690c0fc00',
             'summary_run': {'summary': {'node_id': 'pin',
                                         'mode': 'periodic_sensing',
                                         'duration_s': '30000.0',

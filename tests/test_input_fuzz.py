@@ -183,6 +183,20 @@ node_objects = st.fixed_dictionaries(
 )
 # Panel power past the float range.
 @hypothesis.example(obj={"harvester": {"i_ref_a": 7.8e-05, "lux_ref": 2.225073858507e-311}}, lux=35.0)
+# Storage that recharges from the cutoff to v_on in far under a millisecond:
+# each death and recovery moves the clock by almost nothing.
+@hypothesis.example(
+    obj={
+        "pinned_qos": 7,
+        "supercap": {
+            "capacitance_f": 8.88e-105,
+            "voltage_v": 5.7e-133,
+            "v_cutoff": 2.127,
+            "leak_current_a": 4.0e-293,
+        },
+    },
+    lux=686.8,
+)
 def test_any_valid_config_runs_an_hour_or_raises_value_error(obj, lux):
     try:
         config = parse_node_config(obj)

@@ -348,6 +348,23 @@ class TestRunNodeBasics:
         with pytest.raises(ValueError, match=r"interval 0\.001 s is below the float spacing"):
             run_node(cfg, DARK, duration_s=2.0**54 * 1e-3)
 
+    @pytest.mark.parametrize(
+        "capacitance, duration, refused",
+        [(82e-9, 100.0, True), (84e-9, 100.0, False), (2e-6, 1e14, False), (2e-6, 1e15, True)],
+    )
+    def test_recharge_faster_than_the_clock_moves_refused(self, capacitance, duration, refused):
+        # With the default models the fastest recharge from v_cutoff to v_on
+        # at 300 lux takes 1 ms at 82.7 nF; from 2**43 s on the clock's own
+        # spacing is the longer bound (15.6 ms at 1e14 s, 125 ms at 1e15 s).
+        cfg = NodeConfig(supercap=SupercapState(capacitance_f=capacitance, voltage_v=0.0))
+        light = Trace.from_samples([(0.0, 0.0), (duration - 10.0, 300.0)])
+        if refused:
+            with pytest.raises(ValueError, match="supercap.capacitance_f .* recharges"):
+                run_node(cfg, light, duration_s=duration, detail=False)
+        else:
+            log = run_node(cfg, light, duration_s=duration, detail=False)
+            assert log.deaths == log.recoveries > 0
+
     def test_events_require_event_mode(self):
         with pytest.raises(ValueError, match="events trace"):
             run_node(NodeConfig(), OFFICE, Trace.constant(1.0), duration_s=10.0)
@@ -441,6 +458,22 @@ class TestRunNodeBasics:
         assert log.ledger.load_j == pytest.approx(10 * 10e-6, rel=1e-9)
         assert log.mean_packet_interval_s == pytest.approx(0.1)
         residual_ok(log)
+
+    # A summary run's times agree with the detailed run's to 1e-9 relative.
+    @pytest.mark.parametrize("detail, rel", [(True, 0.0), (False, 1e-9)])
+    def test_mean_packet_interval_spans_the_deaths(self, detail, rel):
+        # The advertising node-day browns out 4 times: the mean interval is
+        # the first-to-last packet span over the packets after the first.
+        cfg = NodeConfig(
+            mode=ApplicationMode.ADVERTISING, supercap=SupercapState(capacitance_f=1.0, voltage_v=3.0)
+        )
+        full = run_node(cfg, OFFICE, duration_s=86_400.0)
+        sent = [r.time_s for r in full.records if r.packets]
+        assert full.deaths == 4 and len(sent) == full.packets_emitted
+        log = full if detail else run_node(cfg, OFFICE, duration_s=86_400.0, detail=False)
+        assert log.packets_emitted == len(sent)
+        expected = (sent[-1] - sent[0]) / (len(sent) - 1)
+        assert log.mean_packet_interval_s == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 class TestDarknessLifetime:
@@ -679,9 +712,11 @@ def at(log, t):
     return [(r.action, r.lux) for r in log.records if r.time_s == t]
 
 
-class TestLightSampleCursor:
-    """Light samples are walked by a cursor beside the event heap; at equal
-    times a sample goes first, then queued events, then the wakeup."""
+class TestTieOrder:
+    """Light samples and external events are walked by cursors, the pending
+    crossing and wakeup wait in slots; at equal times a sample goes first,
+    then the crossing (death or recovery), then the external event, then
+    the wakeup."""
 
     def test_sample_at_a_wakeup_goes_first(self):
         cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(voltage_v=3.5))
@@ -707,6 +742,37 @@ class TestLightSampleCursor:
         light = Trace.from_samples([(0.0, 300.0), (t_on, 100.0)])
         log = run_node(cfg, light, duration_s=t_on + 100.0)
         assert at(log, t_on) == [("sample", 100.0), ("recovery", 100.0), ("wakeup", 100.0)]
+
+    def test_event_at_a_death_crossing_finds_the_node_dead(self):
+        # The death crossing of test_sample_at_a_death_crossing_goes_first, on
+        # a PIR node whose wakeups cost nothing: none falls before it.
+        cfg = constant_load_config(1e-3, v0=2.2, mode=ApplicationMode.EVENT_DETECTION)
+        phys = _Phys(cfg)
+        t_death = phys.crossing_s(2.2, -phys.p_standby_storage, phys.v_cutoff)
+        events = Trace.from_samples([(t_death, 1.0)])
+        log = run_node(cfg, DARK, events, duration_s=1000.0)
+        assert at(log, t_death) == [("death", 0.0)]
+        assert log.events_missed_dead == 1 and log.events_detected == 0
+
+    def test_event_at_a_recovery_is_detected_after_it(self):
+        cfg = NodeConfig(
+            mode=ApplicationMode.EVENT_DETECTION,
+            supercap=SupercapState(capacitance_f=0.1, voltage_v=2.0),
+        )
+        phys = _Phys(cfg)
+        t_on = phys.crossing_s(2.0, phys.eta_boost * (phys.p_per_lux * 300.0), phys.v_on)
+        events = Trace.from_samples([(t_on, 1.0)])
+        log = run_node(cfg, OFFICE, events, duration_s=t_on + 100.0)
+        assert at(log, t_on) == [("recovery", 300.0), ("event", 300.0), ("wakeup", 300.0)]
+        assert log.events_detected == 1 and log.events_missed_dead == 0
+
+    def test_event_at_a_wakeup_goes_first(self):
+        cfg = NodeConfig(mode=ApplicationMode.EVENT_DETECTION, supercap=SupercapState(voltage_v=3.5))
+        quiet = run_node(cfg, OFFICE, duration_s=100.0)
+        t_wake = [r.time_s for r in quiet.records if r.action == "wakeup"][1]
+        events = Trace.from_samples([(t_wake, 1.0)])
+        log = run_node(cfg, OFFICE, events, duration_s=100.0)
+        assert at(log, t_wake) == [("event", 300.0), ("wakeup", 300.0)]
 
     def test_only_samples_inside_the_run_are_recorded(self):
         cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(voltage_v=3.5))
