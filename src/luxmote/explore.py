@@ -7,8 +7,8 @@ The steady-state view deliberately ignores controller transients: it asks
 point the adaptive controller converges to.  It also averages each wakeup's
 payment over its interval, so ``min_lux`` is a threshold on the mean draw,
 not on the dips after each payment.  The storage leak enters both the
-threshold and the survival times, which come from the simulator's own
-crossing-time solve; the differential tests tie the two together.
+threshold and the survival times, which come from the simulator's
+integrator; the differential tests tie the two together.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 
 from .energy import check_fields, standby_power
 from .qos import ApplicationMode
-from .simulate import NodeConfig, _Phys, action_energy_j
+from .simulate import EnergyLedger, NodeConfig, _Phys, action_energy_j
 
 
 def steady_state_power(config: NodeConfig, state: int) -> float:
@@ -58,25 +58,19 @@ def min_lux_for_perpetual(config: NodeConfig, state: int) -> float:
 def survival_at_lux_s(config: NodeConfig, state: int, lux: float, v_start: Optional[float] = None) -> float:
     """Seconds a node pinned at ``state`` under constant ``lux`` takes from
     ``v_start`` (default: the table ceiling, or v_rated if lower) to the
-    cutoff, by the simulator's crossing-time solve, leak included and
-    payments averaged as in ``min_lux``: at eta_boost * P_panel - P_steady
-    down to v_boost_min, then at eta_cold * P_panel - P_steady, the
-    simulator's two regimes.  Infinite from ``min_lux`` up for starts at or
-    above v_boost_min."""
+    cutoff: the simulator's integrator, leak and cold-start path included,
+    with the standby draw replaced by the steady-state power, so payments
+    are averaged as in ``min_lux``.  Infinite if the node never gets there:
+    from ``min_lux`` up for starts at or above v_boost_min."""
     if not lux >= 0.0:
         raise ValueError(f"lux must be non-negative, got {lux}")
     phys = _Phys(config)
     v0 = min(config.table.v_max, phys.v_rated) if v_start is None else v_start
     if not phys.v_cutoff <= v0 <= phys.v_rated:
         raise ValueError(f"v_start must lie in [v_cutoff, v_rated], got {v0}")
-    p_panel, p_load = phys.p_per_lux * lux, steady_state_power(config, state)
-    v_floor = max(phys.v_boost, phys.v_cutoff)
-    if v0 < v_floor:
-        return phys.crossing_s(v0, phys.eta_cold * p_panel - p_load, phys.v_cutoff)
-    t = phys.crossing_s(v0, phys.eta_boost * p_panel - p_load, v_floor)
-    if v_floor > phys.v_cutoff:
-        t += phys.crossing_s(v_floor, phys.eta_cold * p_panel - p_load, phys.v_cutoff)
-    return t
+    phys.p_standby_storage = steady_state_power(config, state)
+    _, used, crossing = phys.advance(v0, True, phys.p_per_lux * lux, math.inf, EnergyLedger())
+    return used if crossing == "death" else math.inf
 
 
 def _survival_column(lux: float) -> str:

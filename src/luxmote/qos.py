@@ -180,7 +180,6 @@ class _ControllerFields(NamedTuple):
     light_buf: tuple[float, ...] = (0.0,) * HISTORY_LEN
     volt_buf: tuple[float, ...] = (0.0,) * HISTORY_LEN
     index: int = 0
-    qos: int = 1
     next_qos: int = 1
 
 
@@ -188,9 +187,9 @@ class ControllerState(_ControllerFields):
     """Controller memory carried across wakeups.
 
     ``light_buf`` and ``volt_buf`` are the last 5 readings (zero-filled until
-    warm), ``index`` counts table re-seeds (0 = never seeded), ``qos`` is the
-    state chosen at the last step and ``next_qos`` the running target the
-    adjustment rules operate on.  A state is a tuple, so it is immutable and
+    warm), ``index`` counts table re-seeds (0 = never seeded) and
+    ``next_qos`` is the running target the adjustment rules operate on, the
+    state chosen at the last step.  A state is a tuple, so it is immutable and
     any number of controllers can run in parallel.  Construction holds each
     field to its type as ``check_fields`` holds a model's (the readings
     finite numbers, stored as floats, the counters integers), and raises a
@@ -211,9 +210,8 @@ class ControllerState(_ControllerFields):
                 )
         if state.index < 0:
             raise ValueError(f"{where}.index must be >= 0, got {state.index}")
-        for name in ("qos", "next_qos"):
-            if not 1 <= getattr(state, name) <= 7:
-                raise ValueError(f"{where}.{name} must be in [1, 7], got {getattr(state, name)}")
+        if not 1 <= state.next_qos <= 7:
+            raise ValueError(f"{where}.next_qos must be in [1, 7], got {state.next_qos}")
         return tuple.__new__(cls, state)
 
 
@@ -227,8 +225,8 @@ def step(
     counter; (2) push the readings into the history buffers; (3) light rule:
     -1 if light is zero or its trend is negative, else +1; (4) voltage rule:
     -1 if the voltage trend is <= 0 and the voltage is not at the ceiling,
-    else +1; (5) clamp to [1, 7]; the clamped value becomes both next_qos and
-    the returned qos.  A trend is computed only where its rule can change
+    else +1; (5) clamp to [1, 7]; the clamped value becomes next_qos, and is
+    returned.  A trend is computed only where its rule can change
     the clamped result: at the ceiling a reseeded target of 7 gives 7
     whatever the light does, and a light rule that takes the target to 8 or
     to 0 leaves 7 or 1 whatever the voltage does.
@@ -247,7 +245,7 @@ def step(
     if volt > v_max:
         volt = v_max
 
-    (_, l1, l2, l3, l4), (_, v1, v2, v3, v4), index, _, next_qos = ctrl
+    (_, l1, l2, l3, l4), (_, v1, v2, v3, v4), index, next_qos = ctrl
     at_max = volt >= v_max - V_MAX_TOL
     if index == 0 or at_max:
         next_qos = lookup_state(table, volt)
@@ -273,7 +271,7 @@ def step(
         next_qos = 7
     # The buffers hold 5 entries and the state is clamped, so the new value
     # skips ControllerState's checks.
-    new = tuple.__new__(ControllerState, (light_buf, volt_buf, index, next_qos, next_qos))
+    new = tuple.__new__(ControllerState, (light_buf, volt_buf, index, next_qos))
     return new, next_qos
 
 

@@ -36,7 +36,7 @@ t(V) = (C/I)(V0 - V) - (C·P/I²)·ln((P - I·V)/(P - I·V0)) and the voltage
 after a span takes a few Newton steps on it.  Both agree with a 50-digit
 reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.  A leaky
 crossing is not solved where an energy bound already puts it past the
-segment's end (``_Phys.crossing_s``); the solve would decide the same.
+segment's end (``_Phys.segment``); the solve would decide the same.
 
 A controller step that leaves the controller at its fixed point
 (``qos.is_fixed_point``) proves that every step returns state 7 until the
@@ -192,9 +192,9 @@ class NodeLog:
     marked ``_LEFT_OUT``, and a deployment's aggregate sums each of those
     not marked ``_PER_NODE`` over the fleet, starting from its default
     times 0.  Left out are the storage size, the per-event records (kept
-    only with detail, so marked ``detail_only`` too) and the raw material of
-    a deployment's ``NodeMetrics``; per node only are the run's identity,
-    length and voltages."""
+    only with detail, so marked ``detail_only`` too), the raw material of a
+    deployment's ``NodeMetrics`` and the residual's rounding floor; per node
+    only are the run's identity, length and voltages."""
 
     node_id: str = field(metadata=_PER_NODE)
     mode: ApplicationMode = field(metadata=_PER_NODE)
@@ -218,6 +218,9 @@ class NodeLog:
     notifications_emitted: int = 0
     notification_latencies_s: list = field(default_factory=list, metadata=_LEFT_OUT)
     events_unnotified: int = 0
+    # The residual rounding alone can reach: each integrator step rounds the
+    # stored energy by up to an ulp of the rated one, with a margin of 4.
+    residual_floor_j: float = field(default=0.0, metadata=_LEFT_OUT)
 
     @property
     def uptime_fraction(self) -> float:
@@ -240,7 +243,12 @@ class NodeLog:
 
     @property
     def energy_residual_relative(self) -> float:
-        scale = max(self.ledger.throughput_j, abs(self.delta_stored_j), 1e-30)
+        """The residual over the energy the run moved, or over 1e6 times its
+        rounding floor when that is larger: a run that moves less energy than
+        its storage resolves reads at most 1e-6 while within rounding."""
+        scale = max(
+            self.ledger.throughput_j, abs(self.delta_stored_j), 1e6 * self.residual_floor_j, 1e-30
+        )
         return abs(self.energy_residual_j) / scale
 
 
@@ -250,9 +258,10 @@ class _Phys:
     ``advance(v, alive, p_panel, dt, led)`` runs for up to ``dt`` seconds at
     constant panel power and returns (v_new, seconds_used, crossing) with
     crossing in (None, "death", "recovery"); a crossing stops it exactly at
-    the crossing point.  The regime logic is shared; only the segment solve,
-    the time to a threshold (``crossing_s``) and the voltage after a span,
-    depends on the leak: energy-linear without one, its closed form with one.
+    the crossing point.  It takes one ``segment`` per stretch between regime
+    boundaries, and only that solve depends on the leak: energy-linear
+    without one, its closed form with one.  The explorer runs it too, with
+    ``dt`` infinite, for a survival time.
     """
 
     __slots__ = (
@@ -376,13 +385,7 @@ class _Phys:
                 if thr < self.v_boost < v:
                     thr = self.v_boost
             p = p_in - p_out  # equals p_net without a leak
-            t_hit = self.crossing_s(v, p, thr, span)
-            if t_hit <= span:
-                span, v_new = t_hit, thr
-            else:
-                v_new = math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
-                if i_leak:
-                    v_new = self._leak_voltage(v, p, thr, span, v_new)
+            span, v_new = self.segment(v, p, thr, span)
             if i_leak:
                 # The integral of I·V over the segment, by C·V·dV/dt = p - I·V.
                 led.leak_j += p * span - 0.5 * c * (v_new * v_new - v * v)
@@ -403,38 +406,75 @@ class _Phys:
                 # boost threshold or rated clamp: regime change, keep going
         return v, used, None
 
-    def crossing_s(self, v, p, thr, within=math.inf):
-        """Seconds from ``v`` to ``thr`` under C·V·dV/dt = p - I·V, with ``p``
-        the storage-side harvest less load; infinite if never reached.  It is
-        (½C·thr² - ½C·v²)/p without a leak, and with one the closed form of
-        ``_leak_at``, infinite when the equilibrium p/I lies at or past thr.
+    def segment(self, v, p, thr, span):
+        """One stretch under C·V·dV/dt = p - I·V from ``v``, with ``p`` the
+        storage-side harvest less load: ``(t, thr)`` if it reaches ``thr``
+        within ``span`` seconds, after t, and ``(span, V)`` otherwise, V the
+        voltage then.  Without a leak t is (½C·thr² - ½C·v²)/p, and V comes
+        from the energy line ½Cv² + p·span; with one, both come from the
+        closed form of ``_leak_at``, and thr is never reached when the
+        equilibrium p/I lies at or past it.
 
-        A leaky crossing that an energy bound puts past ``within`` seconds is
-        infinite too, with no solve.  The stored energy moves at p - I·V: at
-        most p - I·v while it rises, at least that while it falls.  So if even
-        the line ½Cv² + (p - I·v)·t stops short of ½C·thr² at t = within, by
-        1e-9 of the energies (the solve errs near 1e-13), the solved time also
-        exceeds within, and a caller that only compares it decides the same."""
+        A leaky crossing is not solved where an energy bound already puts it
+        past ``span``.  The stored energy moves at p - I·V: at most p - I·v
+        while it rises, at least that while it falls.  So if even the line
+        ½Cv² + (p - I·v)·span stops short of ½C·thr², by 1e-9 of the energies
+        (the solve errs near 1e-13), the solved time would exceed span too.
+
+        V after a span that stops short is Newton's root of t(x) = span.  t
+        is convex in x while the voltage rises and concave while it falls,
+        so steps from a start beyond the root approach it monotonically
+        within the domain.  Such starts: the leak-free voltage, which the
+        leak can only lower, and for p > 0 the root of t's asymptote
+        (C/I)·(-w - v_eq·x), which t lies above when rising and below when
+        falling (for p < 0 that root lies past 0 V, where t is not
+        monotone); the nearer one is taken."""
         c, i = self.c, self.i_leak
         if not i:
-            if p == 0.0 or (p > 0.0) != (thr > v):
-                return math.inf
-            return (0.5 * c * thr * thr - 0.5 * c * v * v) / p
-        drift = (p - i * v) * within
+            if p != 0.0 and (p > 0.0) == (thr > v):
+                t = (0.5 * c * thr * thr - 0.5 * c * v * v) / p
+                if t <= span:
+                    return t, thr
+            return span, math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
+        drift = (p - i * v) * span
         e_v, e_thr = 0.5 * c * v * v, 0.5 * c * thr * thr
         short = e_thr - e_v - drift if thr > v else e_v + drift - e_thr
-        if short > 1e-9 * (e_v + e_thr + abs(drift)):
-            return math.inf
+        reach = not short > 1e-9 * (e_v + e_thr + abs(drift))
         if p == 0.0:  # the leak alone: a linear drain
-            return c * (v - thr) / i if thr <= v else math.inf
+            if reach and thr <= v and (t := c * (v - thr) / i) <= span:
+                return t, thr
+            return span, max(v - i * span / c, thr)
         v_eq = p / i
         if math.isinf(v_eq):  # a leak below the rounding of p: leak-free
-            return (e_thr - e_v) / p if (p > 0.0) == (thr > v) else math.inf
+            if reach and (p > 0.0) == (thr > v) and (t := (e_thr - e_v) / p) <= span:
+                return t, thr
+            v_free = math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
+            return span, (min(v_free, thr) if p > 0.0 else max(v_free, thr))
         w = v_eq - v
+        if w == 0.0 or (w > 0.0) != (thr > v):
+            # On the equilibrium to rounding (p - I·v, p/I - v disagree): hold.
+            return span, v
         # z = (v_eq - thr)/w - 1 is <= -1 when v_eq lies at or before thr.
-        if w == 0.0 or (w > 0.0) != (thr > v) or (z := (v - thr) / w) <= -1.0:
-            return math.inf
-        return self._leak_at(v, v_eq, math.log1p(z))[0]
+        if reach and (z := (v - thr) / w) > -1.0:
+            t = self._leak_at(v, v_eq, math.log1p(z))[0]
+            if t <= span:
+                return t, thr
+        z = (v - math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))) / w
+        x = math.log1p(z) if z > -1.0 else -math.inf
+        if p > 0.0:
+            x_line = -(w + span * i / c) / v_eq
+            x = max(x, x_line) if w > 0.0 else min(x, x_line)
+        # x_line = -inf: the span outlasts the float range, ending on v_eq.
+        if x > -math.inf:
+            for _ in range(60):
+                t, v_x = self._leak_at(v, v_eq, x)
+                dx = (t - span) * i / (c * v_x)
+                x = min(x + dx, 0.0)
+                if abs(dx) <= 1e-13 * abs(x):
+                    break
+        v_new = self._leak_at(v, v_eq, x)[1]
+        # Rounding must not carry the voltage past the threshold.
+        return span, (min(v_new, thr) if w > 0.0 else max(v_new, thr))
 
     def _leak_at(self, v, v_eq, x):
         """(t, V) on a leaky segment, C·V·dV/dt = p - I·V from ``v``, with
@@ -451,43 +491,6 @@ class _Phys:
         em1 = math.expm1(x)
         wh = w * x * x * (0.5 + x * (1 / 6 + x * (1 / 24 + x / 120))) if x > -1e-3 else w * (em1 - x)
         return c * (wh - v * x) / i, v - w * em1
-
-    def _leak_voltage(self, v, p, thr, span, v_free):
-        """Voltage after ``span`` seconds of a leaky segment from ``v`` that
-        does not reach ``thr`` by then: Newton's root of t(x) = span.  t is
-        convex in x while the voltage rises and concave while it falls, so
-        steps from a start beyond the root approach it monotonically within
-        the domain.  Such starts: the leak-free voltage ``v_free``, which the
-        leak can only lower, and for p > 0 the root of t's asymptote
-        (C/I)·(-w - v_eq·x), which t lies above when rising and below when
-        falling (for p < 0 that root lies past 0 V, where t is not
-        monotone); the nearer one is taken."""
-        c, i = self.c, self.i_leak
-        if p == 0.0:  # the leak alone: a linear drain
-            return max(v - i * span / c, thr)
-        v_eq = p / i
-        if math.isinf(v_eq):  # a leak below the rounding of p: leak-free
-            return min(v_free, thr) if p > 0.0 else max(v_free, thr)
-        w = v_eq - v
-        if w == 0.0 or (w > 0.0) != (thr > v):
-            # On the equilibrium to rounding (p - I·v, p/I - v disagree): hold.
-            return v
-        z = (v - v_free) / w
-        x = math.log1p(z) if z > -1.0 else -math.inf
-        if p > 0.0:
-            x_line = -(w + span * i / c) / v_eq
-            x = max(x, x_line) if w > 0.0 else min(x, x_line)
-        # x_line = -inf: the span outlasts the float range, ending on v_eq.
-        if x > -math.inf:
-            for _ in range(60):
-                t, v_x = self._leak_at(v, v_eq, x)
-                dx = (t - span) * i / (c * v_x)
-                x = min(x + dx, 0.0)
-                if abs(dx) <= 1e-13 * abs(x):
-                    break
-        v_new = self._leak_at(v, v_eq, x)[1]
-        # Rounding must not carry the voltage past the threshold.
-        return min(v_new, thr) if w > 0.0 else max(v_new, thr)
 
 
 def _wake_times(t, period, horizon, cap):
@@ -648,7 +651,7 @@ class _NodeSim:
         died_at = None if alive else 0.0
         p_panel = p_per_lux * lux
         ctrl = _FRESH_CTRL
-        qos = pinned if pinned is not None else ctrl.qos
+        qos = pinned if pinned is not None else ctrl.next_qos
         now = 0.0
         # The one pending wakeup of a live node, and the node's one pending
         # crossing: its death while alive, its recovery while dead (each
@@ -824,11 +827,9 @@ class _NodeSim:
         log.alive_at_end = alive
         log.events_unnotified = len(self.pending_events)
         log.controller_steps = sum(log.qos_histogram)
-        # Rounding stays far below 1e-6 unless the run moves less energy than
-        # the stored energy resolves: each integrator step rounds it by an ulp.
+        log.residual_floor_j = 4 * steps * math.ulp(self.phys.e_max)
         residual = log.energy_residual_relative
-        floor = 4 * steps * math.ulp(self.phys.e_max)
-        if not (residual <= 1e-6 or abs(log.energy_residual_j) <= floor):
+        if not residual <= 1e-6:
             raise RuntimeError(f"node {log.node_id}: conservation residual {residual!r} > 1e-6")
         return log
 

@@ -649,6 +649,41 @@ class TestExplore:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_shipped_frontier_bytes_pinned(self, tmp_path):
+        # The shipped grid has no leak: its bytes use only + - * / and sqrt.
+        out = tmp_path / "frontier.csv"
+        assert main(["explore", "--config", SWEEP_CONFIG, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "552df013f598d5f46f8bc2b8f1f2ce729e3457e3439ee120868837e8735e2b77"
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("periodic_sensing", "22fe4908948a5b93a582484317dc8196fcaa4535e8f06f2546fab57166618901"),
+            ("event_detection", "357ce571562eb182d43cd9f0a7e7fc5def19b499babdae79581a5948a2d83fb5"),
+            ("advertising", "9f94c57625b0c5b8a3a1a0482d7ff9b2eb3553d791ec2648868669b02c73df8e"),
+        ],
+    )
+    def test_leaky_frontier_bytes_pinned(self, tmp_path, mode, expected):
+        # A 1 uA leak, and a boost threshold above the cutoff: survival runs
+        # the boost path, then the cold-start path, and the lux levels give
+        # both finite and infinite survival times.
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            json.dumps(
+                {
+                    "capacitances_f": [0.5, 1.0, 2.0],
+                    "qos_states": [1, 2, 3, 4, 5, 6, 7],
+                    "mode": mode,
+                    "lux_levels": [10.0, 25.0, 50.0, 300.0],
+                    "node": {"supercap": {"leak_current_a": 1e-6}, "converter": {"v_boost_min": 2.5}},
+                }
+            )
+        )
+        out = tmp_path / "frontier.csv"
+        assert main(["explore", "--config", str(grid), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
 
 class TestValidateConfig:
     @pytest.mark.parametrize("path", [NODE_CONFIG, DEPLOY_CONFIG, SWEEP_CONFIG])

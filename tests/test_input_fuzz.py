@@ -176,6 +176,13 @@ node_objects = st.fixed_dictionaries(
 
 @hypothesis.settings(max_examples=80, deadline=None)
 @hypothesis.given(obj=node_objects, lux=st.floats(0.0, 2000.0) | st.just(0))
+# Less energy moved than the storage resolves: the residual is rounding.
+@hypothesis.example(
+    obj={"load": {"e_sense_tx_j": 3.8337519366930346e-184, "i_standby_a": 3.8337519366930346e-184}},
+    lux=5.960464477539063e-08,
+)
+@hypothesis.example(obj={"load": {"i_standby_a": 1e-30, "e_sense_tx_j": 0.0}}, lux=0)
+@hypothesis.example(obj={"load": {"i_standby_a": 1.1754943508222875e-38, "e_sense_tx_j": 0.0}}, lux=0)
 # A leak equilibrium p/I, or the leaky solve's start, past the float range.
 @hypothesis.example(obj={"supercap": {"leak_current_a": 5e-324}}, lux=0)
 @hypothesis.example(

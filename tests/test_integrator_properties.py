@@ -1,5 +1,6 @@
 """Property tests of the continuous-dynamics integrator ``_Phys.advance``,
-leak-free and leaky, and of the energy bound in ``_Phys.crossing_s``.
+leak-free and leaky, and of the energy bound in its segment solve,
+``_Phys.segment``.
 
 Draws cover leak currents 0 and 1e-10..1e-4 A, light from darkness to
 bright sun, live and dead nodes, and starting voltages on the thresholds and
@@ -80,7 +81,7 @@ def bounded_crossings(draw):
     p = leak * v + net
     near = v * (1.0 + draw(st.floats(-1e-3, 1e-3)))
     thr = draw(st.one_of(st.just(near), st.floats(0.0, phys.v_rated)))
-    t_full = phys.crossing_s(v, p, thr)
+    t_full = phys.segment(v, p, thr, math.inf)[0]
     # The span at which ½Cv² + net·span, the bound's line, reaches ½C·thr².
     t_line = 0.5 * phys.c * (thr * thr - v * v) / net
     spans = [st.floats(1e-3, 1e7)]
@@ -93,7 +94,8 @@ def bounded_crossings(draw):
 @hypothesis.settings(max_examples=400, deadline=1000)
 @hypothesis.given(bounded_crossings())
 def test_crossing_bound_changes_no_decision(case):
+    # The unbounded crossing time decides whether the span reaches thr.
     phys, v, p, thr, span = case
-    full = phys.crossing_s(v, p, thr)
-    bounded = phys.crossing_s(v, p, thr, within=span)
-    assert bounded == full or (bounded > span and full > span)
+    full = phys.segment(v, p, thr, math.inf)[0]
+    t, v_end = phys.segment(v, p, thr, span)
+    assert (t, v_end) == (full, thr) if full <= span else t == span

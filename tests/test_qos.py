@@ -233,24 +233,24 @@ class TestControllerState:
         with pytest.raises(ValueError, match=rf"^ControllerState\.index {message}$"):
             ControllerState(index=value)
 
-    @pytest.mark.parametrize("name", ["qos", "next_qos"])
     @pytest.mark.parametrize(
         "value, message",
         [(2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
          (0, r"must be in \[1, 7\], got 0"), (8, r"must be in \[1, 7\], got 8")],
     )
-    def test_states(self, name, value, message):
-        with pytest.raises(ValueError, match=rf"^ControllerState\.{name} {message}$"):
-            ControllerState(**{name: value})
+    def test_next_qos(self, value, message):
+        with pytest.raises(ValueError, match=rf"^ControllerState\.next_qos {message}$"):
+            ControllerState(next_qos=value)
 
     def test_fractional_state_never_reaches_step(self):
-        with pytest.raises(ValueError, match="qos must be an integer"):
-            ControllerState(qos=2.5, next_qos=2.5, index=1)
+        with pytest.raises(ValueError, match="next_qos must be an integer"):
+            ControllerState(next_qos=2.5, index=1)
 
     def test_positional_fields_are_checked_too(self):
         with pytest.raises(ValueError, match=r"^ControllerState\.index must be an integer"):
             ControllerState((0.0,) * 5, (0.0,) * 5, "1")
-        assert ControllerState((0.0,) * 5, (0.0,) * 5, 1, 7, 7).qos == 7
+        ctrl = ControllerState((0.0,) * 5, (0.0,) * 5, 1, 7)
+        assert (ctrl.index, ctrl.next_qos) == (1, 7)
 
 
 class TestStep:
@@ -283,7 +283,6 @@ class TestStep:
             light_buf=(0.0,) * 5,
             volt_buf=(3.0, 2.9, 2.8, 2.7, 2.6),
             index=5,
-            qos=1,
             next_qos=1,
         )
         ctrl, qos = step(ctrl, 2.5, 0.0, DEFAULT_TABLE)
@@ -292,7 +291,7 @@ class TestStep:
     def test_reseed_at_ceiling(self):
         # any step at v_max re-seeds from the table regardless of index
         ctrl = ControllerState(
-            light_buf=(100.0,) * 5, volt_buf=(3.0,) * 5, index=9, qos=2, next_qos=2
+            light_buf=(100.0,) * 5, volt_buf=(3.0,) * 5, index=9, next_qos=2
         )
         ctrl, qos = step(ctrl, 3.6, 100.0, DEFAULT_TABLE)
         assert qos == 7  # seed 7, light +1, at-max +1, clamp
@@ -301,7 +300,7 @@ class TestStep:
     def test_ceiling_tolerance(self):
         # 3.595 V counts as "at max" (10 mV tolerance), 3.55 V does not
         warm = ControllerState(
-            light_buf=(100.0,) * 5, volt_buf=(3.2,) * 5, index=3, qos=4, next_qos=4
+            light_buf=(100.0,) * 5, volt_buf=(3.2,) * 5, index=3, next_qos=4
         )
         _, qos_at_max = step(warm, 3.595, 100.0, DEFAULT_TABLE)
         assert qos_at_max == 7
@@ -311,7 +310,7 @@ class TestStep:
     def test_voltage_above_ceiling_clamped(self):
         # storage may sit above the table top; the controller sees the ceiling
         warm = ControllerState(
-            light_buf=(100.0,) * 5, volt_buf=(3.2,) * 5, index=3, qos=4, next_qos=4
+            light_buf=(100.0,) * 5, volt_buf=(3.2,) * 5, index=3, next_qos=4
         )
         _, from_headroom = step(warm, 5.2, 100.0, DEFAULT_TABLE)
         _, from_ceiling = step(warm, 3.6, 100.0, DEFAULT_TABLE)
@@ -434,7 +433,6 @@ class TestReset:
             light_buf=(1.0, 2.0, 3.0, 4.0, 5.0),
             volt_buf=(3.0, 3.1, 3.2, 3.3, 3.4),
             index=17,
-            qos=6,
             next_qos=6,
         )
         out = reset(ctrl)
@@ -443,12 +441,12 @@ class TestReset:
         assert out.index == 0
 
     def test_idempotent(self):
-        ctrl = ControllerState(index=4, qos=3, next_qos=3)
+        ctrl = ControllerState(index=4, next_qos=3)
         assert reset(reset(ctrl)) == reset(ctrl)
 
     def test_reseed_after_reset(self):
         # oracle: fresh step at (3.0 V, dark) seeds state 5 and returns 5
-        ctrl = reset(ControllerState(index=9, qos=2, next_qos=2))
+        ctrl = reset(ControllerState(index=9, next_qos=2))
         ctrl, qos = step(ctrl, 3.0, 0.0, DEFAULT_TABLE)
         assert qos == 5
 

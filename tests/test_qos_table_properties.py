@@ -110,14 +110,11 @@ def test_overlap_between_buckets_belongs_to_upper_bucket():
     st.one_of(st.sampled_from([0.1, 300.0]), st.floats(1e-6, 2000.0)),
     st.tuples(*[st.floats(0.0, 5.5)] * HISTORY_LEN),
     st.integers(1, 9),
-    st.integers(1, 7),
     st.data(),
 )
-def test_fixed_point_holds_for_fifty_steps(drawn, light, volt_buf, index, qos, data):
+def test_fixed_point_holds_for_fifty_steps(drawn, light, volt_buf, index, data):
     table = drawn[0]
-    ctrl = ControllerState(
-        light_buf=(light,) * HISTORY_LEN, volt_buf=volt_buf, index=index, qos=qos, next_qos=7
-    )
+    ctrl = ControllerState(light_buf=(light,) * HISTORY_LEN, volt_buf=volt_buf, index=index, next_qos=7)
     # Only tables that re-seed at or above state 5 at the ceiling qualify.
     hypothesis.assume(is_fixed_point(ctrl, light, table))
     volts = data.draw(st.lists(st.floats(table.v_min, 5.5), min_size=50, max_size=50))
@@ -128,17 +125,17 @@ def test_fixed_point_holds_for_fifty_steps(drawn, light, volt_buf, index, qos, d
 
 
 def test_fixed_point_needs_seeding_target_and_steady_light():
-    seeded = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, qos=7, next_qos=7)
+    seeded = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, next_qos=7)
     assert is_fixed_point(seeded, 300.0, DEFAULT_TABLE)
     assert not is_fixed_point(seeded, 299.0, DEFAULT_TABLE)
-    unlit = ControllerState(light_buf=(0.0,) * HISTORY_LEN, index=1, qos=7, next_qos=7)
+    unlit = ControllerState(light_buf=(0.0,) * HISTORY_LEN, index=1, next_qos=7)
     assert not is_fixed_point(unlit, 0.0, DEFAULT_TABLE)
-    fresh = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=0, qos=7, next_qos=7)
+    fresh = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=0, next_qos=7)
     assert not is_fixed_point(fresh, 300.0, DEFAULT_TABLE)
-    lower = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, qos=6, next_qos=6)
+    lower = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, next_qos=6)
     assert not is_fixed_point(lower, 300.0, DEFAULT_TABLE)
     warming = ControllerState(
-        light_buf=(0.0, 300.0, 300.0, 300.0, 300.0), index=1, qos=7, next_qos=7
+        light_buf=(0.0, 300.0, 300.0, 300.0, 300.0), index=1, next_qos=7
     )
     assert not is_fixed_point(warming, 300.0, DEFAULT_TABLE)
 
@@ -149,6 +146,6 @@ def test_fixed_point_rejects_tables_that_reseed_low_at_the_ceiling():
     pairs = list(zip(EDGES, EDGES[1:]))
     pairs[3:] = [(2.8, 3.591), (3.591, 3.594), (3.594, 3.597), (3.597, 3.6)]
     table = _table_with_edges(pairs)
-    ctrl = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, qos=7, next_qos=7)
+    ctrl = ControllerState(light_buf=(300.0,) * HISTORY_LEN, index=1, next_qos=7)
     assert not is_fixed_point(ctrl, 300.0, table)
     assert step(ctrl, 3.5905, 300.0, table)[1] == 6

@@ -258,38 +258,41 @@ class TestLeakPath:
 
 
 class TestCrossingTime:
-    """``_Phys.crossing_s``, the one time-to-threshold solve of the
-    integrator and the explorer."""
+    """Crossing times from ``_Phys.segment``, the one solve of a stretch of
+    charge or drain in the integrator and so in the explorer: with an
+    infinite span, its time is the time to the threshold, infinite if the
+    threshold is never reached."""
 
     def phys(self, i_leak):
         return _Phys(NodeConfig(supercap=SupercapState(leak_current_a=i_leak)))
 
+    def seconds_to(self, i_leak, v, p, thr):
+        return self.phys(i_leak).segment(v, p, thr, math.inf)[0]
+
     def test_leak_free_is_energy_over_power(self):
-        assert self.phys(0.0).crossing_s(3.6, -2e-5, 2.1) == (0.5 * 2.1**2 - 0.5 * 3.6**2) / -2e-5
-        assert self.phys(0.0).crossing_s(2.1, 2e-5, 3.6) == (0.5 * 3.6**2 - 0.5 * 2.1**2) / 2e-5
+        assert self.seconds_to(0.0, 3.6, -2e-5, 2.1) == (0.5 * 2.1**2 - 0.5 * 3.6**2) / -2e-5
+        assert self.seconds_to(0.0, 2.1, 2e-5, 3.6) == (0.5 * 3.6**2 - 0.5 * 2.1**2) / 2e-5
 
     @pytest.mark.parametrize("i_leak", [0.0, 1e-6])
     def test_never_reached(self, i_leak):
-        phys = self.phys(i_leak)
-        assert phys.crossing_s(3.0, 1e-3, 2.1) == math.inf  # charging away from it
-        assert phys.crossing_s(3.0, -1e-5, 3.6) == math.inf  # draining away from it
-        assert phys.crossing_s(3.0, 0.0, 3.6) == math.inf
+        assert self.seconds_to(i_leak, 3.0, 1e-3, 2.1) == math.inf  # charging away from it
+        assert self.seconds_to(i_leak, 3.0, -1e-5, 3.6) == math.inf  # draining away from it
+        assert self.seconds_to(i_leak, 3.0, 0.0, 3.6) == math.inf
 
     def test_leak_alone_is_linear(self):
-        assert self.phys(1e-6).crossing_s(3.6, 0.0, 2.1) == pytest.approx(1.5e6, rel=1e-15)
+        assert self.seconds_to(1e-6, 3.6, 0.0, 2.1) == pytest.approx(1.5e6, rel=1e-15)
 
     def test_equilibrium_at_the_threshold_is_never_reached(self):
-        phys = self.phys(1e-6)
-        assert phys.crossing_s(3.6, 2.1e-6, 2.1) == math.inf  # p/I = 2.1 V exactly
-        assert phys.crossing_s(3.6, 2.0e-6, 2.1) < math.inf
-        assert phys.crossing_s(2.2, 3.0e-6, 3.0) == math.inf
-        assert phys.crossing_s(2.2, 3.1e-6, 3.0) < math.inf
+        assert self.seconds_to(1e-6, 3.6, 2.1e-6, 2.1) == math.inf  # p/I = 2.1 V exactly
+        assert self.seconds_to(1e-6, 3.6, 2.0e-6, 2.1) < math.inf
+        assert self.seconds_to(1e-6, 2.2, 3.0e-6, 3.0) == math.inf
+        assert self.seconds_to(1e-6, 2.2, 3.1e-6, 3.0) < math.inf
 
     @pytest.mark.parametrize("i_leak", [0.0, 1e-9, 1e-6, 1e-5])
     def test_advance_stops_at_the_crossing_time(self, i_leak):
         phys = self.phys(i_leak)
         p_panel = phys.p_per_lux * 5.0
-        t = phys.crossing_s(3.6, phys.eta_boost * p_panel - phys.p_standby_storage, 2.1)
+        t = phys.segment(3.6, phys.eta_boost * p_panel - phys.p_standby_storage, 2.1, math.inf)[0]
         v, used, crossing = phys.advance(3.6, True, p_panel, 1e9, EnergyLedger())
         assert (v, used, crossing) == (2.1, t, "death")
 
@@ -729,7 +732,7 @@ class TestTieOrder:
         # second wakeup at 600 s; the sample sits at the crossing's own float.
         cfg = constant_load_config(1e-3, v0=2.2)
         phys = _Phys(cfg)
-        t_death = phys.crossing_s(2.2, -phys.p_standby_storage, phys.v_cutoff)
+        t_death = phys.segment(2.2, -phys.p_standby_storage, phys.v_cutoff, math.inf)[0]
         assert 200.0 < t_death < 600.0
         light = Trace.from_samples([(0.0, 0.0), (t_death, 300.0)])
         log = run_node(cfg, light, duration_s=1000.0)
@@ -738,7 +741,7 @@ class TestTieOrder:
     def test_sample_at_a_recovery_crossing_goes_first(self):
         cfg = NodeConfig(supercap=SupercapState(capacitance_f=0.1, voltage_v=2.0))
         phys = _Phys(cfg)
-        t_on = phys.crossing_s(2.0, phys.eta_boost * (phys.p_per_lux * 300.0), phys.v_on)
+        t_on = phys.segment(2.0, phys.eta_boost * (phys.p_per_lux * 300.0), phys.v_on, math.inf)[0]
         light = Trace.from_samples([(0.0, 300.0), (t_on, 100.0)])
         log = run_node(cfg, light, duration_s=t_on + 100.0)
         assert at(log, t_on) == [("sample", 100.0), ("recovery", 100.0), ("wakeup", 100.0)]
@@ -748,7 +751,7 @@ class TestTieOrder:
         # a PIR node whose wakeups cost nothing: none falls before it.
         cfg = constant_load_config(1e-3, v0=2.2, mode=ApplicationMode.EVENT_DETECTION)
         phys = _Phys(cfg)
-        t_death = phys.crossing_s(2.2, -phys.p_standby_storage, phys.v_cutoff)
+        t_death = phys.segment(2.2, -phys.p_standby_storage, phys.v_cutoff, math.inf)[0]
         events = Trace.from_samples([(t_death, 1.0)])
         log = run_node(cfg, DARK, events, duration_s=1000.0)
         assert at(log, t_death) == [("death", 0.0)]
@@ -760,7 +763,7 @@ class TestTieOrder:
             supercap=SupercapState(capacitance_f=0.1, voltage_v=2.0),
         )
         phys = _Phys(cfg)
-        t_on = phys.crossing_s(2.0, phys.eta_boost * (phys.p_per_lux * 300.0), phys.v_on)
+        t_on = phys.segment(2.0, phys.eta_boost * (phys.p_per_lux * 300.0), phys.v_on, math.inf)[0]
         events = Trace.from_samples([(t_on, 1.0)])
         log = run_node(cfg, OFFICE, events, duration_s=t_on + 100.0)
         assert at(log, t_on) == [("recovery", 300.0), ("event", 300.0), ("wakeup", 300.0)]
