@@ -51,13 +51,17 @@ point) and one period, replayed through the same payment and integrator,
 provably repeats: pinned at ``v_rated``, leaky or not, or inside the
 regimes of leak-free storage.  k periods are then booked as k copies of its
 ledger; the wakeup times equal those of the event loop's repeated
-addition (``_wake_times``).  A skip never reaches a regime boundary, stops
-HISTORY_LEN periods before the next external event or light sample, and may
-run up to the end of the run.  Counters match a run with detail exactly;
-ledger floats and the final voltage agree to 1e-9 relative, as sums taken in
-another order.  The one exception is a tie in exact arithmetic, such as a
-drain that reaches the cutoff exactly at a wakeup: rounding settles it, and
-the two runs may settle it differently.
+addition (``_wake_times``).  Below ``v_rated`` the room comes first: the
+period's drift is known before the replay, and its room rule with a
+rounding margin bounds k, so a period is replayed only where one fits.  A
+skip never reaches a regime boundary.  It runs up to the next external
+event, which neither reads nor changes the controller, stops HISTORY_LEN
+periods before the next light sample, and may run up to the end of the
+run.  Counters match a run with detail exactly; ledger floats and the final
+voltage agree to 1e-9 relative, as sums taken in another order.  The one
+exception is a tie in exact arithmetic, such as a drain that reaches the
+cutoff exactly at a wakeup: rounding settles it, and the two runs may
+settle it differently.
 """
 
 from __future__ import annotations
@@ -316,34 +320,49 @@ class _Phys:
         before the wakeup on a scratch ledger: ``pay`` for ``e_wakeup``, then
         ``advance`` for ``period - jitter``, less than any real period, which
         the rounding of the wakeup times moves by up to half a jitter.
-        Returns ``(k, ledger)``, k the number of periods it stands for.
+        Returns ``(k, ledger)``, k the number of periods it stands for, 0
+        where the node dies within the period.
 
         A period that starts at ``v_rated`` and is back on the clamp by then
         repeats bit for bit, leaky or not: only time limits k.  Inside the
         regimes of leak-free storage, the energy before each wakeup moves by
-        the same drift.  k then keeps a payment plus one period's net charge
-        of room on both sides: for the dip after each wakeup and for the time
-        by which the real periods outlast the replayed one, which the cap
-        keeps below one period in all.  A leaky period below ``v_rated`` does
-        not repeat, and is not replayed.
+        the same drift, and k is ``room_periods`` of the replayed drift,
+        capped so that the real periods outlast the replayed ones by less
+        than one period in all.  A leaky period below ``v_rated`` does not
+        repeat, and is not replayed.
         """
         led = EnergyLedger()
         v_w = self.pay(v, e_wakeup, led)
         if v_w < self.v_cutoff:
             return 0, led
-        v_end = self.advance(v_w, True, p_panel, period - jitter, led)[0]
+        v_end, _, death = self.advance(v_w, True, p_panel, period - jitter, led)
+        if death:  # a node that dies within the period repeats nothing
+            return 0, led
         if v == self.v_rated:
             return (math.inf if v_end == v else 0), led
-        drift = led.harvest_stored_j - led.drain_stored_j
-        swing = e_wakeup + abs(drift + e_wakeup)
+        k = self.room_periods(v, e_wakeup, led.harvest_stored_j - led.drain_stored_j)
+        return min(k, 0.5 * period / jitter), led
+
+    def room_periods(self, v, e_wakeup, drift, slack=0.0):
+        """The room rule of a leak-free skip from voltage ``v`` just before a
+        wakeup: the number k of periods, each moving the energy before the
+        wakeup by ``drift``, that the regimes hold.  k keeps a payment plus
+        one period's net charge of room on both sides: for the dip after
+        each wakeup and for the time by which the real periods outlast the
+        replayed one.  So k = room/|drift| - 1, the room on the drift's side
+        less that swing, and 0 when either side has none.
+
+        With ``slack``, a bound on the error of ``drift``, k bounds the k of
+        every drift within ``slack`` of it: the swing is taken ``slack``
+        smaller and |drift| ``slack`` smaller."""
+        swing = e_wakeup + abs(drift + e_wakeup) - slack
         e0 = 0.5 * self.c * v * v
         room_below = e0 - swing - 0.5 * self.c * max(self.v_cutoff, self.v_boost) ** 2
         room_above = self.e_max - swing - e0
         if room_below <= 0.0 or room_above <= 0.0:
-            return 0, led
+            return 0
         room = room_above if drift > 0.0 else room_below
-        k = room / abs(drift) - 1.0 if drift else math.inf
-        return min(k, 0.5 * period / jitter), led
+        return room / (abs(drift) - slack) - 1.0 if abs(drift) > slack else math.inf
 
     def advance(self, v, alive, p_panel, dt, led):
         c = self.c
@@ -582,10 +601,11 @@ class _NodeSim:
             )
         self.holdoffs = config.table.intervals[ApplicationMode.EVENT_DETECTION]
         self.pinned_qos = config.pinned_qos
-        self.lux = light.value_at(0.0)
-        # The light samples inside (0, duration) for run's cursor, then a sentinel.
+        # The light samples inside (0, duration) for run's cursor, then a
+        # sentinel; the one held at t = 0 lights the start.
         times, values = light.times_s.tolist(), light.values.tolist()
         lo, hi = bisect_right(times, 0.0), bisect_left(times, self.duration)
+        self.lux = values[max(lo - 1, 0)]
         self.sample_t = times[lo:hi] + [math.inf]
         self.sample_v = values[lo:hi]
         lux_max = max([self.lux, *self.sample_v])
@@ -718,7 +738,7 @@ class _NodeSim:
                 # No crossing is pending here: it would have come first.
                 t = next_wake
                 if skip is not None and (fixed or pinned is not None):
-                    skipped = skip(t, v, p_panel, t_ext if t_ext < t_sample else t_sample)
+                    skipped = skip(t, v, p_panel, t_ext, t_sample)
                     if skipped is not None:
                         qos, v, next_wake = skipped
                         now = next_wake
@@ -752,7 +772,7 @@ class _NodeSim:
         log.packets_emitted += k
         log.last_packet_s = t_last
 
-    def _skip(self, t, v, p_panel, t_change):
+    def _skip(self, t, v, p_panel, t_ext, t_sample):
         """Skips the wakeup at ``t`` and later ones, booked from one replayed
         period from voltage ``v`` under ``p_panel``, if the period provably
         repeats.  Returns ``(qos, v, t_next)``: the state taken, and the
@@ -760,13 +780,21 @@ class _NodeSim:
         changed nothing.  ``run`` calls it only while the controller
         provably keeps its state: pinned, or at its fixed point.
 
-        The skip stops at least HISTORY_LEN periods before ``t_change``, the
-        next external event or light sample, and at the latest at the end of
-        the run, which nothing follows.  The wakeups before a light sample
-        take the ordinary path, which refills both controller histories
-        before the light can change; the stale voltage history and seed
-        counter left by the skip change no step while the controller stays
-        at its fixed point.
+        The skip runs up to the next external event ``t_ext``, which neither
+        reads nor changes the controller, and stops at least HISTORY_LEN
+        periods before the next light sample ``t_sample``, and at the latest
+        at the end of the run, which nothing follows.  The wakeups before a
+        light sample take the ordinary path, which refills both controller
+        histories before the light can change; the stale voltage history and
+        seed counter left by the skip change no step while the controller
+        stays at its fixed point.
+
+        Below ``v_rated`` the period's drift is known before the replay:
+        inside the leak-free boost regime the energy before each wakeup moves
+        by (eta_boost·p_panel - standby)·(period - jitter) - e_wakeup.  Its
+        ``room_periods``, with a margin of 1e-9 of the energies for the
+        replay's rounding, bounds the replay's k, so a period is replayed only
+        where one fits; the replay then sets k.
         """
         phys = self.phys
         # A leaky period below v_rated never repeats: no replay.
@@ -774,11 +802,17 @@ class _NodeSim:
             return None
         qos = self.pinned_qos or 7
         period = self.intervals[qos - 1]
-        horizon = min(t_change - HISTORY_LEN * period, self.duration)
+        horizon = min(t_ext, t_sample - HISTORY_LEN * period, self.duration)
         if t + period > horizon:  # no period to skip: replay nothing
             return None
-        jitter = math.ulp(min(t_change, self.duration))
-        cap, one = phys.replay_period(v, p_panel, self.e_wakeup, period, jitter)
+        jitter = math.ulp(min(t_ext, t_sample, self.duration))
+        e_wakeup = self.e_wakeup
+        if v != phys.v_rated:
+            gain = (phys.eta_boost * p_panel - phys.p_standby_storage) * (period - jitter)
+            slack = 1e-9 * (0.5 * phys.c * v * v + e_wakeup + abs(gain))
+            if phys.room_periods(v, e_wakeup, gain - e_wakeup, slack) < 1.0:
+                return None
+        cap, one = phys.replay_period(v, p_panel, e_wakeup, period, jitter)
         k, t_last, t_next = _wake_times(t, period, horizon, cap)
         if k == 0:
             return None

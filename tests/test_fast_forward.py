@@ -14,16 +14,23 @@ ledger of the run that steps at every wakeup, bit for bit.
 """
 
 import math
+import random
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import luxmote.simulate as simulate
+from luxmote.config import load_deployment_config
+from luxmote.deployment import run_deployment
 from luxmote.energy import LoadModel, SupercapState
 from luxmote.qos import DEFAULT_TABLE, ApplicationMode
 from luxmote.simulate import NodeConfig, ledger_summary, run_node
 from luxmote.traces import Trace
 from run_compare import assert_same_run
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def both(cfg, light, events=None, *, duration_s):
@@ -42,17 +49,45 @@ def both(cfg, light, events=None, *, duration_s):
     return full, slim
 
 
-def count_steps(monkeypatch):
-    """Count the controller evaluations the simulator really performs."""
+def count_calls(monkeypatch, owner, name):
+    """Count the calls the simulator really makes to ``owner.name``."""
     calls = []
-    real = simulate.step
+    real = getattr(owner, name)
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(simulate, "step", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_steps(monkeypatch):
+    """Count the controller evaluations the simulator really performs."""
+    return count_calls(monkeypatch, simulate, "step")
+
+
+def count_work(monkeypatch):
+    """Count the replayed periods, the payments and the controller steps."""
+    return [
+        count_calls(monkeypatch, simulate._Phys, "replay_period"),
+        count_calls(monkeypatch, simulate._Phys, "pay"),
+        count_steps(monkeypatch),
+    ]
+
+
+def record_skips(monkeypatch):
+    """Record the number of periods each skip books (0 where it books none)."""
+    skipped = []
+    real = simulate._wake_times
+
+    def recorded(*args):
+        out = real(*args)
+        skipped.append(out[0])
+        return out
+
+    monkeypatch.setattr(simulate, "_wake_times", recorded)
+    return skipped
 
 
 @pytest.mark.parametrize("duration, wakeups", [(3600.0, 36_001), (4500.0, 45_001)])
@@ -258,16 +293,21 @@ def test_skips_stop_before_light_samples(monkeypatch):
     assert len(calls) < slim.controller_steps / 2
 
 
-def test_no_replay_without_a_period_to_skip(monkeypatch):
+# From 2.5 V the node reaches the clamp on day 3: the skip before it stops
+# short, and the wakeups after that have no room for a period below it.
+@pytest.mark.parametrize("voltage, days", [(3.5, 1), (2.5, 4)])
+def test_no_replay_without_a_period_to_skip(monkeypatch, voltage, days):
     # A skip ends HISTORY_LEN periods before the next light sample or the
     # end of the run, so the wakeups after it have no period to skip: they
-    # take the event path without replaying one.
-    horizons, replays = [], []
+    # take the event path without replaying one.  Below v_rated the room is
+    # bounded before the replay as well, so every replay skips a period.
+    horizons, replays, skipped = [], [], []
     wake_times, replay = simulate._wake_times, simulate._Phys.replay_period
 
     def recorded_wake_times(t, period, horizon, cap):
         horizons.append((t, period, horizon))
-        return wake_times(t, period, horizon, cap)
+        skipped.append(wake_times(t, period, horizon, cap))
+        return skipped[-1]
 
     def recorded_replay(phys, *args):
         replays.append(args)
@@ -275,12 +315,72 @@ def test_no_replay_without_a_period_to_skip(monkeypatch):
 
     monkeypatch.setattr(simulate, "_wake_times", recorded_wake_times)
     monkeypatch.setattr(simulate._Phys, "replay_period", recorded_replay)
-    cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=3.5))
+    cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=voltage))
     light = Trace([0.0, 40_000.0], [300.0, 400.0])
-    log = run_node(cfg, light, duration_s=86_400.0, detail=False)
+    log = run_node(cfg, light, duration_s=days * 86_400.0, detail=False)
     assert log.controller_steps > 4_000
     assert horizons and len(replays) == len(horizons)
     assert all(t + period <= horizon for t, period, horizon in horizons)
+    assert all(k >= 1 for k, _, _ in skipped)
+
+
+# The work of a run, pinned as (replayed periods, payments, controller
+# steps): a change that adds work fails here, and one that removes work
+# records the new counts.
+def test_criterion_5_fleet_work(monkeypatch):
+    # Each node steps to its fixed point and replays twice: to skip most of
+    # the charge, and on the clamp.  The three wakeups between them leave
+    # no room for a period below the clamp, and replay nothing.
+    config = load_deployment_config(REPO / "configs" / "deployment_15node.json")
+    light = {node.node_id: Trace.constant(300.0) for node in config.nodes}
+    calls = count_work(monkeypatch)
+    run_deployment(config, light, duration_s=4 * 86_400.0, detail=False)
+    assert [len(c) for c in calls] == [30, 150, 75]
+
+
+def test_advertising_node_day_work(monkeypatch):
+    cfg = NodeConfig(
+        mode=ApplicationMode.ADVERTISING,
+        supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5),
+    )
+    calls = count_work(monkeypatch)
+    log = run_node(cfg, Trace.constant(300.0), duration_s=86_400.0, detail=False)
+    assert log.deaths == 5
+    assert [len(c) for c in calls] == [5, 49, 25]
+
+
+def test_pir_node_skips_up_to_each_motion_event(monkeypatch):
+    # A motion event neither reads nor changes the controller, so the skips
+    # run up to each event instead of stopping HISTORY_LEN periods short.
+    rng = random.Random(1)
+    times = sorted(rng.uniform(8 * 3600.0, 18 * 3600.0) for _ in range(150))
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        supercap=SupercapState(capacitance_f=1.0, voltage_v=3.5),
+    )
+    light, events = Trace.constant(300.0), Trace(times, [1.0] * len(times))
+    full, _ = both(cfg, light, events, duration_s=86_400.0)
+    assert full.events_detected == 150 and full.controller_steps == 8640
+    skipped = record_skips(monkeypatch)
+    slim = run_node(cfg, light, events, duration_s=86_400.0, detail=False)
+    assert slim.controller_steps - sum(skipped) <= 200
+
+
+@pytest.mark.parametrize("short", [1.0, 0.0])
+def test_node_on_the_cutoff_dies_in_both_runs(short):
+    # A pinned PIR node pays nothing at its wakeups.  Started on the cutoff
+    # in the dark, or in light an ulp short of its standby draw, it dies at
+    # once; the summary run must not book periods it did not live through.
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        pinned_qos=7,
+        supercap=SupercapState(capacitance_f=0.02, voltage_v=2.1),
+    )
+    phys = simulate._Phys(cfg)
+    balance = phys.p_standby_storage / (phys.eta_boost * phys.p_per_lux)
+    lux = math.nextafter(balance, 0.0) * short
+    full, _ = both(cfg, Trace.constant(lux), duration_s=3600.0)
+    assert full.deaths == 1 and full.dead_seconds == 3600.0
 
 
 def test_event_detection_between_motion_events():
@@ -338,6 +438,36 @@ def scenarios(draw):
 def test_summary_run_matches_detailed_run(scenario):
     cfg, light, events, duration = scenario
     both(cfg, light, events, duration_s=duration)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    mode=st.sampled_from(list(ApplicationMode)),
+    capacitance=st.sampled_from([0.02, 0.1, 1.0]),
+    voltage=st.floats(2.1, 5.5) | st.sampled_from([2.1, 2.5, math.nextafter(5.5, 0.0)]),
+    lux=st.floats(0.0, 3000.0) | st.sampled_from(LUX),
+)
+def test_room_bound_withholds_no_skip(mode, capacitance, voltage, lux):
+    # The room bound runs before the replay: where it withholds the replay,
+    # the replay itself leaves no room for a period.
+    cfg = NodeConfig(
+        mode=mode, pinned_qos=7, supercap=SupercapState(capacitance_f=capacitance)
+    )
+    sim = simulate._NodeSim(cfg, Trace.constant(lux), None, 86_400.0)
+    phys, p_panel = sim.phys, sim.phys.p_per_lux * lux
+    replays = []
+    real = simulate._Phys.replay_period
+
+    def recorded(*args):
+        replays.append(args)
+        return real(*args)
+
+    with mock.patch.object(simulate._Phys, "replay_period", recorded):
+        sim._skip(0.0, voltage, p_panel, math.inf, math.inf)
+    if not replays and voltage != phys.v_rated:
+        period = sim.intervals[6]
+        cap, _ = phys.replay_period(voltage, p_panel, sim.e_wakeup, period, math.ulp(86_400.0))
+        assert cap < 1.0
 
 
 def test_tie_at_the_cutoff_matches_a_nudged_detailed_run():

@@ -3,12 +3,15 @@
 Any JSON value given to the three ``parse_*`` functions validates or raises
 ``ConfigError``; any model built with a mistyped field raises a ValueError
 that names the field; and any node config that validates runs for one
-simulated hour on a one-sample light trace, or raises ValueError.
+simulated hour on a one-sample light trace, within a work bound computed
+from its inputs, or raises ValueError.
 """
 
+import contextlib
 import math
 import typing
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 
@@ -16,8 +19,8 @@ from luxmote.config import ConfigError, parse_deployment_config, parse_node_conf
 from luxmote.deployment import DeploymentConfig
 from luxmote.energy import ConverterModel, HarvesterModel, LoadModel, SupercapState
 from luxmote.explore import SweepGrid
-from luxmote.qos import DEFAULT_TABLE, QosTable
-from luxmote.simulate import NodeConfig, run_node
+from luxmote.qos import DEFAULT_TABLE, MIN_INTERVAL_S, QosTable
+from luxmote.simulate import NodeConfig, _Phys, run_node
 from luxmote.traces import Trace
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -174,6 +177,50 @@ node_objects = st.fixed_dictionaries(
 )
 
 
+# Integrator segments and payments per wakeup (a replay, a skip's rest, the
+# wakeup's own payment and segment), per light sample or external event, and
+# per death or recovery.
+PER_WAKEUP, PER_INPUT, PER_CROSSING = 8, 4, 4
+
+
+def work_bound(config, light, events, duration):
+    """A bound on the ``_Phys.advance`` and ``_Phys.pay`` calls of a run,
+    from its inputs.  Each life wakes at its start and then at most once per
+    shortest interval.  A recovery follows a recharge from the cutoff to
+    v_on, which the run's recharge check holds to at least ``MIN_INTERVAL_S``,
+    and which takes at least the fastest one: leak-free, with no load, at the
+    boost efficiency and the brightest light."""
+    phys = _Phys(config)
+    e_recharge = 0.5 * phys.c * (phys.v_on**2 - phys.v_cutoff**2)
+    p_max = phys.eta_boost * phys.p_per_lux * float(max(light.values))
+    t_recharge = e_recharge / p_max if p_max else math.inf
+    lives = 1 + duration / (t_recharge if t_recharge > MIN_INTERVAL_S else MIN_INTERVAL_S)
+    wakeups = duration / min(config.table.intervals[config.mode]) + lives
+    inputs = len(light) + (len(events) if events is not None else 0)
+    return PER_WAKEUP * wakeups + PER_INPUT * inputs + PER_CROSSING * 2 * lives
+
+
+@contextlib.contextmanager
+def work_limit(bound):
+    """Fails a run as soon as its ``_Phys.advance`` and ``_Phys.pay`` calls
+    pass ``bound``: a run that would not end fails at once."""
+    calls = 0
+
+    def limited(real):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            if calls > bound:
+                raise AssertionError(f"over {bound:.0f} integrator and payment calls")
+            return real(*args)
+
+        return call
+
+    with mock.patch.object(_Phys, "advance", limited(_Phys.advance)):
+        with mock.patch.object(_Phys, "pay", limited(_Phys.pay)):
+            yield
+
+
 @hypothesis.settings(max_examples=80, deadline=None)
 @hypothesis.given(obj=node_objects, lux=st.floats(0.0, 2000.0) | st.just(0))
 # Less energy moved than the storage resolves: the residual is rounding.
@@ -210,8 +257,11 @@ def test_any_valid_config_runs_an_hour_or_raises_value_error(obj, lux):
     except ConfigError:
         hypothesis.event("config rejected")
         return
+    light = Trace.constant(lux)
+    bound = work_bound(config, light, None, 3600.0)
     try:
-        log = run_node(config, Trace.constant(lux), duration_s=3600.0, detail=False)
+        with work_limit(bound):
+            log = run_node(config, light, duration_s=3600.0, detail=False)
     except ValueError:
         hypothesis.event("run rejected")
         return
