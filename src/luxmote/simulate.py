@@ -54,9 +54,8 @@ ledger; the wakeup times equal those of the event loop's repeated
 addition (``_wake_times``).  Below ``v_rated`` the room comes first: the
 period's drift is known before the replay, and its room rule with a
 rounding margin bounds k, so a period is replayed only where one fits.  A
-skip never reaches a regime boundary.  It runs up to the next external
-event, which neither reads nor changes the controller, stops HISTORY_LEN
-periods before the next light sample, and may run up to the end of the
+skip never reaches a regime boundary, stops HISTORY_LEN periods before the
+next external event or light sample, and may run up to the end of the
 run.  Counters match a run with detail exactly; ledger floats and the final
 voltage agree to 1e-9 relative, as sums taken in another order.  The one
 exception is a tie in exact arithmetic, such as a drain that reaches the
@@ -330,7 +329,18 @@ class _Phys:
         capped so that the real periods outlast the replayed ones by less
         than one period in all.  A leaky period below ``v_rated`` does not
         repeat, and is not replayed.
+
+        Below ``v_rated`` the room comes first.  Inside the leak-free boost
+        regime the drift is (eta_boost·p_panel - standby)·(period - jitter)
+        - e_wakeup before any replay; where its ``room_periods``, with a
+        margin of 1e-9 of the energies for the replay's rounding, leaves no
+        period, no period is replayed and ``(0, None)`` is returned.
         """
+        if v != self.v_rated:
+            gain = (self.eta_boost * p_panel - self.p_standby_storage) * (period - jitter)
+            slack = 1e-9 * (0.5 * self.c * v * v + e_wakeup + abs(gain))
+            if self.room_periods(v, e_wakeup, gain - e_wakeup, slack) < 1.0:
+                return 0, None
         led = EnergyLedger()
         v_w = self.pay(v, e_wakeup, led)
         if v_w < self.v_cutoff:
@@ -738,7 +748,7 @@ class _NodeSim:
                 # No crossing is pending here: it would have come first.
                 t = next_wake
                 if skip is not None and (fixed or pinned is not None):
-                    skipped = skip(t, v, p_panel, t_ext, t_sample)
+                    skipped = skip(t, v, p_panel, t_ext if t_ext < t_sample else t_sample)
                     if skipped is not None:
                         qos, v, next_wake = skipped
                         now = next_wake
@@ -772,7 +782,7 @@ class _NodeSim:
         log.packets_emitted += k
         log.last_packet_s = t_last
 
-    def _skip(self, t, v, p_panel, t_ext, t_sample):
+    def _skip(self, t, v, p_panel, t_change):
         """Skips the wakeup at ``t`` and later ones, booked from one replayed
         period from voltage ``v`` under ``p_panel``, if the period provably
         repeats.  Returns ``(qos, v, t_next)``: the state taken, and the
@@ -780,21 +790,14 @@ class _NodeSim:
         changed nothing.  ``run`` calls it only while the controller
         provably keeps its state: pinned, or at its fixed point.
 
-        The skip runs up to the next external event ``t_ext``, which neither
-        reads nor changes the controller, and stops at least HISTORY_LEN
-        periods before the next light sample ``t_sample``, and at the latest
-        at the end of the run, which nothing follows.  The wakeups before a
-        light sample take the ordinary path, which refills both controller
-        histories before the light can change; the stale voltage history and
-        seed counter left by the skip change no step while the controller
-        stays at its fixed point.
-
-        Below ``v_rated`` the period's drift is known before the replay:
-        inside the leak-free boost regime the energy before each wakeup moves
-        by (eta_boost·p_panel - standby)·(period - jitter) - e_wakeup.  Its
-        ``room_periods``, with a margin of 1e-9 of the energies for the
-        replay's rounding, bounds the replay's k, so a period is replayed only
-        where one fits; the replay then sets k.
+        The skip stops at least HISTORY_LEN periods before ``t_change``, the
+        next external event or light sample, and at the latest at the end of
+        the run, which nothing follows.  The wakeups before a light sample
+        take the ordinary path, which refills both controller histories
+        before the light can change; the stale voltage history and seed
+        counter left by the skip change no step while the controller stays
+        at its fixed point.  Below ``v_rated`` ``replay_period`` bounds the
+        room before it replays, so a period is replayed only where one fits.
         """
         phys = self.phys
         # A leaky period below v_rated never repeats: no replay.
@@ -802,17 +805,11 @@ class _NodeSim:
             return None
         qos = self.pinned_qos or 7
         period = self.intervals[qos - 1]
-        horizon = min(t_ext, t_sample - HISTORY_LEN * period, self.duration)
+        horizon = min(t_change - HISTORY_LEN * period, self.duration)
         if t + period > horizon:  # no period to skip: replay nothing
             return None
-        jitter = math.ulp(min(t_ext, t_sample, self.duration))
-        e_wakeup = self.e_wakeup
-        if v != phys.v_rated:
-            gain = (phys.eta_boost * p_panel - phys.p_standby_storage) * (period - jitter)
-            slack = 1e-9 * (0.5 * phys.c * v * v + e_wakeup + abs(gain))
-            if phys.room_periods(v, e_wakeup, gain - e_wakeup, slack) < 1.0:
-                return None
-        cap, one = phys.replay_period(v, p_panel, e_wakeup, period, jitter)
+        jitter = math.ulp(min(t_change, self.duration))
+        cap, one = phys.replay_period(v, p_panel, self.e_wakeup, period, jitter)
         k, t_last, t_next = _wake_times(t, period, horizon, cap)
         if k == 0:
             return None

@@ -14,10 +14,8 @@ ledger of the run that steps at every wakeup, bit for bit.
 """
 
 import math
-import random
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -26,7 +24,7 @@ from luxmote.config import load_deployment_config
 from luxmote.deployment import run_deployment
 from luxmote.energy import LoadModel, SupercapState
 from luxmote.qos import DEFAULT_TABLE, ApplicationMode
-from luxmote.simulate import NodeConfig, ledger_summary, run_node
+from luxmote.simulate import EnergyLedger, NodeConfig, ledger_summary, run_node
 from luxmote.traces import Trace
 from run_compare import assert_same_run
 
@@ -68,26 +66,24 @@ def count_steps(monkeypatch):
 
 
 def count_work(monkeypatch):
-    """Count the replayed periods, the payments and the controller steps."""
+    """Count the replayed periods, the payments and the controller steps.  A
+    ``replay_period`` call whose room bound withholds the replay returns no
+    ledger, and replays no period."""
+    replays = []
+    real = simulate._Phys.replay_period
+
+    def counted(*args):
+        out = real(*args)
+        if out[1] is not None:
+            replays.append(None)
+        return out
+
+    monkeypatch.setattr(simulate._Phys, "replay_period", counted)
     return [
-        count_calls(monkeypatch, simulate._Phys, "replay_period"),
+        replays,
         count_calls(monkeypatch, simulate._Phys, "pay"),
         count_steps(monkeypatch),
     ]
-
-
-def record_skips(monkeypatch):
-    """Record the number of periods each skip books (0 where it books none)."""
-    skipped = []
-    real = simulate._wake_times
-
-    def recorded(*args):
-        out = real(*args)
-        skipped.append(out[0])
-        return out
-
-    monkeypatch.setattr(simulate, "_wake_times", recorded)
-    return skipped
 
 
 @pytest.mark.parametrize("duration, wakeups", [(3600.0, 36_001), (4500.0, 45_001)])
@@ -310,8 +306,8 @@ def test_no_replay_without_a_period_to_skip(monkeypatch, voltage, days):
         return skipped[-1]
 
     def recorded_replay(phys, *args):
-        replays.append(args)
-        return replay(phys, *args)
+        replays.append(replay(phys, *args))
+        return replays[-1]
 
     monkeypatch.setattr(simulate, "_wake_times", recorded_wake_times)
     monkeypatch.setattr(simulate._Phys, "replay_period", recorded_replay)
@@ -321,7 +317,7 @@ def test_no_replay_without_a_period_to_skip(monkeypatch, voltage, days):
     assert log.controller_steps > 4_000
     assert horizons and len(replays) == len(horizons)
     assert all(t + period <= horizon for t, period, horizon in horizons)
-    assert all(k >= 1 for k, _, _ in skipped)
+    assert all(k >= 1 for (_, one), (k, _, _) in zip(replays, skipped) if one is not None)
 
 
 # The work of a run, pinned as (replayed periods, payments, controller
@@ -347,23 +343,6 @@ def test_advertising_node_day_work(monkeypatch):
     log = run_node(cfg, Trace.constant(300.0), duration_s=86_400.0, detail=False)
     assert log.deaths == 5
     assert [len(c) for c in calls] == [5, 49, 25]
-
-
-def test_pir_node_skips_up_to_each_motion_event(monkeypatch):
-    # A motion event neither reads nor changes the controller, so the skips
-    # run up to each event instead of stopping HISTORY_LEN periods short.
-    rng = random.Random(1)
-    times = sorted(rng.uniform(8 * 3600.0, 18 * 3600.0) for _ in range(150))
-    cfg = NodeConfig(
-        mode=ApplicationMode.EVENT_DETECTION,
-        supercap=SupercapState(capacitance_f=1.0, voltage_v=3.5),
-    )
-    light, events = Trace.constant(300.0), Trace(times, [1.0] * len(times))
-    full, _ = both(cfg, light, events, duration_s=86_400.0)
-    assert full.events_detected == 150 and full.controller_steps == 8640
-    skipped = record_skips(monkeypatch)
-    slim = run_node(cfg, light, events, duration_s=86_400.0, detail=False)
-    assert slim.controller_steps - sum(skipped) <= 200
 
 
 @pytest.mark.parametrize("short", [1.0, 0.0])
@@ -448,26 +427,22 @@ def test_summary_run_matches_detailed_run(scenario):
     lux=st.floats(0.0, 3000.0) | st.sampled_from(LUX),
 )
 def test_room_bound_withholds_no_skip(mode, capacitance, voltage, lux):
-    # The room bound runs before the replay: where it withholds the replay,
-    # the replay itself leaves no room for a period.
+    # replay_period bounds the room before it replays: where the bound
+    # withholds the replay, the replay itself leaves no room for a period.
     cfg = NodeConfig(
         mode=mode, pinned_qos=7, supercap=SupercapState(capacitance_f=capacitance)
     )
     sim = simulate._NodeSim(cfg, Trace.constant(lux), None, 86_400.0)
-    phys, p_panel = sim.phys, sim.phys.p_per_lux * lux
-    replays = []
-    real = simulate._Phys.replay_period
-
-    def recorded(*args):
-        replays.append(args)
-        return real(*args)
-
-    with mock.patch.object(simulate._Phys, "replay_period", recorded):
-        sim._skip(0.0, voltage, p_panel, math.inf, math.inf)
-    if not replays and voltage != phys.v_rated:
-        period = sim.intervals[6]
-        cap, _ = phys.replay_period(voltage, p_panel, sim.e_wakeup, period, math.ulp(86_400.0))
-        assert cap < 1.0
+    phys, p_panel, e_wakeup = sim.phys, sim.phys.p_per_lux * lux, sim.e_wakeup
+    period, jitter = sim.intervals[6], math.ulp(86_400.0)
+    _, one = phys.replay_period(voltage, p_panel, e_wakeup, period, jitter)
+    if one is None:
+        # The withheld replay, made as replay_period makes it.
+        led = EnergyLedger()
+        v_w = phys.pay(voltage, e_wakeup, led)
+        death = phys.advance(v_w, True, p_panel, period - jitter, led)[2]
+        drift = led.harvest_stored_j - led.drain_stored_j
+        assert v_w < phys.v_cutoff or death or phys.room_periods(voltage, e_wakeup, drift) < 1.0
 
 
 def test_tie_at_the_cutoff_matches_a_nudged_detailed_run():
