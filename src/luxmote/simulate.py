@@ -13,11 +13,11 @@ one pending wakeup has a slot, and the node's one pending crossing another:
 its death while it lives, its recovery while it is dead.  A death drops the
 pending wakeup, and a recovery wakes the node at once.  Events at equal
 times are ordered light sample < crossing < external event < wakeup.
-``_NodeSim.run`` owns the node's state, in its locals, and dispatches
-wakeups, light samples, deaths and recoveries inline; its two handlers,
-``_external`` and ``_skip``, take the state they read and return what they
-change.  A run is a pure function of (config, traces, duration): nothing in
-it is random, and there is no wall clock and no global state.
+``_NodeSim.run`` owns all of the node's state, in its locals, and
+dispatches every event inline; its one handler, ``_skip``, takes the state
+it reads and returns what it changes.  A run is a pure function of (config,
+traces, duration): nothing in it is random, and there is no wall clock and
+no global state.
 
 A run emits each dispatched event and light sample as a record to the sink
 it is given, and a run without one skips wakeups (below).  ``run_node``
@@ -38,29 +38,29 @@ reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.  A leaky
 crossing is not solved where an energy bound already puts it past the
 segment's end (``_Phys.segment``); the solve would decide the same.
 
-A controller step that leaves the controller at its fixed point
-(``qos.is_fixed_point``) proves that every step returns state 7 until the
-light changes or a recovery resets it.  So the wakeups after it take state 7
-without a step, up to HISTORY_LEN + 1 periods before the next light sample;
-the steps from there refill both histories before the light can change, and
-the records and ledger are those of a run that steps at every wakeup.
-
-Runs without a sink (``detail=False``) also skip over wakeups while the
-controller provably keeps its state (a pinned QoS state, or that fixed
-point) and one period, replayed through the same payment and integrator,
-provably repeats: pinned at ``v_rated``, leaky or not, or inside the
-regimes of leak-free storage.  k periods are then booked as k copies of its
-ledger; the wakeup times equal those of the event loop's repeated
-addition (``_wake_times``).  Below ``v_rated`` the room comes first: the
-period's drift is known before the replay, and its room rule with a
-rounding margin bounds k, so a period is replayed only where one fits.  A
-skip never reaches a regime boundary, stops HISTORY_LEN periods before the
-next external event or light sample, and may run up to the end of the
-run.  Counters match a run with detail exactly; ledger floats and the final
-voltage agree to 1e-9 relative, as sums taken in another order.  The one
-exception is a tie in exact arithmetic, such as a drain that reaches the
-cutoff exactly at a wakeup: rounding settles it, and the two runs may
-settle it differently.
+One gate decides where the controller provably keeps its state.  A pinned
+node keeps it always.  A controller step that leaves the controller at its
+fixed point (``qos.is_fixed_point``) proves that every step returns state 7
+until the light changes or a recovery resets it; the gate then closes
+HISTORY_LEN + 1 periods before the next light sample, and the steps from
+there refill both histories before the light can change.  A wakeup inside
+the gate takes the state without a step, and the records and ledger are
+those of a run that steps at every wakeup.  A run without a sink
+(``detail=False``) also skips over wakeups inside the gate, up to its end,
+the next external event (which reads no controller state) or the end of
+the run, wherever one period, replayed through the same payment and
+integrator, provably repeats: pinned at ``v_rated``, leaky or not, or
+inside the regimes of leak-free storage.  So it steps exactly where a run
+with detail steps.  k periods are then booked as k copies of its ledger;
+the wakeup times equal those of the event loop's repeated addition
+(``_wake_times``).  Below ``v_rated`` the room comes first: the period's
+drift is known before the replay, and its room rule with a rounding margin
+bounds k, so a period is replayed only where one fits, and a skip never
+reaches a regime boundary.  Counters match a run with detail exactly;
+ledger floats and the final voltage agree to 1e-9 relative, as sums taken
+in another order.  The one exception is a tie in exact arithmetic, such as
+a drain that reaches the cutoff exactly at a wakeup: rounding settles it,
+and the two runs may settle it differently.
 """
 
 from __future__ import annotations
@@ -585,7 +585,7 @@ _FRESH_CTRL = ControllerState()
 
 class _NodeSim:
     """Event loop for a single node; see run_node.  The instance holds the
-    run's fixed data and its notification books; ``run`` owns the node's
+    run's fixed data and the log it fills; ``run`` owns all of the node's
     state."""
 
     def __init__(self, config, light, events, duration_s):
@@ -637,8 +637,6 @@ class _NodeSim:
         # The external events inside [0, duration), in time order, then a sentinel.
         ext = events.times_s.tolist() if events is not None else []
         self.ext_t = [t for t in ext if 0.0 <= t < self.duration] + [math.inf]
-        self.last_notification = -math.inf
-        self.pending_events: list[float] = []
         self.log = NodeLog(
             node_id=config.node_id,
             mode=config.mode,
@@ -653,27 +651,31 @@ class _NodeSim:
         ``emit(t, v, lux, qos, action, packets)`` as it is made.  A run without
         a sink skips the wakeups that provably repeat (``_skip``).
 
-        The node's state lives in locals here and nowhere else.  Wakeups,
-        light samples, deaths and recoveries are dispatched inline;
-        ``_external`` and ``_skip`` take the state they read and return what
-        they change."""
+        The node's state, the held events and the last notification time
+        included, lives in locals here and nowhere else.  Every event is
+        dispatched inline; ``_skip`` takes the state it reads and returns
+        what it changes."""
         log, lux = self.log, self.lux
         duration, phys = self.duration, self.phys
         advance, pay, v_cutoff, p_per_lux = phys.advance, phys.pay, phys.v_cutoff, phys.p_per_lux
         led, histogram, book = log.ledger, log.qos_histogram, self._book_packets
         table, intervals, e_wakeup, pinned = self.table, self.intervals, self.e_wakeup, self.pinned_qos
+        e_event, holdoffs = self.e_event, self.holdoffs
         sends = self.mode is not ApplicationMode.EVENT_DETECTION
         skip = None if emit else self._skip
         sample_t, sample_v, ext_t = self.sample_t, self.sample_v, self.ext_t
         i_sample = i_ext = 0
         t_sample, t_ext = sample_t[0], ext_t[0]
-        # While ``fixed``, a step has left the controller at its fixed point
-        # for this light and it has not been reset since: a wakeup before
-        # ``t_refill`` takes state 7 with no step, and the steps in the
-        # HISTORY_LEN + 1 periods left before the next light sample refill
-        # the histories (see the module docstring).
-        fixed = False
-        refill_s = (HISTORY_LEN + 1) * intervals[6]
+        held, last_notification = [], -math.inf
+        # While ``fixed``, the controller keeps its state: pinned, or left at
+        # its fixed point for this light by a step, with no reset since.  A
+        # wakeup before ``t_refill`` then takes that state with no step, and
+        # a run without a sink skips wakeups up to it or the next external
+        # event.  The steps in the HISTORY_LEN + 1 periods left before the
+        # next light sample refill the histories (see the module docstring);
+        # a pinned node never steps, and needs no refill.
+        fixed = pin = pinned is not None
+        refill_s = 0.0 if pin else (HISTORY_LEN + 1) * intervals[6]
         t_refill = t_sample - refill_s
         steps = 0
         v = log.initial_voltage_v
@@ -681,7 +683,7 @@ class _NodeSim:
         died_at = None if alive else 0.0
         p_panel = p_per_lux * lux
         ctrl = _FRESH_CTRL
-        qos = pinned if pinned is not None else ctrl.next_qos
+        qos = pinned if pin else ctrl.next_qos
         now = 0.0
         # The one pending wakeup of a live node, and the node's one pending
         # crossing: its death while alive, its recovery while dead (each
@@ -714,7 +716,7 @@ class _NodeSim:
                     emit(t_sample, v, lux, qos, "sample", 0)
                 i_sample += 1
                 t_sample = sample_t[i_sample]
-                fixed = False
+                fixed = pin
                 t_refill = t_sample - refill_s
             elif t_event <= next_wake:
                 t = t_event
@@ -729,7 +731,7 @@ class _NodeSim:
                         log.recoveries += 1
                         log.dead_seconds += t - died_at
                         ctrl = reset(ctrl)
-                        fixed = False
+                        fixed = pin
                         action = "recovery"
                     packets = 0
                 else:
@@ -738,26 +740,42 @@ class _NodeSim:
                     if not alive:
                         log.events_missed_dead += 1
                         continue
-                    v, packets = self._external(t, v, qos)
+                    # Pay for the detection, then notify, or hold the event
+                    # while the state's hold-off since the last notification
+                    # runs.  A payment that leaves the node below its cutoff
+                    # sends nothing, and the node dies.
+                    log.events_detected += 1
+                    v = pay(v, e_event, led)
+                    packets = 0
                     if v < v_cutoff:
                         t_cross = t
+                    elif t - last_notification < holdoffs[qos - 1]:
+                        held.append(t)
+                    else:
+                        book(1, t, t)
+                        packets = 1
+                        log.notifications_emitted += 1
+                        log.notification_latencies_s.append(0.0)
+                        log.notification_latencies_s.extend([t - t_held for t_held in held])
+                        held, last_notification = [], t
                     action = "event"
                 if emit is not None:
                     emit(t, v, lux, qos, action, packets)
             else:
                 # No crossing is pending here: it would have come first.
                 t = next_wake
-                if skip is not None and (fixed or pinned is not None):
-                    skipped = skip(t, v, p_panel, t_ext if t_ext < t_sample else t_sample)
-                    if skipped is not None:
-                        qos, v, next_wake = skipped
-                        now = next_wake
-                        # Its closed-form voltage and integrated rest each
-                        # round the stored energy like an integrator step.
-                        steps += 2
-                        continue
-                # At the fixed point qos is 7, and nothing but a step changes it.
-                if pinned is None and not (fixed and t < t_refill):
+                if fixed and t < t_refill:
+                    # qos is the pinned state or 7, and only a step changes it.
+                    if skip is not None:
+                        skipped = skip(t, v, qos, p_panel, min(t_ext, t_refill, duration))
+                        if skipped is not None:
+                            v, next_wake = skipped
+                            now = next_wake
+                            # Its closed-form voltage and integrated rest each
+                            # round the stored energy like an integrator step.
+                            steps += 2
+                            continue
+                else:
                     ctrl, qos = step(ctrl, v, lux, table)
                     fixed = t < t_refill and is_fixed_point(ctrl, lux, table)
                 histogram[qos] += 1
@@ -772,6 +790,7 @@ class _NodeSim:
                     next_wake = t + intervals[qos - 1]
                 if emit is not None:
                     emit(t, v, lux, qos, "wakeup", emitted)
+        log.events_unnotified = len(held)
         return self._finalize(steps, v, alive, died_at)
 
     def _book_packets(self, k, t_first, t_last) -> None:
@@ -782,33 +801,27 @@ class _NodeSim:
         log.packets_emitted += k
         log.last_packet_s = t_last
 
-    def _skip(self, t, v, p_panel, t_change):
-        """Skips the wakeup at ``t`` and later ones, booked from one replayed
-        period from voltage ``v`` under ``p_panel``, if the period provably
-        repeats.  Returns ``(qos, v, t_next)``: the state taken, and the
-        voltage and time of the first wakeup not skipped; or None, having
-        changed nothing.  ``run`` calls it only while the controller
-        provably keeps its state: pinned, or at its fixed point.
-
-        The skip stops at least HISTORY_LEN periods before ``t_change``, the
-        next external event or light sample, and at the latest at the end of
-        the run, which nothing follows.  The wakeups before a light sample
-        take the ordinary path, which refills both controller histories
-        before the light can change; the stale voltage history and seed
-        counter left by the skip change no step while the controller stays
-        at its fixed point.  Below ``v_rated`` ``replay_period`` bounds the
-        room before it replays, so a period is replayed only where one fits.
+    def _skip(self, t, v, qos, p_panel, horizon):
+        """Skips the wakeup at ``t`` and later ones in state ``qos``, booked
+        from one replayed period from voltage ``v`` under ``p_panel``, if the
+        period provably repeats.  Returns ``(v, t_next)``, the voltage and
+        time of the first wakeup not skipped, or None, having changed
+        nothing.  ``run`` calls it only while the controller provably keeps
+        its state, and only up to ``horizon``: the next external event, the
+        end of the fixed-point gate or the end of the run, whichever comes
+        first.  No skipped wakeup lies past the horizon, so its ulp bounds
+        the rounding of their times.  Below ``v_rated`` ``replay_period``
+        bounds the room before it replays, so a period is replayed only
+        where one fits.
         """
         phys = self.phys
         # A leaky period below v_rated never repeats: no replay.
         if phys.i_leak and v != phys.v_rated:
             return None
-        qos = self.pinned_qos or 7
         period = self.intervals[qos - 1]
-        horizon = min(t_change - HISTORY_LEN * period, self.duration)
         if t + period > horizon:  # no period to skip: replay nothing
             return None
-        jitter = math.ulp(min(t_change, self.duration))
+        jitter = math.ulp(horizon)
         cap, one = phys.replay_period(v, p_panel, self.e_wakeup, period, jitter)
         k, t_last, t_next = _wake_times(t, period, horizon, cap)
         if k == 0:
@@ -824,31 +837,7 @@ class _NodeSim:
         log.qos_histogram[qos] += k
         if self.mode is not ApplicationMode.EVENT_DETECTION:
             self._book_packets(k, t, t_last)
-        return qos, v, t_next
-
-    def _external(self, t, v, qos):
-        """Pays for detecting an external event at ``t`` on a live node at
-        ``v`` in state ``qos``, then notifies, or holds the event while the
-        state's hold-off since the last notification runs.  Returns the
-        voltage after the payment and the packets sent, 0 or 1; a payment
-        that leaves the node below its cutoff sends none, and ``run`` takes
-        the node's death from the voltage."""
-        log = self.log
-        log.events_detected += 1
-        v = self.phys.pay(v, self.e_event, log.ledger)
-        if v < self.phys.v_cutoff:
-            return v, 0
-        if t - self.last_notification < self.holdoffs[qos - 1]:
-            self.pending_events.append(t)
-            return v, 0
-        self._book_packets(1, t, t)
-        log.notifications_emitted += 1
-        log.notification_latencies_s.append(0.0)
-        for t_pending in self.pending_events:
-            log.notification_latencies_s.append(t - t_pending)
-        self.pending_events.clear()
-        self.last_notification = t
-        return v, 1
+        return v, t_next
 
     def _finalize(self, steps, v, alive, died_at) -> NodeLog:
         log = self.log
@@ -856,7 +845,6 @@ class _NodeSim:
             log.dead_seconds += self.duration - died_at
         log.final_voltage_v = v
         log.alive_at_end = alive
-        log.events_unnotified = len(self.pending_events)
         log.controller_steps = sum(log.qos_histogram)
         log.residual_floor_j = 4 * steps * math.ulp(self.phys.e_max)
         residual = log.energy_residual_relative
@@ -889,10 +877,11 @@ def run_node(
     and the returned log keeps none; the file is made once the inputs are
     checked, and removed again if the run fails.  With ``detail`` alone, the
     records are kept in the returned log.  Without detail the run has no
-    sink, and a node at a fixed point also fast-forwards over wakeups, up to
-    the end of the run, a leaky one only while pinned at ``v_rated`` (see
-    the module docstring): its counters equal those of the detailed run, its
-    ledger and final voltage agree to 1e-9 relative, barring exact ties.
+    sink, and a pinned node or one at a fixed point also fast-forwards over
+    wakeups, up to the end of the run, a leaky one only while held at
+    ``v_rated`` (see the module docstring): its counters equal those of the
+    detailed run, its ledger and final voltage agree to 1e-9 relative,
+    barring exact ties.
     """
     if log_path is not None and not detail:
         raise ValueError("log_path needs detail=True")

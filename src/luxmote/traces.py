@@ -76,11 +76,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.times_s)
 
-    def value_at(self, t: float) -> float:
-        """Sample-and-hold lookup."""
-        idx = int(np.searchsorted(self.times_s, t, side="right")) - 1
-        return float(self.values[max(idx, 0)])
-
     @classmethod
     def constant(cls, value: float) -> "Trace":
         return cls(times_s=[0.0], values=[value])

@@ -1,19 +1,22 @@
 """Runs without per-event detail against the same runs with it.
 
-Without detail, a node skips stretches of wakeups while its controller is at
-a fixed point: a leak-free node in both regimes, pinned at v_rated or inside
-them, a leaky node only while pinned at v_rated.  With detail every wakeup is
-dispatched one at a time, so the detailed run is the reference.  Counters
-and the QoS histogram must agree exactly, floats to 1e-9 relative, except
-where rounding settles an exact tie (see run_compare.py).
+Both kinds of run share one gate: while the controller is pinned, or at a
+fixed point up to HISTORY_LEN + 1 periods before the next light sample, a
+wakeup takes its state without a controller step.  A detailed run must then
+write the records and the ledger of the run that steps at every wakeup, bit
+for bit.
 
-Both kinds of run take state 7 at a wakeup without a controller step while
-the controller is at its fixed point, up to HISTORY_LEN + 1 periods before
-the next light sample.  A detailed run must then write the records and the
-ledger of the run that steps at every wakeup, bit for bit.
+Without detail, a node also skips stretches of wakeups inside the gate, up
+to its end, the next external event or the end of the run: a leak-free node
+in both regimes, pinned at v_rated or inside them, a leaky node only while
+pinned at v_rated.  With detail every wakeup is dispatched one at a time, so
+the detailed run is the reference.  Counters and the QoS histogram must
+agree exactly, floats to 1e-9 relative, except where rounding settles an
+exact tie (see run_compare.py).
 """
 
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,13 +51,14 @@ def both(cfg, light, events=None, *, duration_s):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Count the calls the simulator really makes to ``owner.name``."""
+    """Count the calls the simulator really makes to ``owner.name``, and
+    keep what each returns."""
     calls = []
     real = getattr(owner, name)
 
     def counted(*args):
-        calls.append(None)
-        return real(*args)
+        calls.append(real(*args))
+        return calls[-1]
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -240,14 +244,7 @@ def test_leaky_interior_keeps_the_event_path(monkeypatch):
     dispatches every wakeup; this one never reaches the clamp."""
     cfg = NodeConfig(supercap=SupercapState(voltage_v=3.0, leak_current_a=1e-6))
     full = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=True)
-    skips = []
-    real = simulate._NodeSim._skip
-
-    def recorded_skip(sim, *args):
-        skips.append(real(sim, *args))
-        return skips[-1]
-
-    monkeypatch.setattr(simulate._NodeSim, "_skip", recorded_skip)
+    skips = count_calls(monkeypatch, simulate._NodeSim, "_skip")
     slim = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=False)
     assert ledger_summary(full) == ledger_summary(slim)
     assert skips and not any(skips)
@@ -293,10 +290,12 @@ def test_skips_stop_before_light_samples(monkeypatch):
 # short, and the wakeups after that have no room for a period below it.
 @pytest.mark.parametrize("voltage, days", [(3.5, 1), (2.5, 4)])
 def test_no_replay_without_a_period_to_skip(monkeypatch, voltage, days):
-    # A skip ends HISTORY_LEN periods before the next light sample or the
-    # end of the run, so the wakeups after it have no period to skip: they
-    # take the event path without replaying one.  Below v_rated the room is
-    # bounded before the replay as well, so every replay skips a period.
+    # A skip ends less than a period before its horizon: the end of the
+    # fixed-point gate, HISTORY_LEN + 1 periods before the light sample, or
+    # the end of the run.  So the wakeup after it has no period to skip: it
+    # takes the event path without replaying one, and the wakeups past the
+    # gate step.  Below v_rated the room is bounded before the replay as
+    # well, so every replay skips a period.
     horizons, replays, skipped = [], [], []
     wake_times, replay = simulate._wake_times, simulate._Phys.replay_period
 
@@ -334,6 +333,35 @@ def test_criterion_5_fleet_work(monkeypatch):
     assert [len(c) for c in calls] == [30, 150, 75]
 
 
+def test_pir_node_day_work(monkeypatch):
+    # A motion event reads no controller state, so a skip runs up to each
+    # one: 150 events in a day of 8,640 wakeups take at most two skip calls
+    # apiece, the one that stops before the event and the one after it.
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        supercap=SupercapState(capacitance_f=1.0, voltage_v=3.5),
+    )
+    rng = random.Random(1)
+    times = sorted(rng.uniform(8 * 3600.0, 18 * 3600.0) for _ in range(150))
+    events = Trace(times, [1.0] * len(times))
+    full, _ = both(cfg, Trace.constant(300.0), events, duration_s=86_400.0)
+    assert full.events_detected == 150
+    skips = count_calls(monkeypatch, simulate._NodeSim, "_skip")
+    run_node(cfg, Trace.constant(300.0), events, duration_s=86_400.0, detail=False)
+    assert len(skips) <= 300
+
+
+def test_pinned_node_skips_up_to_each_light_sample(monkeypatch):
+    # A pinned node never steps, so it needs no histories refilled before
+    # the light changes: on the clamp, each skip runs to the next sample.
+    cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(capacitance_f=1.0, voltage_v=5.5))
+    light = Trace([0.0, 10_000.0, 30_000.0, 50_000.0], [300.0, 400.0, 2000.0, 300.0])
+    both(cfg, light, duration_s=86_400.0)
+    skips = count_calls(monkeypatch, simulate._NodeSim, "_skip")
+    run_node(cfg, light, duration_s=86_400.0, detail=False)
+    assert [t_next for _, t_next in skips] == [10_000.0, 30_000.0, 50_000.0, 86_400.0]
+
+
 def test_advertising_node_day_work(monkeypatch):
     cfg = NodeConfig(
         mode=ApplicationMode.ADVERTISING,
@@ -360,6 +388,20 @@ def test_node_on_the_cutoff_dies_in_both_runs(short):
     lux = math.nextafter(balance, 0.0) * short
     full, _ = both(cfg, Trace.constant(lux), duration_s=3600.0)
     assert full.deaths == 1 and full.dead_seconds == 3600.0
+
+
+def test_replay_that_drains_the_element_replays_nothing(monkeypatch):
+    # 1 uF at v_rated holds less than one wakeup's payment: the replay's
+    # payment drains the element to 0 V, and the replay stands for no
+    # period.  The node dies at every wakeup it lives to.
+    cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(capacitance_f=1e-6, voltage_v=5.5))
+    full, _ = both(cfg, Trace.constant(300.0), duration_s=3600.0)
+    assert full.deaths == 7391
+    replays = count_calls(monkeypatch, simulate._Phys, "replay_period")
+    run_node(cfg, Trace.constant(300.0), duration_s=3600.0, detail=False)
+    k, one = replays[0]  # at t = 0, from v_rated
+    assert k == 0 and one is not None
+    assert one.drain_stored_j == 0.5 * 1e-6 * 5.5**2 and one.harvest_stored_j == 0.0
 
 
 def test_event_detection_between_motion_events():

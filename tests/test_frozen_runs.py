@@ -17,16 +17,25 @@ by the SHA-256 of their ``repr`` lines.  Each scenario is also pinned as a summa
 run (``detail=False``), whose fast-forward books skipped wakeups as sums
 taken in another order: its floats may differ from the detailed run's in
 the last digits, and are pinned as they are.
+
+The shipped 15-node fleet over 15 days (acceptance criterion 5) is pinned
+as a summary run too, by the SHA-256 of its report.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from luxmote.config import load_deployment_config
+from luxmote.deployment import report_summary, run_deployment
 from luxmote.energy import LoadModel, SupercapState
 from luxmote.qos import ApplicationMode
 from luxmote.simulate import NodeConfig, ledger_summary, run_node
-from luxmote.traces import Trace
+from luxmote.traces import Trace, load_trace_csv
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _advertising(detail):
@@ -106,13 +115,26 @@ def test_run_matches_recorded_results(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_summary_run_matches_recorded_results(name):
     # Without detail, three of the scenarios fast-forward over wakeups
-    # (advertising twice, pinned six times, leaky three times), so this pins
-    # the skip path bit for bit; the event-detection node never skips.
+    # (advertising twice, pinned six times, the first skip running up to its
+    # light sample at 1000 s, and leaky three times), so this pins the skip
+    # path bit for bit; the event-detection node never skips.
     log = SCENARIOS[name](detail=False)
     expected = EXPECTED[name]["summary_run"]
     assert _frozen(ledger_summary(log)) == expected["summary"]
     assert log.qos_histogram == expected["qos_histogram"]
 
+
+def test_summary_fleet_matches_recorded_digest():
+    # report.json's content, as the CI step that checks the same digest dumps it.
+    config = load_deployment_config(REPO / "configs" / "deployment_15node.json")
+    traces = REPO / "configs" / "traces"
+    light = {n.node_id: load_trace_csv(traces / f"{n.node_id}_light.csv") for n in config.nodes}
+    report = run_deployment(config, light, duration_s=15 * 86_400.0, detail=False)
+    text = json.dumps(report_summary(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FLEET_SHA256
+
+
+FLEET_SHA256 = "7c1c32c9999399015370d089fd7e3665c9c67b622fd3a1c849c0740d48ca5ab0"
 
 EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                              'mode': 'advertising',
@@ -303,15 +325,15 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                         'mode': 'periodic_sensing',
                                         'duration_s': '30000.0',
                                         'initial_voltage_v': '3.0',
-                                        'final_voltage_v': '2.141772064126',
+                                        'final_voltage_v': '2.1417720641263407',
                                         'alive_at_end': True,
-                                        'ledger': {'harvest_panel_j': '0.090675',
+                                        'ledger': {'harvest_panel_j': '0.09067500000000002',
                                                    'harvest_stored_j': '0.07254000000000002',
-                                                   'drain_stored_j': '0.09460406212664725',
-                                                   'load_j': '0.08514365591398251',
+                                                   'drain_stored_j': '0.09460406212663998',
+                                                   'load_j': '0.08514365591397596',
                                                    'leak_j': '0.0',
-                                                   'conversion_loss_j': '0.027595406212664722',
-                                                   'throughput_j': '0.16714406212664729'},
+                                                   'conversion_loss_j': '0.027595406212664014',
+                                                   'throughput_j': '0.16714406212664001'},
                                         'qos_histogram': {'1': 0,
                                                           '2': 0,
                                                           '3': 0,
@@ -321,16 +343,16 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                                           '7': 776},
                                         'controller_steps': 776,
                                         'packets_emitted': 773,
-                                        'dead_seconds': '14552.114695339938',
+                                        'dead_seconds': '14552.114695339937',
                                         'deaths': 4,
                                         'recoveries': 4,
                                         'events_detected': 0,
                                         'events_missed_dead': 0,
                                         'notifications_emitted': 0,
                                         'events_unnotified': 0,
-                                        'uptime_fraction': '0.5149295101553354',
-                                        'energy_residual_j': '-3.8163916471489756e-17',
-                                        'energy_residual_relative': '2.2832947809161447e-16'},
+                                        'uptime_fraction': '0.5149295101553355',
+                                        'energy_residual_j': '-1.0408340855860843e-17',
+                                        'energy_residual_relative': '6.227167584317029e-17'},
                             'qos_histogram': [0, 0, 0, 0, 0, 0, 0, 776]}},
  'leaky': {'summary': {'node_id': 'leaky',
                        'mode': 'periodic_sensing',
@@ -373,12 +395,12 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                        'initial_voltage_v': '3.0',
                                        'final_voltage_v': '3.6',
                                        'alive_at_end': True,
-                                       'ledger': {'harvest_panel_j': '1.7437500000000021',
+                                       'ledger': {'harvest_panel_j': '1.7437500000000026',
                                                   'harvest_stored_j': '0.14548774391504596',
                                                   'drain_stored_j': '0.06892125439045857',
                                                   'load_j': '0.0620291289514127',
                                                   'leak_j': '0.05676648952458726',
-                                                  'conversion_loss_j': '1.6051543815240021',
+                                                  'conversion_loss_j': '1.6051543815240026',
                                                   'throughput_j': '0.27117548783009177'},
                                        'qos_histogram': {'1': 11,
                                                          '2': 0,

@@ -1,4 +1,5 @@
-"""Trace construction, sample-and-hold lookup, and CSV round-tripping."""
+"""Trace construction and validation, and CSV round-tripping.  The
+simulator's sample-and-hold of a trace is checked in test_simulate.py."""
 
 import math
 import re
@@ -13,8 +14,6 @@ class TestConstruction:
     def test_constant(self):
         trace = Trace.constant(300.0)
         assert len(trace) == 1
-        assert trace.value_at(0.0) == 300.0
-        assert trace.value_at(1e9) == 300.0
 
     def test_from_samples(self):
         trace = Trace.from_samples([(0.0, 10.0), (5.0, 20.0)])
@@ -63,6 +62,7 @@ class TestConstruction:
             ([0.0], ["5"], "sample 1: value must be a number, got '5'"),
             ([0.0], [None], "sample 1: value must be a number, got None"),
             (0.0, [1.0], "time_s must be a sequence of numbers, got 0.0"),
+            (np.zeros((1, 1)), [1.0], "trace columns must be one-dimensional"),
         ],
     )
     def test_non_numbers_rejected(self, times, values, message):
@@ -89,21 +89,6 @@ class TestConstruction:
     def test_first_failing_sample_and_rule_reported(self, times, values, message):
         with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
             Trace(times, values)
-
-
-class TestValueAt:
-    def test_sample_and_hold(self):
-        trace = Trace.from_samples([(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)])
-        assert trace.value_at(0.0) == 1.0
-        assert trace.value_at(9.999) == 1.0
-        assert trace.value_at(10.0) == 2.0  # new value applies at its own time
-        assert trace.value_at(15.0) == 2.0
-        assert trace.value_at(20.0) == 3.0
-        assert trace.value_at(1e6) == 3.0  # held past the last sample
-
-    def test_before_first_sample_holds_first(self):
-        trace = Trace.from_samples([(100.0, 7.0)])
-        assert trace.value_at(0.0) == 7.0
 
 
 class TestCsv:
