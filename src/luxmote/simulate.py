@@ -14,8 +14,8 @@ its death while it lives, its recovery while it is dead.  A death drops the
 pending wakeup, and a recovery wakes the node at once.  Events at equal
 times are ordered light sample < crossing < external event < wakeup.
 ``_NodeSim.run`` owns all of the node's state, in its locals, and
-dispatches every event inline; its one handler, ``_skip``, takes the state
-it reads and returns what it changes.  A run is a pure function of (config,
+dispatches every event inline, with no handler: each wakeup steps, takes the
+held state or is skipped in one branch.  A run is a pure function of (config,
 traces, duration): nothing in it is random, and there is no wall clock and
 no global state.
 
@@ -328,7 +328,7 @@ class _Phys:
         the same drift, and k is ``room_periods`` of the replayed drift,
         capped so that the real periods outlast the replayed ones by less
         than one period in all.  A leaky period below ``v_rated`` does not
-        repeat, and is not replayed.
+        repeat, and ``run`` does not replay it.
 
         Below ``v_rated`` the room comes first.  Inside the leak-free boost
         regime the drift is (eta_boost·p_panel - standby)·(period - jitter)
@@ -439,10 +439,11 @@ class _Phys:
         """One stretch under C·V·dV/dt = p - I·V from ``v``, with ``p`` the
         storage-side harvest less load: ``(t, thr)`` if it reaches ``thr``
         within ``span`` seconds, after t, and ``(span, V)`` otherwise, V the
-        voltage then.  Without a leak t is (½C·thr² - ½C·v²)/p, and V comes
-        from the energy line ½Cv² + p·span; with one, both come from the
-        closed form of ``_leak_at``, and thr is never reached when the
-        equilibrium p/I lies at or past it.
+        voltage then.  Without a leak, or with one below the rounding of p,
+        t is (½C·thr² - ½C·v²)/p, and V comes from the energy line
+        ½Cv² + p·span, held on v's side of thr; with a larger one, both come
+        from the closed form of ``_leak_at``, and thr is never reached when
+        the equilibrium p/I lies at or past it.
 
         A leaky crossing is not solved where an energy bound already puts it
         past ``span``.  The stored energy moves at p - I·V: at most p - I·v
@@ -459,12 +460,14 @@ class _Phys:
         falling (for p < 0 that root lies past 0 V, where t is not
         monotone); the nearer one is taken."""
         c, i = self.c, self.i_leak
-        if not i:
+        if not i or math.isinf(p / i):  # no leak, or one below the rounding of p
             if p != 0.0 and (p > 0.0) == (thr > v):
                 t = (0.5 * c * thr * thr - 0.5 * c * v * v) / p
                 if t <= span:
                     return t, thr
-            return span, math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
+            v_free = math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
+            # Rounding must not carry the voltage past the threshold.
+            return span, (min(v_free, thr) if thr > v else max(v_free, thr))
         drift = (p - i * v) * span
         e_v, e_thr = 0.5 * c * v * v, 0.5 * c * thr * thr
         short = e_thr - e_v - drift if thr > v else e_v + drift - e_thr
@@ -474,11 +477,6 @@ class _Phys:
                 return t, thr
             return span, max(v - i * span / c, thr)
         v_eq = p / i
-        if math.isinf(v_eq):  # a leak below the rounding of p: leak-free
-            if reach and (p > 0.0) == (thr > v) and (t := (e_thr - e_v) / p) <= span:
-                return t, thr
-            v_free = math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
-            return span, (min(v_free, thr) if p > 0.0 else max(v_free, thr))
         w = v_eq - v
         if w == 0.0 or (w > 0.0) != (thr > v):
             # On the equilibrium to rounding (p - I·v, p/I - v disagree): hold.
@@ -497,7 +495,9 @@ class _Phys:
         if x > -math.inf:
             for _ in range(60):
                 t, v_x = self._leak_at(v, v_eq, x)
-                dx = (t - span) * i / (c * v_x)
+                if not (slope := c * v_x):  # at 0 V to rounding: no step to take
+                    break
+                dx = (t - span) * i / slope
                 x = min(x + dx, 0.0)
                 if abs(dx) <= 1e-13 * abs(x):
                     break
@@ -649,20 +649,21 @@ class _NodeSim:
         """Runs the node to the end.  With ``emit``, the sink of its records,
         each dispatched event and light sample is passed to it as
         ``emit(t, v, lux, qos, action, packets)`` as it is made.  A run without
-        a sink skips the wakeups that provably repeat (``_skip``).
+        a sink skips the wakeups that provably repeat (``replay_period``).
 
         The node's state, the held events and the last notification time
         included, lives in locals here and nowhere else.  Every event is
-        dispatched inline; ``_skip`` takes the state it reads and returns
-        what it changes."""
+        dispatched inline, and a skip is decided and booked in the gate's
+        branch."""
         log, lux = self.log, self.lux
         duration, phys = self.duration, self.phys
         advance, pay, v_cutoff, p_per_lux = phys.advance, phys.pay, phys.v_cutoff, phys.p_per_lux
+        replay_period, v_rated, i_leak = phys.replay_period, phys.v_rated, phys.i_leak
         led, histogram, book = log.ledger, log.qos_histogram, self._book_packets
         table, intervals, e_wakeup, pinned = self.table, self.intervals, self.e_wakeup, self.pinned_qos
         e_event, holdoffs = self.e_event, self.holdoffs
         sends = self.mode is not ApplicationMode.EVENT_DETECTION
-        skip = None if emit else self._skip
+        skips = emit is None
         sample_t, sample_v, ext_t = self.sample_t, self.sample_v, self.ext_t
         i_sample = i_ext = 0
         t_sample, t_ext = sample_t[0], ext_t[0]
@@ -766,15 +767,34 @@ class _NodeSim:
                 t = next_wake
                 if fixed and t < t_refill:
                     # qos is the pinned state or 7, and only a step changes it.
-                    if skip is not None:
-                        skipped = skip(t, v, qos, p_panel, min(t_ext, t_refill, duration))
-                        if skipped is not None:
-                            v, next_wake = skipped
-                            now = next_wake
-                            # Its closed-form voltage and integrated rest each
-                            # round the stored energy like an integrator step.
-                            steps += 2
-                            continue
+                    # A run without a sink skips up to the horizon, where one
+                    # replayed period provably repeats; a leaky period below
+                    # v_rated never does.  No skipped wakeup lies past the
+                    # horizon, so its ulp bounds the rounding of their times.
+                    if skips and (v == v_rated or not i_leak):
+                        period = intervals[qos - 1]
+                        horizon = min(t_ext, t_refill, duration)
+                        if t + period <= horizon:
+                            jitter = math.ulp(horizon)
+                            cap, one = replay_period(v, p_panel, e_wakeup, period, jitter)
+                            k, t_last, t_next = _wake_times(t, period, horizon, cap)
+                            if k:
+                                led.add(one, k)
+                                if v != v_rated:
+                                    v = math.sqrt(v * v + 2.0 * k * one.net_stored_j() / phys.c)
+                                # Each real period outlasts the replayed one; the
+                                # excess, on the clamp or else less than a period
+                                # in all, is integrated as one stretch.
+                                rest = (t_next - t) - k * (period - jitter)
+                                v = advance(v, True, p_panel, rest, led)[0]
+                                histogram[qos] += k
+                                if sends:
+                                    book(k, t, t_last)
+                                now = next_wake = t_next
+                                # The closed-form voltage and the rest each round
+                                # the stored energy like an integrator step.
+                                steps += 2
+                                continue
                 else:
                     ctrl, qos = step(ctrl, v, lux, table)
                     fixed = t < t_refill and is_fixed_point(ctrl, lux, table)
@@ -800,44 +820,6 @@ class _NodeSim:
             log.first_packet_s = t_first
         log.packets_emitted += k
         log.last_packet_s = t_last
-
-    def _skip(self, t, v, qos, p_panel, horizon):
-        """Skips the wakeup at ``t`` and later ones in state ``qos``, booked
-        from one replayed period from voltage ``v`` under ``p_panel``, if the
-        period provably repeats.  Returns ``(v, t_next)``, the voltage and
-        time of the first wakeup not skipped, or None, having changed
-        nothing.  ``run`` calls it only while the controller provably keeps
-        its state, and only up to ``horizon``: the next external event, the
-        end of the fixed-point gate or the end of the run, whichever comes
-        first.  No skipped wakeup lies past the horizon, so its ulp bounds
-        the rounding of their times.  Below ``v_rated`` ``replay_period``
-        bounds the room before it replays, so a period is replayed only
-        where one fits.
-        """
-        phys = self.phys
-        # A leaky period below v_rated never repeats: no replay.
-        if phys.i_leak and v != phys.v_rated:
-            return None
-        period = self.intervals[qos - 1]
-        if t + period > horizon:  # no period to skip: replay nothing
-            return None
-        jitter = math.ulp(horizon)
-        cap, one = phys.replay_period(v, p_panel, self.e_wakeup, period, jitter)
-        k, t_last, t_next = _wake_times(t, period, horizon, cap)
-        if k == 0:
-            return None
-        log = self.log
-        log.ledger.add(one, k)
-        if v != phys.v_rated:
-            v = math.sqrt(v * v + 2.0 * k * one.net_stored_j() / phys.c)
-        # Each real period outlasts the replayed one; the excess, on the clamp
-        # or else less than a period in all, is integrated as one stretch.
-        rest = (t_next - t) - k * (period - jitter)
-        v = phys.advance(v, True, p_panel, rest, log.ledger)[0]
-        log.qos_histogram[qos] += k
-        if self.mode is not ApplicationMode.EVENT_DETECTION:
-            self._book_packets(k, t, t_last)
-        return v, t_next
 
     def _finalize(self, steps, v, alive, died_at) -> NodeLog:
         log = self.log

@@ -241,13 +241,15 @@ def test_histories_refill_before_the_light_changes():
 
 def test_leaky_interior_keeps_the_event_path(monkeypatch):
     """A leaky node below v_rated never repeats a period bit for bit, so it
-    dispatches every wakeup; this one never reaches the clamp."""
+    dispatches every wakeup and replays none; this one never reaches the
+    clamp."""
     cfg = NodeConfig(supercap=SupercapState(voltage_v=3.0, leak_current_a=1e-6))
     full = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=True)
-    skips = count_calls(monkeypatch, simulate._NodeSim, "_skip")
+    replays = count_calls(monkeypatch, simulate._Phys, "replay_period")
+    wake_times = count_calls(monkeypatch, simulate, "_wake_times")
     slim = run_node(cfg, Trace.constant(300.0), duration_s=7200.0, detail=False)
     assert ledger_summary(full) == ledger_summary(slim)
-    assert skips and not any(skips)
+    assert replays == wake_times == []
 
 
 def test_leaky_node_skips_while_pinned(monkeypatch):
@@ -335,8 +337,7 @@ def test_criterion_5_fleet_work(monkeypatch):
 
 def test_pir_node_day_work(monkeypatch):
     # A motion event reads no controller state, so a skip runs up to each
-    # one: 150 events in a day of 8,640 wakeups take at most two skip calls
-    # apiece, the one that stops before the event and the one after it.
+    # one: 150 events in a day of 8,640 wakeups take 144 replays.
     cfg = NodeConfig(
         mode=ApplicationMode.EVENT_DETECTION,
         supercap=SupercapState(capacitance_f=1.0, voltage_v=3.5),
@@ -346,9 +347,9 @@ def test_pir_node_day_work(monkeypatch):
     events = Trace(times, [1.0] * len(times))
     full, _ = both(cfg, Trace.constant(300.0), events, duration_s=86_400.0)
     assert full.events_detected == 150
-    skips = count_calls(monkeypatch, simulate._NodeSim, "_skip")
+    calls = count_work(monkeypatch)
     run_node(cfg, Trace.constant(300.0), events, duration_s=86_400.0, detail=False)
-    assert len(skips) <= 300
+    assert [len(c) for c in calls] == [144, 447, 5]
 
 
 def test_pinned_node_skips_up_to_each_light_sample(monkeypatch):
@@ -357,9 +358,10 @@ def test_pinned_node_skips_up_to_each_light_sample(monkeypatch):
     cfg = NodeConfig(pinned_qos=7, supercap=SupercapState(capacitance_f=1.0, voltage_v=5.5))
     light = Trace([0.0, 10_000.0, 30_000.0, 50_000.0], [300.0, 400.0, 2000.0, 300.0])
     both(cfg, light, duration_s=86_400.0)
-    skips = count_calls(monkeypatch, simulate._NodeSim, "_skip")
+    skips = count_calls(monkeypatch, simulate, "_wake_times")
     run_node(cfg, light, duration_s=86_400.0, detail=False)
-    assert [t_next for _, t_next in skips] == [10_000.0, 30_000.0, 50_000.0, 86_400.0]
+    ends = [t_next for k, _, t_next in skips if k > 0]
+    assert ends == [10_000.0, 30_000.0, 50_000.0, 86_400.0]
 
 
 def test_advertising_node_day_work(monkeypatch):
@@ -416,6 +418,48 @@ def test_event_detection_between_motion_events():
     both(cfg, light, events, duration_s=30_000.0)
 
 
+# Exact ties that the nudged rerun of ``both`` cannot settle yet: each drain
+# reaches the cutoff exactly at the end of the run or at a wakeup, and the
+# two runs settle it on opposite sides.  (a) starts at v_rated, where only
+# the downward nudge exists; in (b) the 1e-11 nudge moves the death by 2e-9
+# of ``dead_seconds``, past the tolerance.
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+@pytest.mark.parametrize(
+    "mode, pinned, voltage, duration",
+    [
+        (ApplicationMode.EVENT_DETECTION, 5, 5.5, 77_520.0),
+        (ApplicationMode.ADVERTISING, 1, 2.2, 795.0),
+    ],
+)
+def test_tie_the_rerun_cannot_settle(mode, pinned, voltage, duration):
+    cfg = NodeConfig(
+        mode=mode,
+        pinned_qos=pinned,
+        supercap=SupercapState(capacitance_f=0.02, voltage_v=voltage),
+    )
+    both(cfg, Trace.constant(0.0), duration_s=duration)
+
+
+def test_charge_stops_on_the_clamp(monkeypatch):
+    # A charge that ends at a light sample a rounding short of v_rated.  The
+    # energy line's square root once put it an ulp above the clamp, where no
+    # period fits below it and none repeats on it, so the summary run paid
+    # all 144 wakeups of the day instead of 2.
+    cfg = NodeConfig(
+        mode=ApplicationMode.EVENT_DETECTION,
+        pinned_qos=1,
+        supercap=SupercapState(capacitance_f=0.1, voltage_v=5.487203651700358),
+    )
+    t_sample = 19.06818509488218
+    assert run_node(cfg, Trace.constant(2000.0), duration_s=t_sample).final_voltage_v == 5.5
+    light = Trace([0.0, t_sample], [2000.0, 2000.0])
+    full, _ = both(cfg, light, duration_s=86_400.0)
+    pays = count_calls(monkeypatch, simulate._Phys, "pay")
+    slim = run_node(cfg, light, duration_s=86_400.0, detail=False)
+    assert full.final_voltage_v == slim.final_voltage_v == 5.5
+    assert len(pays) == 2
+
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -461,13 +505,16 @@ def test_summary_run_matches_detailed_run(scenario):
     both(cfg, light, events, duration_s=duration)
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(
+ROOM_CASES = dict(
     mode=st.sampled_from(list(ApplicationMode)),
     capacitance=st.sampled_from([0.02, 0.1, 1.0]),
     voltage=st.floats(2.1, 5.5) | st.sampled_from([2.1, 2.5, math.nextafter(5.5, 0.0)]),
     lux=st.floats(0.0, 3000.0) | st.sampled_from(LUX),
 )
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(**ROOM_CASES)
 def test_room_bound_withholds_no_skip(mode, capacitance, voltage, lux):
     # replay_period bounds the room before it replays: where the bound
     # withholds the replay, the replay itself leaves no room for a period.

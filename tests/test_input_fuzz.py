@@ -221,8 +221,11 @@ def work_limit(bound):
             yield
 
 
+fuzz_lux = st.floats(0.0, 2000.0) | st.just(0)
+
+
 @hypothesis.settings(max_examples=80, deadline=None)
-@hypothesis.given(obj=node_objects, lux=st.floats(0.0, 2000.0) | st.just(0))
+@hypothesis.given(obj=node_objects, lux=fuzz_lux)
 # Less energy moved than the storage resolves: the residual is rounding.
 @hypothesis.example(
     obj={"load": {"e_sense_tx_j": 3.8337519366930346e-184, "i_standby_a": 3.8337519366930346e-184}},

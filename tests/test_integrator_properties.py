@@ -88,14 +88,31 @@ def bounded_crossings(draw):
     for t in (t_full, t_line):
         if 0.0 < t < math.inf:
             spans.append(st.floats(0.999, 1.001).map(lambda r, t=t: t * r))
+            spans.append(st.just(math.nextafter(t, 0.0)))
     return phys, v, p, thr, draw(st.one_of(*spans))
 
 
 @hypothesis.settings(max_examples=400, deadline=1000)
 @hypothesis.given(bounded_crossings())
+# A drain to 0 V from far below the float range's square root, stopped one
+# ulp short: the voltage of the Newton solve rounds to 0 V.
+@hypothesis.example(
+    case=(
+        _Phys(NodeConfig(supercap=SupercapState(leak_current_a=9.226627627503384e-06))),
+        4.47475327314149e-156,
+        -0.0078125,
+        0.0,
+        1.28149867908647e-309,
+    )
+)
 def test_crossing_bound_changes_no_decision(case):
     # The unbounded crossing time decides whether the span reaches thr.
     phys, v, p, thr, span = case
     full = phys.segment(v, p, thr, math.inf)[0]
     t, v_end = phys.segment(v, p, thr, span)
     assert (t, v_end) == (full, thr) if full <= span else t == span
+    # A stretch toward thr that stops short ends on v's side of it: rounding
+    # must not carry the voltage past the threshold.
+    rising = p > phys.i_leak * v
+    if full > span and rising == (thr > v):
+        assert v_end <= thr if rising else v_end >= thr
