@@ -34,9 +34,7 @@ crossings are solved exactly.  A constant-current leak I makes a stretch
 C·V·dV/dt = P - I·V, still solved in closed form: the crossing time is
 t(V) = (C/I)(V0 - V) - (C·P/I²)·ln((P - I·V)/(P - I·V0)) and the voltage
 after a span takes a few Newton steps on it.  Both agree with a 50-digit
-reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.  A leaky
-crossing is not solved where an energy bound already puts it past the
-segment's end (``_Phys.segment``); the solve would decide the same.
+reference to about 1e-13 relative for leaks of 1e-10 to 1e-4 A.
 
 One gate decides where the controller provably keeps its state.  A pinned
 node keeps it always.  A controller step that leaves the controller at its
@@ -129,6 +127,9 @@ class NodeConfig:
                 f"v_on must satisfy v_cutoff < v_on <= {self.table.v_max} "
                 f"(got v_cutoff={self.supercap.v_cutoff}, v_on={self.v_on})"
             )
+        if self.v_on > self.supercap.v_rated:
+            # Storage clamped below v_on could never recover a dead node.
+            raise ValueError(f"v_on {self.v_on} above v_rated {self.supercap.v_rated}")
         if self.supercap.v_cutoff < self.table.v_min - 1e-9:
             raise ValueError(
                 f"v_cutoff {self.supercap.v_cutoff} below the table floor "
@@ -394,27 +395,25 @@ class _Phys:
             if p_net == 0.0 or (p_net > 0.0 and v >= self.v_rated):
                 # Held at the leak equilibrium, or pinned at the rated voltage
                 # with the surplus shed: harvest covers the load and the leak.
-                led.harvest_panel_j += p_panel * span
-                led.harvest_stored_j += (p_out + p_leak) * span
-                led.drain_stored_j += p_out * span
-                led.leak_j += p_leak * span
-                if alive:
-                    led.load_j += self.p_standby_load * span
-                return v, dt, None
-            if p_net < 0.0 and alive and v <= self.v_cutoff:
-                return v, used, "death"
-            if p_net > 0.0:
-                thr = self.v_rated
-                if not alive and v < self.v_on < thr:
-                    thr = self.v_on
-                if v < self.v_boost < thr:
-                    thr = self.v_boost
+                p_in, p, v_new, thr, used = p_out + p_leak, p_leak, v, None, dt
             else:
-                thr = self.v_cutoff if alive else 0.0
-                if thr < self.v_boost < v:
-                    thr = self.v_boost
-            p = p_in - p_out  # equals p_net without a leak
-            span, v_new = self.segment(v, p, thr, span)
+                if p_net < 0.0 and alive and v <= self.v_cutoff:
+                    return v, used, "death"
+                if p_net > 0.0:
+                    thr = self.v_rated
+                    if not alive and v < self.v_on < thr:
+                        thr = self.v_on
+                    if v < self.v_boost < thr:
+                        thr = self.v_boost
+                else:
+                    thr = self.v_cutoff if alive else 0.0
+                    if thr < self.v_boost < v:
+                        thr = self.v_boost
+                p = p_in - p_out  # equals p_net without a leak
+                span, v_new = self.segment(v, p, thr, span)
+                used += span
+                if used > dt:  # used + (dt - used) can round one ulp past dt
+                    used = dt
             if i_leak:
                 # The integral of I·V over the segment, by C·V·dV/dt = p - I·V.
                 led.leak_j += p * span - 0.5 * c * (v_new * v_new - v * v)
@@ -423,9 +422,6 @@ class _Phys:
             led.drain_stored_j += p_out * span
             if alive:
                 led.load_j += self.p_standby_load * span
-            used += span
-            if used > dt:  # used + (dt - used) can round one ulp past dt
-                used = dt
             v = v_new
             if v_new == thr:
                 if alive and thr == self.v_cutoff:
@@ -445,12 +441,6 @@ class _Phys:
         from the closed form of ``_leak_at``, and thr is never reached when
         the equilibrium p/I lies at or past it.
 
-        A leaky crossing is not solved where an energy bound already puts it
-        past ``span``.  The stored energy moves at p - I·V: at most p - I·v
-        while it rises, at least that while it falls.  So if even the line
-        ½Cv² + (p - I·v)·span stops short of ½C·thr², by 1e-9 of the energies
-        (the solve errs near 1e-13), the solved time would exceed span too.
-
         V after a span that stops short is Newton's root of t(x) = span.  t
         is convex in x while the voltage rises and concave while it falls,
         so steps from a start beyond the root approach it monotonically
@@ -468,12 +458,8 @@ class _Phys:
             v_free = math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
             # Rounding must not carry the voltage past the threshold.
             return span, (min(v_free, thr) if thr > v else max(v_free, thr))
-        drift = (p - i * v) * span
-        e_v, e_thr = 0.5 * c * v * v, 0.5 * c * thr * thr
-        short = e_thr - e_v - drift if thr > v else e_v + drift - e_thr
-        reach = not short > 1e-9 * (e_v + e_thr + abs(drift))
         if p == 0.0:  # the leak alone: a linear drain
-            if reach and thr <= v and (t := c * (v - thr) / i) <= span:
+            if thr <= v and (t := c * (v - thr) / i) <= span:
                 return t, thr
             return span, max(v - i * span / c, thr)
         v_eq = p / i
@@ -482,7 +468,7 @@ class _Phys:
             # On the equilibrium to rounding (p - I·v, p/I - v disagree): hold.
             return span, v
         # z = (v_eq - thr)/w - 1 is <= -1 when v_eq lies at or before thr.
-        if reach and (z := (v - thr) / w) > -1.0:
+        if (z := (v - thr) / w) > -1.0:
             t = self._leak_at(v, v_eq, math.log1p(z))[0]
             if t <= span:
                 return t, thr

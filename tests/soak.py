@@ -1,4 +1,4 @@
-"""Soak runs: three property tests at thousands of examples.
+"""Soak runs: five property tests at thousands of examples.
 
     PYTHONPATH=src python tests/soak.py
 
@@ -23,6 +23,7 @@ from hypothesis.errors import UnsatisfiedAssumption  # noqa: E402
 
 import test_fast_forward as fast_forward  # noqa: E402
 import test_input_fuzz as fuzz  # noqa: E402
+import test_integrator_properties as integrator  # noqa: E402
 
 # (test, the strategies it is given, examples)
 SOAKS = [
@@ -37,6 +38,8 @@ SOAKS = [
         6_000,
     ),
     (fast_forward.test_room_bound_withholds_no_skip, fast_forward.ROOM_CASES, 20_000),
+    (integrator.test_advance_invariants, {"call": integrator.calls()}, 20_000),
+    (integrator.test_crossing_time_decides_each_span, {"case": integrator.crossings()}, 20_000),
 ]
 
 

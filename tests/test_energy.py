@@ -135,6 +135,10 @@ def test_checked_fields_are_stored_as_declared():
         (lambda: ConverterModel(v_boost_min=-0.1), "^v_boost_min must be >= 0"),
         (lambda: ConverterModel(v_out_v=0.0), "^v_out_v must be > 0"),
         (lambda: NodeConfig(supercap=SupercapState(v_cutoff=2.0)), "^v_cutoff 2.0 below the table floor"),
+        (
+            lambda: NodeConfig(supercap=SupercapState(capacitance_f=0.05, voltage_v=2.2, v_rated=2.3)),
+            "^v_on 2.4 above v_rated 2.3",
+        ),
         (lambda: NodeConfig(position_m=(1.0, 2.0, 3.0)), r"^position_m must hold 2 entries, got \(1.0, 2.0, 3.0\)$"),
         (lambda: DeploymentConfig(base_station_m=(0.0,)), r"^base_station_m must hold 2 entries, got \(0.0,\)$"),
         (lambda: SweepGrid(lux_levels=(10.0, -1.0)), "^lux levels must be >= 0"),

@@ -1,6 +1,6 @@
 """Property tests of the continuous-dynamics integrator ``_Phys.advance``,
-leak-free and leaky, and of the energy bound in its segment solve,
-``_Phys.segment``.
+leak-free and leaky, and of its segment solve, ``_Phys.segment``, whose
+crossing time alone decides whether a span reaches the threshold.
 
 Draws cover leak currents 0 and 1e-10..1e-4 A, light from darkness to
 bright sun, live and dead nodes, and starting voltages on the thresholds and
@@ -66,10 +66,10 @@ def test_advance_invariants(call):
 
 
 @st.composite
-def bounded_crossings(draw):
+def crossings(draw):
     """A rising or falling segment of leak-free or leaky storage, a threshold
     near or far from its start, and a span drawn freely, close to the
-    crossing or close to where the bound starts to rule it out."""
+    crossing or close to the leak-free crossing of the start's net power."""
     leak = draw(st.one_of(st.just(0.0), st.floats(1e-7, 1e-5)))
     cfg = NodeConfig(
         supercap=SupercapState(capacitance_f=draw(st.floats(0.01, 10.0)), leak_current_a=leak)
@@ -82,7 +82,8 @@ def bounded_crossings(draw):
     near = v * (1.0 + draw(st.floats(-1e-3, 1e-3)))
     thr = draw(st.one_of(st.just(near), st.floats(0.0, phys.v_rated)))
     t_full = phys.segment(v, p, thr, math.inf)[0]
-    # The span at which ½Cv² + net·span, the bound's line, reaches ½C·thr².
+    # The span at which ½Cv² + net·span, the energy line of the net power at
+    # v, reaches ½C·thr²: the crossing lies at or beyond it.
     t_line = 0.5 * phys.c * (thr * thr - v * v) / net
     spans = [st.floats(1e-3, 1e7)]
     for t in (t_full, t_line):
@@ -93,7 +94,7 @@ def bounded_crossings(draw):
 
 
 @hypothesis.settings(max_examples=400, deadline=1000)
-@hypothesis.given(bounded_crossings())
+@hypothesis.given(crossings())
 # A drain to 0 V from far below the float range's square root, stopped one
 # ulp short: the voltage of the Newton solve rounds to 0 V.
 @hypothesis.example(
@@ -105,7 +106,7 @@ def bounded_crossings(draw):
         1.28149867908647e-309,
     )
 )
-def test_crossing_bound_changes_no_decision(case):
+def test_crossing_time_decides_each_span(case):
     # The unbounded crossing time decides whether the span reaches thr.
     phys, v, p, thr, span = case
     full = phys.segment(v, p, thr, math.inf)[0]
