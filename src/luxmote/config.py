@@ -180,11 +180,11 @@ def load_sweep_grid(path) -> tuple[SweepGrid, NodeConfig]:
 
 
 def load_any_config(path):
-    """Dispatch on shape: a 'nodes' key means a deployment, a 'capacitances_f'
-    or 'qos_states' key a sweep grid, anything else a single node."""
+    """Dispatch on shape: a 'nodes' key means a deployment, any grid key but
+    'mode', which a node has too, a sweep grid, anything else a single node."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "nodes" in obj:
         return parse_deployment_config(obj, where=str(path))
-    if isinstance(obj, dict) and ("capacitances_f" in obj or "qos_states" in obj):
+    if isinstance(obj, dict) and any(key in obj for key in _GRID_KEYS if key != "mode"):
         return parse_sweep_grid(obj, where=str(path))
     return parse_node_config(obj, where=str(path))

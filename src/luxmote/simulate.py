@@ -49,16 +49,18 @@ the next external event (which reads no controller state) or the end of
 the run, wherever one period, replayed through the same payment and
 integrator, provably repeats: pinned at ``v_rated``, leaky or not, or
 inside the regimes of leak-free storage.  So it steps exactly where a run
-with detail steps.  k periods are then booked as k copies of its ledger;
-the wakeup times equal those of the event loop's repeated addition
-(``_wake_times``).  Below ``v_rated`` the room comes first: the period's
-drift is known before the replay, and its room rule with a rounding margin
+with detail steps.  k periods are then booked as k copies of its ledger.
+The event loop and the skip (``_wake_times``) both put the n-th wakeup
+since the interval last started, at a recovery or a step that changed it,
+at anchor + n·interval: a skip's wakeup times are exactly those of a run
+with detail.  Below ``v_rated`` the room comes first: the period's drift
+is known before the replay, and its room rule with a rounding margin
 bounds k, so a period is replayed only where one fits, and a skip never
 reaches a regime boundary.  Counters match a run with detail exactly;
 ledger floats and the final voltage agree to 1e-9 relative, as sums taken
-in another order.  The one exception is a tie in exact arithmetic, such as
-a drain that reaches the cutoff exactly at a wakeup: rounding settles it,
-and the two runs may settle it differently.
+in another order, barring a tie in exact arithmetic, such as a drain that
+reaches the cutoff exactly at a wakeup, which the two runs' rounding may
+settle differently.
 """
 
 from __future__ import annotations
@@ -318,18 +320,22 @@ class _Phys:
     def replay_period(self, v, p_panel, e_wakeup, period, jitter):
         """Replays one wakeup period of a live node from voltage ``v`` just
         before the wakeup on a scratch ledger: ``pay`` for ``e_wakeup``, then
-        ``advance`` for ``period - jitter``, less than any real period, which
-        the rounding of the wakeup times moves by up to half a jitter.
-        Returns ``(k, ledger)``, k the number of periods it stands for, 0
-        where the node dies within the period.
+        ``advance`` for ``period - jitter``, ``jitter`` being an ulp of the
+        skip's horizon.  Each wakeup time, anchor + j·period, rounds twice by
+        at most half a jitter, so k real periods outlast the k replayed ones
+        from k = 2 on, up to the rounding of the difference; one alone may
+        fall up to a jitter short, and ``run`` then integrates no rest and
+        books that much time too many.  Returns ``(k, ledger)``, k the number
+        of periods it stands for, 0 where the node dies within the period.
 
         A period that starts at ``v_rated`` and is back on the clamp by then
         repeats bit for bit, leaky or not: only time limits k.  Inside the
         regimes of leak-free storage, the energy before each wakeup moves by
         the same drift, and k is ``room_periods`` of the replayed drift,
-        capped so that the real periods outlast the replayed ones by less
-        than one period in all.  A leaky period below ``v_rated`` does not
-        repeat, and ``run`` does not replay it.
+        capped at 0.5·period/jitter - 2, so that the real periods outlast
+        the replayed ones by at most (k + 2) jitters and roundings, less than
+        one period in all.  A leaky period below ``v_rated`` does not repeat,
+        and ``run`` does not replay it.
 
         Below ``v_rated`` the room comes first.  Inside the leak-free boost
         regime the drift is (eta_boost·p_panel - standby)·(period - jitter)
@@ -352,7 +358,7 @@ class _Phys:
         if v == self.v_rated:
             return (math.inf if v_end == v else 0), led
         k = self.room_periods(v, e_wakeup, led.harvest_stored_j - led.drain_stored_j)
-        return min(k, 0.5 * period / jitter), led
+        return min(k, 0.5 * period / jitter - 2.0), led
 
     def room_periods(self, v, e_wakeup, drift, slack=0.0):
         """The room rule of a leak-free skip from voltage ``v`` just before a
@@ -508,43 +514,21 @@ class _Phys:
         return c * (wh - v * x) / i, v - w * em1
 
 
-def _wake_times(t, period, horizon, cap):
-    """Wakeup times ``t``, ``t + period``, ... equal to those the event loop
-    builds by repeated addition.  Returns ``(k, t_last, t_next)``: the ``k``
-    (at most ``cap``) wakeups from ``t`` on whose successor lies at or
-    before ``horizon``, the last of them and that successor.
-
-    Where ``t`` and ``period`` are both multiples of u = ulp(max(t,
-    horizon)), as whole-second times and every sensing and PIR interval of
-    the shipped table are, each ``t + j·period`` up to the horizon is a
-    multiple of u below 2^53·u: every addition is exact, and k comes from
-    one floor division, clamped at 0 for a horizon below ``t``.
-
-    Otherwise the times are computed per binade.  While ``s`` and
-    ``s + period`` lie in one binade ``[2^e, 2^(e+1))`` with ulp ``u``,
-    ``fl(s + period) = s + d``, ``d`` being ``period`` rounded to a multiple
-    of ``u``.  Only where ``period / u`` ends in exactly .5 does
-    ties-to-even choose ``d`` by the parity of ``s / u``, and after one step
-    that parity no longer changes.  So once two additions within a binade
-    give the same step ``d``, the following times are ``s + j·d``, exact,
-    up to ``2^(e+1) - u``, the horizon and the cap (each with one step to
-    spare).  Every other step, at binade edges and near the horizon or cap,
-    is a real addition; a skip costs a few additions per binade instead of
-    one per period.
+def _wake_times(anchor, n, period, horizon, cap):
+    """The wakeups a skip passes over, due at ``anchor + j·period`` for j =
+    n, n + 1, ... as in the event loop.  Returns ``(k, t_last, t_next)``:
+    the ``k`` (at most ``cap``) of them whose successor lies at or before
+    ``horizon``, the last of them and that successor.  Both roundings of
+    the expression are monotone, so the times never fall as j grows: one
+    floor division comes within a step or two of k, the run holding every
+    period to at least ulp(horizon), and the expression itself settles it.
     """
-    u = math.ulp(max(t, horizon))
-    if t % u == 0.0 and period % u == 0.0:
-        k = max(int(min((horizon - t) // period, cap)), 0)
-        return k, (t + (k - 1) * period if k else t), t + k * period
-    k, before, t_last, t_next = 0, t, t, t
-    while k + 1 <= cap and t_next + period <= horizon:
-        k, before, t_last, t_next = k + 1, t_last, t_next, t_next + period
-        d, u = t_next - t_last, math.ulp(t_next)
-        if d == t_last - before and d > 0.0 and math.ulp(before) == u:
-            m = int(min(cap - k, (min(horizon, u * (2.0**53 - 1.0)) - t_next) / d)) - 1
-            if m > 0:
-                k, t_last, t_next = k + m, t_next + (m - 1) * d, t_next + m * d
-    return k, t_last, t_next
+    k = int(max(min((horizon - anchor) // period - n, cap), 0.0))
+    while k and anchor + (n + k) * period > horizon:
+        k -= 1
+    while k + 1 <= cap and anchor + (n + k + 1) * period <= horizon:
+        k += 1
+    return k, anchor + (n + k - 1) * period, anchor + (n + k) * period
 
 
 def action_energy_j(config: NodeConfig) -> float:
@@ -587,8 +571,8 @@ class _NodeSim:
         self.e_wakeup = action_energy_j(config) / eta_buck
         self.e_event = config.load.e_event_detect_j / eta_buck
         self.intervals = config.table.intervals[config.mode]
-        # Past ulp(duration), adding the interval to the clock can leave it
-        # where it was, and the run would never end.
+        # Below ulp(duration) the clock cannot resolve the interval: many
+        # wakeups would share one time (above it, two still may).
         if min(self.intervals) < math.ulp(self.duration):
             raise ValueError(
                 f"node {config.node_id}: shortest {config.mode.value} interval "
@@ -674,8 +658,11 @@ class _NodeSim:
         now = 0.0
         # The one pending wakeup of a live node, and the node's one pending
         # crossing: its death while alive, its recovery while dead (each
-        # infinite when there is none).
+        # infinite when there is none).  The n-th wakeup since ``anchor`` is
+        # due at anchor + n·interval, the interval of qos; a recovery, and a
+        # step that takes another interval, restart it.
         next_wake = 0.0 if alive else math.inf
+        anchor, n, interval = 0.0, 0, intervals[qos - 1]
         t_cross = math.inf
         while True:
             t_event = t_cross if t_cross <= t_ext else t_ext
@@ -714,7 +701,7 @@ class _NodeSim:
                         log.deaths += 1
                         action = "death"
                     else:
-                        alive, next_wake = True, t
+                        alive, next_wake, anchor, n = True, t, t, 0
                         log.recoveries += 1
                         log.dead_seconds += t - died_at
                         ctrl = reset(ctrl)
@@ -758,24 +745,23 @@ class _NodeSim:
                     # v_rated never does.  No skipped wakeup lies past the
                     # horizon, so its ulp bounds the rounding of their times.
                     if skips and (v == v_rated or not i_leak):
-                        period = intervals[qos - 1]
                         horizon = min(t_ext, t_refill, duration)
-                        if t + period <= horizon:
+                        if anchor + (n + 1) * interval <= horizon:
                             jitter = math.ulp(horizon)
-                            cap, one = replay_period(v, p_panel, e_wakeup, period, jitter)
-                            k, t_last, t_next = _wake_times(t, period, horizon, cap)
+                            cap, one = replay_period(v, p_panel, e_wakeup, interval, jitter)
+                            k, t_last, t_next = _wake_times(anchor, n, interval, horizon, cap)
                             if k:
                                 led.add(one, k)
                                 if v != v_rated:
                                     v = math.sqrt(v * v + 2.0 * k * one.net_stored_j() / phys.c)
-                                # Each real period outlasts the replayed one; the
-                                # excess, on the clamp or else less than a period
-                                # in all, is integrated as one stretch.
-                                rest = (t_next - t) - k * (period - jitter)
+                                # The real periods' excess over the replayed ones
+                                # is integrated as one stretch (see replay_period).
+                                rest = (t_next - t) - k * (interval - jitter)
                                 v = advance(v, True, p_panel, rest, led)[0]
                                 histogram[qos] += k
                                 if sends:
                                     book(k, t, t_last)
+                                n += k
                                 now = next_wake = t_next
                                 # The closed-form voltage and the rest each round
                                 # the stored energy like an integrator step.
@@ -784,6 +770,8 @@ class _NodeSim:
                 else:
                     ctrl, qos = step(ctrl, v, lux, table)
                     fixed = t < t_refill and is_fixed_point(ctrl, lux, table)
+                    if intervals[qos - 1] != interval:
+                        anchor, n, interval = t, 0, intervals[qos - 1]
                 histogram[qos] += 1
                 v = pay(v, e_wakeup, led)
                 emitted = 0
@@ -793,7 +781,8 @@ class _NodeSim:
                     if sends:
                         book(1, t, t)
                         emitted = 1
-                    next_wake = t + intervals[qos - 1]
+                    n += 1
+                    next_wake = anchor + n * interval
                 if emit is not None:
                     emit(t, v, lux, qos, "wakeup", emitted)
         log.events_unnotified = len(held)

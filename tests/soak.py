@@ -1,4 +1,4 @@
-"""Soak runs: five property tests at thousands of examples.
+"""Soak runs: six property tests at thousands of examples.
 
     PYTHONPATH=src python tests/soak.py
 
@@ -40,6 +40,7 @@ SOAKS = [
     (fast_forward.test_room_bound_withholds_no_skip, fast_forward.ROOM_CASES, 20_000),
     (integrator.test_advance_invariants, {"call": integrator.calls()}, 20_000),
     (integrator.test_crossing_time_decides_each_span, {"case": integrator.crossings()}, 20_000),
+    (fast_forward.test_wake_times_follow_the_anchor, {"case": fast_forward.wake_cases()}, 20_000),
 ]
 
 

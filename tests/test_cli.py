@@ -828,6 +828,19 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert f"{path}.table: rows[{i}].{QosRow._fields[j]} {message}, got {bad!r}" in err
 
+    # Every grid key is optional: a grid without capacitances_f or qos_states
+    # is still a grid, one that explore runs.
+    @pytest.mark.parametrize(
+        "grid", [{"mode": "advertising", "lux_levels": [50.0]}, {"node": {"v_on": 2.5}}]
+    )
+    def test_grid_without_its_lists_valid(self, tmp_path, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["validate-config", "--config", str(path)]) == 0
+        out = tmp_path / "frontier.csv"
+        assert main(["explore", "--config", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 7
+
     def test_untyped_grid_lists_rejected(self, tmp_path, capsys):
         path = tmp_path / "grid.json"
         path.write_text(

@@ -12,7 +12,11 @@ events there: they check that the cursors and slots that replaced the queue
 change no result.  (b) and (c) were recorded again when a wakeup pending at
 a death stopped ending an integration segment of the dead node's recharge:
 their times and voltages moved by at most 3e-15 relative, and no count,
-state or action changed.  Floats are compared by ``repr``, detail records
+state or action changed.  (a) was recorded again when each wakeup came due
+at anchor + n·interval instead of by repeated addition of the 0.1 s
+advertising interval: its wakeup times moved by at most 1.5e-7 s, its
+summary floats by at most 7.7e-12 relative (9.2e-13 for the summary run),
+and no count, state or action changed.  Floats are compared by ``repr``, detail records
 by the SHA-256 of their ``repr`` lines.  Each scenario is also pinned as a summary
 run (``detail=False``), whose fast-forward books skipped wakeups as sums
 taken in another order: its floats may differ from the detailed run's in
@@ -140,10 +144,10 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                              'mode': 'advertising',
                              'duration_s': '25000.0',
                              'initial_voltage_v': '2.5',
-                             'final_voltage_v': '2.157145945306243',
+                             'final_voltage_v': '2.1571459453065347',
                              'alive_at_end': True,
-                             'uptime_fraction': '0.516128223650228',
-                             'dead_seconds': '12096.7944087443',
+                             'uptime_fraction': '0.5161282236464978',
+                             'dead_seconds': '12096.794408837555',
                              'deaths': 1,
                              'recoveries': 1,
                              'controller_steps': 129021,
@@ -159,31 +163,31 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                              'events_missed_dead': 0,
                              'notifications_emitted': 0,
                              'events_unnotified': 0,
-                             'ledger': {'harvest_panel_j': '1.7437499999950306',
-                                        'harvest_stored_j': '1.394999999995745',
-                                        'drain_stored_j': '2.1933606853229795',
-                                        'load_j': '1.974024616782349',
+                             'ledger': {'harvest_panel_j': '1.7437499999986104',
+                                        'harvest_stored_j': '1.3949999999960563',
+                                        'drain_stored_j': '2.1933606853223644',
+                                        'load_j': '1.9740246167817925',
                                         'leak_j': '0.0',
-                                        'conversion_loss_j': '0.5680860685399161',
-                                        'throughput_j': '3.588360685318724'},
-                             'energy_residual_j': '2.816635813474022e-12',
-                             'energy_residual_relative': '7.849366494839534e-13'},
+                                        'conversion_loss_j': '0.5680860685431259',
+                                        'throughput_j': '3.5883606853184205'},
+                             'energy_residual_j': '2.5195401320843303e-12',
+                             'energy_residual_relative': '7.021423856283148e-13'},
                  'qos_histogram': [0, 0, 0, 0, 2, 0, 2, 129017],
                  'records': 129023,
-                 'records_sha256': '054d387f78dac89d352958dee47e8c458ed04d89dfe376245cea1d0c4d3dfdef',
+                 'records_sha256': '4def4dca83378e1ca7b70e634a195c652385e0ddea374418312fd8811c2871d4',
                  'summary_run': {'summary': {'node_id': 'adv',
                                              'mode': 'advertising',
                                              'duration_s': '25000.0',
                                              'initial_voltage_v': '2.5',
-                                             'final_voltage_v': '2.1571459452991233',
+                                             'final_voltage_v': '2.1571459452991393',
                                              'alive_at_end': True,
-                                             'ledger': {'harvest_panel_j': '1.7437499999999997',
-                                                        'harvest_stored_j': '1.3949999999999998',
-                                                        'drain_stored_j': '2.193360685339777',
-                                                        'load_j': '1.974024616805799',
+                                             'ledger': {'harvest_panel_j': '1.74375',
+                                                        'harvest_stored_j': '1.3949999999999996',
+                                                        'drain_stored_j': '2.1933606853397407',
+                                                        'load_j': '1.9740246168057665',
                                                         'leak_j': '0.0',
-                                                        'conversion_loss_j': '0.5680860685339779',
-                                                        'throughput_j': '3.5883606853397767'},
+                                                        'conversion_loss_j': '0.5680860685339746',
+                                                        'throughput_j': '3.5883606853397403'},
                                              'qos_histogram': {'1': 0,
                                                                '2': 0,
                                                                '3': 0,
@@ -193,16 +197,16 @@ EXPECTED = {'advertising': {'summary': {'node_id': 'adv',
                                                                '7': 129017},
                                              'controller_steps': 129021,
                                              'packets_emitted': 129020,
-                                             'dead_seconds': '12096.79440874873',
+                                             'dead_seconds': '12096.79440875984',
                                              'deaths': 1,
                                              'recoveries': 1,
                                              'events_detected': 0,
                                              'events_missed_dead': 0,
                                              'notifications_emitted': 0,
                                              'events_unnotified': 0,
-                                             'uptime_fraction': '0.5161282236500508',
-                                             'energy_residual_j': '1.5543122344752192e-15',
-                                             'energy_residual_relative': '4.3315384677614803e-16'},
+                                             'uptime_fraction': '0.5161282236496063',
+                                             'energy_residual_j': '-4.440892098500626e-16',
+                                             'energy_residual_relative': '1.2375824193604355e-16'},
                                  'qos_histogram': [0,
                                                    0,
                                                    0,

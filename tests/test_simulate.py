@@ -436,6 +436,46 @@ class TestRunNodeBasics:
         assert len(seen) >= 2  # the controller actually moved
         residual_ok(log)
 
+    @pytest.mark.parametrize(
+        "cfg, light, duration",
+        [
+            # The frozen advertising scenario: 0.1 s periods, a death and a recovery.
+            (
+                NodeConfig(
+                    mode=ApplicationMode.ADVERTISING,
+                    supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5),
+                ),
+                OFFICE,
+                25_000.0,
+            ),
+            # Stepped light over small storage: several states, deaths and recoveries.
+            (
+                NodeConfig(supercap=SupercapState(capacitance_f=0.01, voltage_v=3.3, v_rated=3.6)),
+                Trace.from_samples([(h * 3600.0, 400.0 * (h % 12 == 0)) for h in range(0, 72, 6)]),
+                72 * 3600.0,
+            ),
+        ],
+    )
+    def test_wakeups_come_due_at_anchor_plus_n_intervals(self, cfg, light, duration):
+        # The n-th wakeup since the running interval started is due at exactly
+        # anchor + n·interval; the interval restarts at a wakeup that takes
+        # another one, and at a recovery, whose wakeup comes at once.
+        log = run_node(cfg, light, duration_s=duration)
+        intervals = DEFAULT_TABLE.intervals[cfg.mode]
+        due, interval, checked = 0.0, None, 0
+        for rec in log.records:
+            if rec.action == "recovery":
+                due, interval = rec.time_s, None
+            elif rec.action == "wakeup":
+                assert rec.time_s == due
+                checked += 1
+                if intervals[rec.qos - 1] != interval:
+                    anchor, n, interval = rec.time_s, 0, intervals[rec.qos - 1]
+                n += 1
+                due = anchor + n * interval
+        assert checked == log.controller_steps
+        assert log.recoveries and len(set(r.qos for r in log.records)) >= 2
+
     def test_determinism(self):
         trace = Trace.from_samples([(0.0, 300.0), (1800.0, 0.0), (3600.0, 120.0)])
         cfg = NodeConfig(supercap=SupercapState(voltage_v=3.1))
