@@ -38,8 +38,11 @@ Sweep-grid schema:
 
     {
       "capacitances_f": [..], "qos_states": [..],
-      "mode": "...", "lux_levels": [..], "node": <node schema>
+      "mode": "...", "lux_levels": [..],
+      "node": <node schema without mode and supercap.capacitance_f>
     }
+
+The grid's mode and capacitances set every row's, so the node's are rejected.
 """
 
 from __future__ import annotations
@@ -138,7 +141,12 @@ def parse_sweep_grid(obj: dict, where: str = "grid") -> tuple[SweepGrid, NodeCon
     if "mode" in obj:
         kwargs["mode"] = _mode(obj["mode"], f"{where}.mode")
     grid = _build(SweepGrid, kwargs, where)
-    base = parse_node_config(obj.get("node", {}), where=f"{where}.node")
+    node = obj.get("node", {})
+    base = parse_node_config(node, where=f"{where}.node")
+    if "mode" in node:
+        raise ConfigError(f"{where}.node.mode: the grid's mode sets it")
+    if "capacitance_f" in node.get("supercap", {}):
+        raise ConfigError(f"{where}.node.supercap.capacitance_f: the grid's capacitances_f set it")
     return grid, base
 
 

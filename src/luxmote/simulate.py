@@ -317,34 +317,31 @@ class _Phys:
         led.load_j += drained * self.eta_buck
         return v_new
 
-    def replay_period(self, v, p_panel, e_wakeup, period, jitter):
+    def replay_period(self, v, p_panel, e_wakeup, period):
         """Replays one wakeup period of a live node from voltage ``v`` just
         before the wakeup on a scratch ledger: ``pay`` for ``e_wakeup``, then
-        ``advance`` for ``period - jitter``, ``jitter`` being an ulp of the
-        skip's horizon.  Each wakeup time, anchor + j·period, rounds twice by
-        at most half a jitter, so k real periods outlast the k replayed ones
-        from k = 2 on, up to the rounding of the difference; one alone may
-        fall up to a jitter short, and ``run`` then integrates no rest and
-        books that much time too many.  Returns ``(k, ledger)``, k the number
-        of periods it stands for, 0 where the node dies within the period.
+        ``advance`` for ``period``.  Returns ``(k, ledger)``, k the number of
+        periods it stands for, 0 where the node dies within the period.  A
+        skip books k·period; the real time from its first wakeup to the one
+        after its last differs from that only by the rounding of those two
+        wake times, each anchor + j·period, a few ulps of the skip's horizon
+        for any k.
 
         A period that starts at ``v_rated`` and is back on the clamp by then
         repeats bit for bit, leaky or not: only time limits k.  Inside the
         regimes of leak-free storage, the energy before each wakeup moves by
-        the same drift, and k is ``room_periods`` of the replayed drift,
-        capped at 0.5·period/jitter - 2, so that the real periods outlast
-        the replayed ones by at most (k + 2) jitters and roundings, less than
-        one period in all.  A leaky period below ``v_rated`` does not repeat,
-        and ``run`` does not replay it.
+        the same drift, and k is ``room_periods`` of the replayed drift.  A
+        leaky period below ``v_rated`` does not repeat, and ``run`` does not
+        replay it.
 
         Below ``v_rated`` the room comes first.  Inside the leak-free boost
-        regime the drift is (eta_boost·p_panel - standby)·(period - jitter)
-        - e_wakeup before any replay; where its ``room_periods``, with a
-        margin of 1e-9 of the energies for the replay's rounding, leaves no
-        period, no period is replayed and ``(0, None)`` is returned.
+        regime the drift is (eta_boost·p_panel - standby)·period - e_wakeup
+        before any replay; where its ``room_periods``, with a margin of 1e-9
+        of the energies for the replay's rounding, leaves no period, no
+        period is replayed and ``(0, None)`` is returned.
         """
         if v != self.v_rated:
-            gain = (self.eta_boost * p_panel - self.p_standby_storage) * (period - jitter)
+            gain = (self.eta_boost * p_panel - self.p_standby_storage) * period
             slack = 1e-9 * (0.5 * self.c * v * v + e_wakeup + abs(gain))
             if self.room_periods(v, e_wakeup, gain - e_wakeup, slack) < 1.0:
                 return 0, None
@@ -352,22 +349,21 @@ class _Phys:
         v_w = self.pay(v, e_wakeup, led)
         if v_w < self.v_cutoff:
             return 0, led
-        v_end, _, death = self.advance(v_w, True, p_panel, period - jitter, led)
+        v_end, _, death = self.advance(v_w, True, p_panel, period, led)
         if death:  # a node that dies within the period repeats nothing
             return 0, led
         if v == self.v_rated:
             return (math.inf if v_end == v else 0), led
-        k = self.room_periods(v, e_wakeup, led.harvest_stored_j - led.drain_stored_j)
-        return min(k, 0.5 * period / jitter - 2.0), led
+        return self.room_periods(v, e_wakeup, led.harvest_stored_j - led.drain_stored_j), led
 
     def room_periods(self, v, e_wakeup, drift, slack=0.0):
         """The room rule of a leak-free skip from voltage ``v`` just before a
         wakeup: the number k of periods, each moving the energy before the
         wakeup by ``drift``, that the regimes hold.  k keeps a payment plus
         one period's net charge of room on both sides: for the dip after
-        each wakeup and for the time by which the real periods outlast the
-        replayed one.  So k = room/|drift| - 1, the room on the drift's side
-        less that swing, and 0 when either side has none.
+        each wakeup and for the rounding of the wake times.  So k =
+        room/|drift| - 1, the room on the drift's side less that swing, and
+        0 when either side has none.
 
         With ``slack``, a bound on the error of ``drift``, k bounds the k of
         every drift within ``slack`` of it: the swing is taken ``slack``
@@ -672,12 +668,11 @@ class _NodeSim:
                 t_next = t_sample
             t_stop = t_next if t_next < duration else duration
             crossing = None
-            while now < t_stop:
+            if now < t_stop:
                 v, span, crossing = advance(v, alive, p_panel, t_stop - now, led)
-                now += span
+                # Without a crossing the whole stretch ran: now + span can miss t_stop.
+                now = t_stop if crossing is None else now + span
                 steps += 1
-                if crossing is not None:
-                    break
             # A crossing becomes the pending one, at the crossing time; look again.
             if crossing is not None:
                 t_cross = now
@@ -743,29 +738,25 @@ class _NodeSim:
                     # A run without a sink skips up to the horizon, where one
                     # replayed period provably repeats; a leaky period below
                     # v_rated never does.  No skipped wakeup lies past the
-                    # horizon, so its ulp bounds the rounding of their times.
+                    # horizon, so the time a skip books is a few of its ulps
+                    # from the real one (see replay_period).
                     if skips and (v == v_rated or not i_leak):
                         horizon = min(t_ext, t_refill, duration)
                         if anchor + (n + 1) * interval <= horizon:
-                            jitter = math.ulp(horizon)
-                            cap, one = replay_period(v, p_panel, e_wakeup, interval, jitter)
+                            cap, one = replay_period(v, p_panel, e_wakeup, interval)
                             k, t_last, t_next = _wake_times(anchor, n, interval, horizon, cap)
                             if k:
                                 led.add(one, k)
                                 if v != v_rated:
                                     v = math.sqrt(v * v + 2.0 * k * one.net_stored_j() / phys.c)
-                                # The real periods' excess over the replayed ones
-                                # is integrated as one stretch (see replay_period).
-                                rest = (t_next - t) - k * (interval - jitter)
-                                v = advance(v, True, p_panel, rest, led)[0]
                                 histogram[qos] += k
                                 if sends:
                                     book(k, t, t_last)
                                 n += k
                                 now = next_wake = t_next
-                                # The closed-form voltage and the rest each round
-                                # the stored energy like an integrator step.
-                                steps += 2
+                                # The closed-form voltage rounds the stored
+                                # energy like an integrator step.
+                                steps += 1
                                 continue
                 else:
                     ctrl, qos = step(ctrl, v, lux, table)

@@ -126,6 +126,21 @@ class TestNodeConfig:
         (parse_sweep_grid, None, "grid: must be an object"),
         (parse_sweep_grid, {"capacitances_f": 1.0}, "grid.capacitances_f: must be a list"),
         (parse_sweep_grid, {"lux_levels": "300"}, "grid.lux_levels: must be a list"),
+        # sweep sets each row's mode and capacitance from the grid's own keys.
+        (
+            parse_sweep_grid,
+            {
+                "capacitances_f": [1.0],
+                "qos_states": [7],
+                "node": {"mode": "advertising", "supercap": {"capacitance_f": 0.02}},
+            },
+            "grid.node.mode: the grid's mode sets it",
+        ),
+        (
+            parse_sweep_grid,
+            {"node": {"supercap": {"capacitance_f": 0.02}}},
+            "grid.node.supercap.capacitance_f: the grid's capacitances_f set it",
+        ),
     ],
 )
 def test_json_shape_errors_name_the_key(parse, obj, message):

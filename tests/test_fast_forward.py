@@ -70,9 +70,10 @@ def count_steps(monkeypatch):
 
 
 def count_work(monkeypatch):
-    """Count the replayed periods, the payments and the controller steps.  A
-    ``replay_period`` call whose room bound withholds the replay returns no
-    ledger, and replays no period."""
+    """Count the replayed periods, the payments, the controller steps and the
+    integrator's ``advance`` calls, a replay's included.  A ``replay_period``
+    call whose room bound withholds the replay returns no ledger, and
+    replays no period."""
     replays = []
     real = simulate._Phys.replay_period
 
@@ -87,6 +88,7 @@ def count_work(monkeypatch):
         replays,
         count_calls(monkeypatch, simulate._Phys, "pay"),
         count_steps(monkeypatch),
+        count_calls(monkeypatch, simulate._Phys, "advance"),
     ]
 
 
@@ -322,8 +324,8 @@ def test_no_replay_without_a_period_to_skip(monkeypatch, voltage, days):
 
 
 # The work of a run, pinned as (replayed periods, payments, controller
-# steps): a change that adds work fails here, and one that removes work
-# records the new counts.
+# steps, advance calls): a change that adds work fails here, and one that
+# removes work records the new counts.
 def test_criterion_5_fleet_work(monkeypatch):
     # Each node steps to its fixed point and replays twice: to skip most of
     # the charge, and on the clamp.  The three wakeups between them leave
@@ -332,7 +334,7 @@ def test_criterion_5_fleet_work(monkeypatch):
     light = {node.node_id: Trace.constant(300.0) for node in config.nodes}
     calls = count_work(monkeypatch)
     run_deployment(config, light, duration_s=4 * 86_400.0, detail=False)
-    assert [len(c) for c in calls] == [30, 150, 75]
+    assert [len(c) for c in calls] == [30, 150, 75, 150]
 
 
 def test_pir_node_day_work(monkeypatch):
@@ -349,7 +351,7 @@ def test_pir_node_day_work(monkeypatch):
     assert full.events_detected == 150
     calls = count_work(monkeypatch)
     run_node(cfg, Trace.constant(300.0), events, duration_s=86_400.0, detail=False)
-    assert [len(c) for c in calls] == [144, 447, 5]
+    assert [len(c) for c in calls] == [144, 447, 5, 447]
 
 
 def test_pinned_node_skips_up_to_each_light_sample(monkeypatch):
@@ -372,7 +374,7 @@ def test_advertising_node_day_work(monkeypatch):
     calls = count_work(monkeypatch)
     log = run_node(cfg, Trace.constant(300.0), duration_s=86_400.0, detail=False)
     assert log.deaths == 5
-    assert [len(c) for c in calls] == [5, 49, 25]
+    assert [len(c) for c in calls] == [5, 49, 25, 49]
 
 
 @pytest.mark.parametrize("short", [1.0, 0.0])
@@ -523,13 +525,13 @@ def test_room_bound_withholds_no_skip(mode, capacitance, voltage, lux):
     )
     sim = simulate._NodeSim(cfg, Trace.constant(lux), None, 86_400.0)
     phys, p_panel, e_wakeup = sim.phys, sim.phys.p_per_lux * lux, sim.e_wakeup
-    period, jitter = sim.intervals[6], math.ulp(86_400.0)
-    _, one = phys.replay_period(voltage, p_panel, e_wakeup, period, jitter)
+    period = sim.intervals[6]
+    _, one = phys.replay_period(voltage, p_panel, e_wakeup, period)
     if one is None:
         # The withheld replay, made as replay_period makes it.
         led = EnergyLedger()
         v_w = phys.pay(voltage, e_wakeup, led)
-        death = phys.advance(v_w, True, p_panel, period - jitter, led)[2]
+        death = phys.advance(v_w, True, p_panel, period, led)[2]
         drift = led.harvest_stored_j - led.drain_stored_j
         assert v_w < phys.v_cutoff or death or phys.room_periods(voltage, e_wakeup, drift) < 1.0
 
