@@ -49,7 +49,6 @@ from .simulate import (
     ledger_summary,
     run_node,
     write_ledger_json,
-    write_node_log_csv,
 )
 from .traces import Trace, TraceError, load_trace_csv
 from .config import (

@@ -23,8 +23,7 @@ A run emits each dispatched event and light sample as a record to the sink
 it is given, and a run without one skips wakeups (below).  ``run_node``
 gives a detailed run a log file's writer (``log_path``), which holds no
 record, or else an appender to the ``NodeLog``'s records.  ``_log_writer``
-owns the record format, so the streamed file and ``write_node_log_csv`` of
-kept records are the same bytes.
+owns the record format and is the one writer of a node log's bytes.
 
 Continuous stretches are integrated in closed form: with piecewise-constant
 lux the net storage-side power P is constant between regime boundaries (the
@@ -212,6 +211,7 @@ class NodeLog:
     records: list = field(default_factory=list, metadata={**_LEFT_OUT, "detail_only": True})
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     qos_histogram: list = field(default_factory=lambda: [0] * 8)  # index 1..7
+    # Wakeups, stepped or gated: the QoS histogram's sum.
     controller_steps: int = 0
     packets_emitted: int = 0
     first_packet_s: float = field(default=0.0, metadata=_LEFT_OUT)
@@ -821,8 +821,9 @@ def run_node(
 
     ``detail`` and ``log_path`` choose the sink the run emits its records
     to.  With ``log_path`` (``detail`` only), each record is written to that
-    file as the run makes it, in the bytes ``write_node_log_csv`` writes,
-    and the returned log keeps none; the file is made once the inputs are
+    file as the run makes it, as CSV with the header
+    ``time_s,node_id,voltage_v,lux,qos,action,packets``, and the returned
+    log keeps none; the file is made once the inputs are
     checked, and removed again if the run fails.  With ``detail`` alone, the
     records are kept in the returned log.  Without detail the run has no
     sink, and a pinned node or one at a fixed point also fast-forwards over
@@ -876,14 +877,6 @@ def _log_writer(fh, node_id):
         write(f"{t!r},{node_id},{v!r},{lux_out},{qos},{action},{packets}\r\n")
 
     return record
-
-
-def write_node_log_csv(log: NodeLog, path) -> None:
-    """Per-event log as CSV: time_s,node_id,voltage_v,lux,qos,action,packets."""
-    with _open_log(path) as fh:
-        record = _log_writer(fh, log.node_id)
-        for rec in log.records:
-            record(*rec)
 
 
 def ledger_summary(log: NodeLog) -> dict:

@@ -1,4 +1,4 @@
-"""Soak runs: six property tests at thousands of examples.
+"""Soak runs: seven property tests at thousands of examples.
 
     PYTHONPATH=src python tests/soak.py
 
@@ -41,6 +41,8 @@ SOAKS = [
     (integrator.test_advance_invariants, {"call": integrator.calls()}, 20_000),
     (integrator.test_crossing_time_decides_each_span, {"case": integrator.crossings()}, 20_000),
     (fast_forward.test_wake_times_follow_the_anchor, {"case": fast_forward.wake_cases()}, 20_000),
+    (fast_forward.test_gate_changes_no_run, {"scenario": fast_forward.scenarios()}, 2_000),
+    (fast_forward.test_gate_changes_no_run, {"scenario": fast_forward.dense_light()}, 1_000),
 ]
 
 

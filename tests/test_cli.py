@@ -18,8 +18,9 @@ from luxmote.cli import main
 from luxmote.config import load_deployment_config, load_node_config
 from luxmote.deployment import run_deployment
 from luxmote.qos import QosRow
-from luxmote.simulate import run_node, write_node_log_csv
+from luxmote.simulate import run_node
 from luxmote.traces import load_trace_csv
+from log_reference import expected_log_bytes
 
 REPO = Path(__file__).resolve().parent.parent
 DEPLOY_CONFIG = str(REPO / "configs" / "deployment_15node.json")
@@ -181,9 +182,8 @@ class TestSimulateNode:
         argv = ["--light-trace", str(light), "--duration-s", "1800", "--out", str(out)]
         assert main(["simulate-node", "--config", str(config), *argv]) == 0
         memory = run_node(load_node_config(config), load_trace_csv(light), duration_s=1800.0)
-        write_node_log_csv(memory, tmp_path / "expected.csv")
         written = (out / f"{node_id}_log.csv").read_bytes()
-        assert written == (tmp_path / "expected.csv").read_bytes()
+        assert written == expected_log_bytes(node_id, memory.records)
         assert (len(written.splitlines()) == 1) == (node_id == "dead")
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -438,14 +438,13 @@ class TestDeploymentProcesses:
             assert log.records == []
             assert memory.logs[node_id].records
             assert log == dataclasses.replace(memory.logs[node_id], records=[])
-            write_node_log_csv(memory.logs[node_id], tmp_path / "expected.csv")
-            expected = (tmp_path / "expected.csv").read_bytes()
+            expected = expected_log_bytes(node_id, memory.logs[node_id].records)
             assert (tmp_path / "logs" / f"{node_id}_log.csv").read_bytes() == expected
 
     def test_logs_match_in_memory_runs(self, tmp_path, monkeypatch):
         # Ids that need csv quoting, and a node that starts dead in the dark
-        # and logs the header alone, each written by whichever process takes it.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # and logs the header alone, written in-process on one CPU and by
+        # whichever worker takes each node on two.
         traces = tmp_path / "traces"
         traces.mkdir()
         nodes = [
@@ -458,14 +457,18 @@ class TestDeploymentProcesses:
             _write_trace(traces / f"{node['node_id']}_light.csv", rows)
         config = tmp_path / "dep.json"
         config.write_text(json.dumps({"nodes": nodes}))
-        out = tmp_path / "out"
-        assert main(_deploy_argv(config, traces, 1800, out)) == 0
+        expected = {}
         for node in load_deployment_config(config).nodes:
             light = load_trace_csv(traces / f"{node.node_id}_light.csv")
-            write_node_log_csv(run_node(node, light, duration_s=1800.0), tmp_path / "expected.csv")
-            expected = (tmp_path / "expected.csv").read_bytes()
-            assert (out / f"{node.node_id}_log.csv").read_bytes() == expected
-        assert (out / "dead_log.csv").read_bytes().count(b"\n") == 1
+            records = run_node(node, light, duration_s=1800.0).records
+            expected[f"{node.node_id}_log.csv"] = expected_log_bytes(node.node_id, records)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"out{len(cpus)}"
+            assert main(_deploy_argv(config, traces, 1800, out)) == 0
+            for name, log in expected.items():
+                assert (out / name).read_bytes() == log
+        assert expected["dead_log.csv"].count(b"\n") == 1
 
     def test_each_node_runs_once_with_more_processes_than_cpus(self, tmp_path, monkeypatch):
         # More workers than CPUs still run each node once, none twice or

@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -70,8 +71,9 @@ def count_steps(monkeypatch):
 
 
 def count_work(monkeypatch):
-    """Count the replayed periods, the payments, the controller steps and the
-    integrator's ``advance`` calls, a replay's included.  A ``replay_period``
+    """Count the replayed periods, the payments, the controller steps, the
+    integrator's ``advance`` calls, a replay's included, and the
+    ``_wake_times`` calls, keeping what each returns.  A ``replay_period``
     call whose room bound withholds the replay returns no ledger, and
     replays no period."""
     replays = []
@@ -89,6 +91,7 @@ def count_work(monkeypatch):
         count_calls(monkeypatch, simulate._Phys, "pay"),
         count_steps(monkeypatch),
         count_calls(monkeypatch, simulate._Phys, "advance"),
+        count_calls(monkeypatch, simulate, "_wake_times"),
     ]
 
 
@@ -324,8 +327,9 @@ def test_no_replay_without_a_period_to_skip(monkeypatch, voltage, days):
 
 
 # The work of a run, pinned as (replayed periods, payments, controller
-# steps, advance calls): a change that adds work fails here, and one that
-# removes work records the new counts.
+# steps, advance calls, _wake_times calls), and the skips that book k > 0
+# periods: a change that adds work fails here, and one that removes work
+# records the new counts.
 def test_criterion_5_fleet_work(monkeypatch):
     # Each node steps to its fixed point and replays twice: to skip most of
     # the charge, and on the clamp.  The three wakeups between them leave
@@ -334,7 +338,8 @@ def test_criterion_5_fleet_work(monkeypatch):
     light = {node.node_id: Trace.constant(300.0) for node in config.nodes}
     calls = count_work(monkeypatch)
     run_deployment(config, light, duration_s=4 * 86_400.0, detail=False)
-    assert [len(c) for c in calls] == [30, 150, 75, 150]
+    assert [len(c) for c in calls] == [30, 150, 75, 150, 75]
+    assert sum(k > 0 for k, _, _ in calls[4]) == 30
 
 
 def test_pir_node_day_work(monkeypatch):
@@ -351,7 +356,8 @@ def test_pir_node_day_work(monkeypatch):
     assert full.events_detected == 150
     calls = count_work(monkeypatch)
     run_node(cfg, Trace.constant(300.0), events, duration_s=86_400.0, detail=False)
-    assert [len(c) for c in calls] == [144, 447, 5, 447]
+    assert [len(c) for c in calls] == [144, 447, 5, 447, 144]
+    assert sum(k > 0 for k, _, _ in calls[4]) == 144
 
 
 def test_pinned_node_skips_up_to_each_light_sample(monkeypatch):
@@ -374,7 +380,40 @@ def test_advertising_node_day_work(monkeypatch):
     calls = count_work(monkeypatch)
     log = run_node(cfg, Trace.constant(300.0), duration_s=86_400.0, detail=False)
     assert log.deaths == 5
-    assert [len(c) for c in calls] == [5, 49, 25, 49]
+    assert [len(c) for c in calls] == [5, 49, 25, 49, 24]
+    assert sum(k > 0 for k, _, _ in calls[4]) == 5
+
+
+def diurnal_light(rng, days, peak_lux):
+    """Minute-resolution office light: dark nights, a daylight arch with
+    seeded sunrise, sunset and level, and 3 % flicker at every minute."""
+    samples = []
+    for day in range(days):
+        rise = 7.5 + rng.uniform(-0.25, 0.25)
+        sset = 18.5 + rng.uniform(-0.25, 0.25)
+        peak = peak_lux * rng.uniform(0.95, 1.05)
+        for minute in range(1440):
+            hour = minute / 60.0
+            lux = 0.0
+            if rise < hour < sset:
+                arch = math.sin(math.pi * (hour - rise) / (sset - rise)) ** 0.5
+                lux = max(0.0, peak * arch * (1.0 + rng.gauss(0.0, 0.03)))
+            samples.append((day * 86_400.0 + minute * 60.0, round(lux, 1)))
+    return Trace.from_samples(samples)
+
+
+def test_diurnal_sensing_node_steps_at_every_wakeup(monkeypatch):
+    # A light sample comes every minute, three 20 s sensing periods apart,
+    # and the fixed-point gate closes HISTORY_LEN + 1 periods before each:
+    # it never opens, and both runs step at each of the 5,036 wakeups.  A
+    # gate that opens under minute-to-minute flicker lowers this count.
+    cfg = NodeConfig(supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5))
+    light = diurnal_light(random.Random(1), 2, 450.0)
+    calls = count_steps(monkeypatch)
+    for detail in (True, False):
+        calls.clear()
+        log = run_node(cfg, light, duration_s=2 * 86_400.0, detail=detail)
+        assert len(calls) == log.controller_steps == 5_036
 
 
 @pytest.mark.parametrize("short", [1.0, 0.0])
@@ -505,6 +544,55 @@ def scenarios(draw):
 def test_summary_run_matches_detailed_run(scenario):
     cfg, light, events, duration = scenario
     both(cfg, light, events, duration_s=duration)
+
+
+DENSE_LUX = [0.0, 150.0, 300.0, 400.0]
+
+
+@st.composite
+def dense_light(draw):
+    """An unpinned node under up to 60 light samples, each 1 to 30 of its
+    state-7 periods (±0.1 %) after the last, often at the last one's lux,
+    and motion events for an event-detection node."""
+    mode = draw(st.sampled_from(list(ApplicationMode)))
+    capacitance = draw(st.sampled_from([0.02, 0.1, 0.47, 1.0, 2.5]))
+    voltage = draw(st.one_of(st.floats(2.2, 5.5), st.just(5.5)))
+    leak = draw(st.sampled_from(LEAKS))
+    cfg = NodeConfig(
+        mode=mode,
+        supercap=SupercapState(capacitance_f=capacitance, voltage_v=voltage, leak_current_a=leak),
+    )
+    period = DEFAULT_TABLE.intervals[mode][6]
+    times, values = [0.0], [draw(st.sampled_from(DENSE_LUX))]
+    for _ in range(draw(st.integers(0, 59))):
+        jitter = draw(st.floats(-1e-3, 1e-3))
+        times.append(times[-1] + draw(st.integers(1, 30)) * period * (1.0 + jitter))
+        values.append(draw(st.sampled_from([values[-1], *DENSE_LUX])))
+    duration = times[-1] + draw(st.integers(1, 30)) * period
+    events = None
+    if mode is ApplicationMode.EVENT_DETECTION:
+        motion = draw(st.lists(st.floats(0.0, duration, exclude_max=True), max_size=8, unique=True))
+        if motion:
+            events = Trace(sorted(motion), [1.0] * len(motion))
+    return cfg, Trace(times, values), events, duration
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(st.one_of(scenarios(), dense_light()))
+def test_gate_changes_no_run(scenario):
+    # A detailed run writes the records and the ledger of the same run with
+    # the fixed point never proven, where an unpinned node steps at every
+    # wakeup.  Patched in the body, not through monkeypatch, so that
+    # tests/soak.py can run it.
+    cfg, light, events, duration = scenario
+    with mock.patch.object(simulate, "step", wraps=simulate.step) as step:
+        gated = run_node(cfg, light, events, duration_s=duration)
+    with mock.patch.object(simulate, "is_fixed_point", lambda *args: False):
+        stepped = run_node(cfg, light, events, duration_s=duration)
+    assert gated.records == stepped.records
+    assert ledger_summary(gated) == ledger_summary(stepped)
+    if cfg.pinned_qos is None and step.call_count < gated.controller_steps:
+        hypothesis.event("gated wakeups")
 
 
 ROOM_CASES = dict(

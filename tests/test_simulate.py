@@ -2,9 +2,7 @@
 wakeup/event handling, death and cold-start recovery, the energy ledger, and
 determinism."""
 
-import csv
 import dataclasses
-import io
 import math
 
 import pytest
@@ -24,9 +22,9 @@ from luxmote.simulate import (
     _Phys,
     ledger_summary,
     run_node,
-    write_node_log_csv,
 )
 from luxmote.traces import Trace
+from log_reference import expected_log_bytes
 from run_compare import assert_same_run
 
 DARK = Trace.constant(0.0)
@@ -867,17 +865,11 @@ class TestNodeLogCsv:
     def test_bytes_match_csv_writer_rows(self, tmp_path, node_id):
         # -0.0 == 0.0 but formats differently; 300.0 recurs as another float.
         light = Trace.from_samples([(0.0, 300.0), (25.0, 0.0), (50.0, -0.0), (60.0, 300.0), (75.0, 300.0)])
-        log = run_node(NodeConfig(node_id=node_id), light, duration_s=100.0)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["time_s", "node_id", "voltage_v", "lux", "qos", "action", "packets"])
-        for rec in log.records:
-            writer.writerow(
-                [repr(rec.time_s), node_id, repr(rec.voltage_v), repr(rec.lux), rec.qos, rec.action, rec.packets]
-            )
+        cfg = NodeConfig(node_id=node_id)
+        memory = run_node(cfg, light, duration_s=100.0)
         path = tmp_path / "log.csv"
-        write_node_log_csv(log, path)
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        run_node(cfg, light, duration_s=100.0, log_path=path)
+        assert path.read_bytes() == expected_log_bytes(node_id, memory.records)
 
     @pytest.mark.parametrize(
         "node_id, v0, light",
@@ -892,11 +884,10 @@ class TestNodeLogCsv:
         cfg = NodeConfig(node_id=node_id, supercap=SupercapState(capacitance_f=0.05, voltage_v=v0))
         light = Trace.from_samples(light)
         memory = run_node(cfg, light, duration_s=100.0)
-        write_node_log_csv(memory, tmp_path / "expected.csv")
         streamed = run_node(cfg, light, duration_s=100.0, log_path=tmp_path / "log.csv")
         assert streamed.records == []
         assert streamed == dataclasses.replace(memory, records=[])
-        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "log.csv").read_bytes() == expected_log_bytes(node_id, memory.records)
         if node_id == "dead":
             header = b"time_s,node_id,voltage_v,lux,qos,action,packets\r\n"
             assert (tmp_path / "log.csv").read_bytes() == header
