@@ -393,6 +393,21 @@ class TestDeploymentOutputBytes:
         }
         assert digests == self.EXPECTED
 
+    def test_sensing_node_bytes(self, tmp_path):
+        # A leak-free sensing node under light that changes every minute:
+        # its controller steps at every wakeup, and its log interleaves
+        # light samples and wakeups, as an office desk node's does.
+        config, traces = _mixed_fleet(tmp_path, self.DURATION_S, ("periodic",))
+        out = tmp_path / "out"
+        assert main(_deploy_argv(config, traces, self.DURATION_S, out)) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+        }
+        assert digests == {
+            "periodic_log.csv": "2ce6015705983bb64b46794922aff60c8d49ebcd2d4944fd4fd66cefad78c8cd",
+            "report.json": "516bddac78b51adb823e538b17c64e0770777683b384e5113bb8cb65151b83b0",
+        }
+
 
 class TestDeploymentProcesses:
     """simulate-deployment splits its nodes over one process per available

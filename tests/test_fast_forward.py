@@ -416,6 +416,30 @@ def test_diurnal_sensing_node_steps_at_every_wakeup(monkeypatch):
         assert len(calls) == log.controller_steps == 5_036
 
 
+def test_detailed_leaky_node_work(monkeypatch):
+    # The work of a detailed run, pinned as (controller steps, payments,
+    # advance calls, segment solves, _leak_at evaluations, records): a 1 µA
+    # leaky sensing node under office light, the path of a logged CLI run.
+    # Every wakeup steps and pays; a stretch past a light sample or the
+    # boost threshold takes one more advance call or segment, and each leaky
+    # solve a few _leak_at evaluations.  Making an event cheaper must leave
+    # every count here as it is.
+    cfg = NodeConfig(
+        supercap=SupercapState(capacitance_f=1.0, voltage_v=2.5, leak_current_a=1e-6)
+    )
+    light = diurnal_light(random.Random(1), 2, 450.0)
+    calls = [
+        count_steps(monkeypatch),
+        count_calls(monkeypatch, simulate._Phys, "pay"),
+        count_calls(monkeypatch, simulate._Phys, "advance"),
+        count_calls(monkeypatch, simulate._Phys, "segment"),
+        count_calls(monkeypatch, simulate._Phys, "_leak_at"),
+    ]
+    log = run_node(cfg, light, duration_s=2 * 86_400.0, detail=True)
+    assert [len(c) for c in calls] == [5_007, 5_007, 6_212, 6_212, 31_050]
+    assert len(log.records) == 7_886
+
+
 @pytest.mark.parametrize("short", [1.0, 0.0])
 def test_node_on_the_cutoff_dies_in_both_runs(short):
     # A pinned PIR node pays nothing at its wakeups.  Started on the cutoff
@@ -577,8 +601,22 @@ def dense_light(draw):
     return cfg, Trace(times, values), events, duration
 
 
+# The gate closes HISTORY_LEN + 1 periods before each light sample, while
+# HISTORY_LEN - 1 is the tightest margin that changes no run: the step after
+# a sample reads four earlier voltages.  This node reaches its 3.3 V clamp
+# inside the gate; with a margin of HISTORY_LEN - 2, one stale, lower voltage
+# is left in the history, and after the light drops at 3,600 s it flips the
+# voltage trend, so the detailed run logs qos 7 where the stepped one logs 5.
 @hypothesis.settings(max_examples=80, deadline=None)
 @hypothesis.given(st.one_of(scenarios(), dense_light()))
+@hypothesis.example(
+    (
+        NodeConfig(supercap=SupercapState(capacitance_f=0.02, voltage_v=3.0, v_rated=3.3)),
+        Trace([0.0, 3600.0], [300.0, 150.0]),
+        None,
+        7200.0,
+    )
+)
 def test_gate_changes_no_run(scenario):
     # A detailed run writes the records and the ledger of the same run with
     # the fixed point never proven, where an unpinned node steps at every
