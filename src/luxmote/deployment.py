@@ -5,7 +5,7 @@ Nodes share no energy or radio state, so each is simulated independently; a
 node's outcome in a deployment equals its outcome when run alone.  A run
 that writes its node logs to a directory runs the nodes in a pool of up to
 one worker process per available CPU: a free worker takes the next node not
-yet taken, and writes the node's log line by line as the node runs.
+yet taken, and writes the node's log as the node runs.
 Delivery is hard-range: every packet of a node within the radio range
 reaches the base station, none of a node beyond it.
 """

@@ -165,14 +165,17 @@ def trend(buffer) -> float:
 
     The controller only consumes the sign: negative means falling.
     """
-    n = len(buffer)
-    if n != HISTORY_LEN:
-        raise ValueError(f"trend window must have {HISTORY_LEN} entries, got {n}")
-    y0, y1, y2, y3, y4 = buffer
-    mean = sum(buffer) / n
-    # The numerator sum over i of (i - 2) * (y_i - mean), added in index order.
-    num = (0.0 - 2.0 * (y0 - mean) - 1.0 * (y1 - mean) + 0.0 * (y2 - mean)
-           + 1.0 * (y3 - mean) + 2.0 * (y4 - mean))
+    try:
+        y0, y1, y2, y3, y4 = buffer
+    except ValueError:
+        raise ValueError(
+            f"trend window must have {HISTORY_LEN} entries, got {len(buffer)}"
+        ) from None
+    mean = sum(buffer) / HISTORY_LEN
+    # The numerator sum over i of (i - 2) * (y_i - mean), added in index
+    # order; the weights ±1 are left out, as multiplying by 1.0 is exact.
+    num = (0.0 - 2.0 * (y0 - mean) - (y1 - mean) + 0.0 * (y2 - mean)
+           + (y3 - mean) + 2.0 * (y4 - mean))
     return num / _TREND_DEN
 
 
@@ -235,7 +238,7 @@ def step(
     buckets beyond 3.6 V even though the storage element may charge higher).
     Must only be called on a live node: volt below the table floor raises.
     """
-    if light < 0:
+    if light < 0.0:
         raise ValueError(f"light must be non-negative, got {light}")
     if volt < table.v_min - 1e-12:
         raise ValueError(
@@ -248,22 +251,25 @@ def step(
     (_, l1, l2, l3, l4), (_, v1, v2, v3, v4), index, next_qos = ctrl
     at_max = volt >= v_max - V_MAX_TOL
     if index == 0 or at_max:
-        next_qos = lookup_state(table, volt)
+        # A voltage clamped to the ceiling lies in the top bucket, state 7.
+        next_qos = 7 if volt == v_max else lookup_state(table, volt)
         index += 1
 
     light_buf = (l1, l2, l3, l4, light)
     volt_buf = (v1, v2, v3, v4, volt)
 
     # Each rule adds -1 or +1 and the sum is clamped, so a rule whose two
-    # values clamp to the same state is not evaluated.
+    # values clamp to the same state is not evaluated.  The readings and
+    # trends are compared with float zeros, which the interpreter compares
+    # faster than an int, with the same result.
     if at_max:
         next_qos += 1  # the voltage rule, whatever the trend
         if next_qos < 8:
-            next_qos += -1 if light == 0 or trend(light_buf) < 0 else 1
+            next_qos += -1 if light == 0.0 or trend(light_buf) < 0.0 else 1
     else:
-        next_qos += -1 if light == 0 or trend(light_buf) < 0 else 1
+        next_qos += -1 if light == 0.0 or trend(light_buf) < 0.0 else 1
         if 0 < next_qos < 8:
-            next_qos += -1 if trend(volt_buf) <= 0 else 1
+            next_qos += -1 if trend(volt_buf) <= 0.0 else 1
 
     if next_qos < 1:
         next_qos = 1
@@ -271,8 +277,7 @@ def step(
         next_qos = 7
     # The buffers hold 5 entries and the state is clamped, so the new value
     # skips ControllerState's checks.
-    new = tuple.__new__(ControllerState, (light_buf, volt_buf, index, next_qos))
-    return new, next_qos
+    return tuple.__new__(ControllerState, (light_buf, volt_buf, index, next_qos)), next_qos
 
 
 def is_fixed_point(ctrl: ControllerState, light: float, table: QosTable) -> bool:

@@ -21,9 +21,10 @@ no global state.
 
 A run emits each dispatched event and light sample as a record to the sink
 it is given, and a run without one skips wakeups (below).  ``run_node``
-gives a detailed run a log file's writer (``log_path``), which holds no
-record, or else an appender to the ``NodeLog``'s records.  ``_log_writer``
-owns the record format and is the one writer of a node log's bytes.
+gives a detailed run a log file's writer (``log_path``), which writes the
+records to the file in chunks and keeps none in the ``NodeLog``, or else an
+appender to the ``NodeLog``'s records.  ``_log_writer`` owns the record
+format and is the one writer of a node log's bytes.
 
 Continuous stretches are integrated in closed form: with piecewise-constant
 lux the net storage-side power P is constant between regime boundaries (the
@@ -308,11 +309,12 @@ class _Phys:
         drains the element to 0 V."""
         if e_stored_j == 0.0:
             return v
-        e_new = 0.5 * self.c * v**2 - e_stored_j
+        c = self.c
+        e_new = 0.5 * c * v**2 - e_stored_j
         if e_new < 0.0:
             e_new = 0.0
-        v_new = math.sqrt(2.0 * e_new / self.c)
-        drained = 0.5 * self.c * (v * v - v_new**2)
+        v_new = math.sqrt(2.0 * e_new / c)
+        drained = 0.5 * c * (v * v - v_new**2)
         led.drain_stored_j += drained
         led.load_j += drained * self.eta_buck
         return v_new
@@ -378,23 +380,22 @@ class _Phys:
         return room / (abs(drift) - slack) - 1.0 if abs(drift) > slack else math.inf
 
     def advance(self, v, alive, p_panel, dt, led):
-        c = self.c
-        i_leak = self.i_leak
+        i_leak, v_boost, v_rated = self.i_leak, self.v_boost, self.v_rated
+        p_boost = self.eta_boost * p_panel
+        p_out = self.p_standby_storage if alive else 0.0
         used = 0.0
         while used < dt:
             if not alive and v >= self.v_on:
                 return v, used, "recovery"
-            eta = self.eta_boost if v >= self.v_boost else self.eta_cold
-            p_in = eta * p_panel
-            p_out = self.p_standby_storage if alive else 0.0
+            p_in = p_boost if v >= v_boost else self.eta_cold * p_panel
             p_leak = i_leak * v
-            if v == self.v_boost and p_in < p_out + p_leak:
+            if v == v_boost and p_in < p_out + p_leak:
                 # Leaving the efficient region downward: the stretch below
                 # the threshold runs on the cold-start path.
                 p_in = self.eta_cold * p_panel
             p_net = p_in - p_out - p_leak
             span = dt - used
-            if p_net == 0.0 or (p_net > 0.0 and v >= self.v_rated):
+            if p_net == 0.0 or (p_net > 0.0 and v >= v_rated):
                 # Held at the leak equilibrium, or pinned at the rated voltage
                 # with the surplus shed: harvest covers the load and the leak.
                 p_in, p, v_new, thr, used = p_out + p_leak, p_leak, v, None, dt
@@ -402,15 +403,15 @@ class _Phys:
                 if p_net < 0.0 and alive and v <= self.v_cutoff:
                     return v, used, "death"
                 if p_net > 0.0:
-                    thr = self.v_rated
+                    thr = v_rated
                     if not alive and v < self.v_on < thr:
                         thr = self.v_on
-                    if v < self.v_boost < thr:
-                        thr = self.v_boost
+                    if v < v_boost < thr:
+                        thr = v_boost
                 else:
                     thr = self.v_cutoff if alive else 0.0
-                    if thr < self.v_boost < v:
-                        thr = self.v_boost
+                    if thr < v_boost < v:
+                        thr = v_boost
                 p = p_in - p_out  # equals p_net without a leak
                 span, v_new = self.segment(v, p, thr, span)
                 used += span
@@ -418,7 +419,7 @@ class _Phys:
                     used = dt
             if i_leak:
                 # The integral of I·V over the segment, by C·V·dV/dt = p - I·V.
-                led.leak_j += p * span - 0.5 * c * (v_new * v_new - v * v)
+                led.leak_j += p * span - 0.5 * self.c * (v_new * v_new - v * v)
             led.harvest_panel_j += p_panel * span
             led.harvest_stored_j += p_in * span
             led.drain_stored_j += p_out * span
@@ -457,9 +458,14 @@ class _Phys:
                 t = (0.5 * c * thr * thr - 0.5 * c * v * v) / p
                 if t <= span:
                     return t, thr
-            v_free = math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))
+            # The conditionals are max(e, 0.0), min(v_free, thr) and
+            # max(v_free, thr), with the builtins' comparisons, NaN included.
+            e = v * v + 2.0 * p * span / c
+            v_free = math.sqrt(0.0 if 0.0 > e else e)
             # Rounding must not carry the voltage past the threshold.
-            return span, (min(v_free, thr) if thr > v else max(v_free, thr))
+            if thr > v:
+                return span, (thr if thr < v_free else v_free)
+            return span, (thr if thr > v_free else v_free)
         if p == 0.0:  # the leak alone: a linear drain
             if thr <= v and (t := c * (v - thr) / i) <= span:
                 return t, thr
@@ -470,28 +476,36 @@ class _Phys:
             # On the equilibrium to rounding (p - I·v, p/I - v disagree): hold.
             return span, v
         # z = (v_eq - thr)/w - 1 is <= -1 when v_eq lies at or before thr.
+        leak_at = self._leak_at
         if (z := (v - thr) / w) > -1.0:
-            t = self._leak_at(v, v_eq, math.log1p(z))[0]
+            t = leak_at(v, v_eq, math.log1p(z))[0]
             if t <= span:
                 return t, thr
-        z = (v - math.sqrt(max(v * v + 2.0 * p * span / c, 0.0))) / w
+        # As above, each conditional is the builtin min or max it stands for.
+        e = v * v + 2.0 * p * span / c
+        z = (v - math.sqrt(0.0 if 0.0 > e else e)) / w
         x = math.log1p(z) if z > -1.0 else -math.inf
         if p > 0.0:
             x_line = -(w + span * i / c) / v_eq
-            x = max(x, x_line) if w > 0.0 else min(x, x_line)
+            if (x_line > x) if w > 0.0 else (x_line < x):
+                x = x_line
         # x_line = -inf: the span outlasts the float range, ending on v_eq.
         if x > -math.inf:
             for _ in range(60):
-                t, v_x = self._leak_at(v, v_eq, x)
+                t, v_x = leak_at(v, v_eq, x)
                 if not (slope := c * v_x):  # at 0 V to rounding: no step to take
                     break
                 dx = (t - span) * i / slope
-                x = min(x + dx, 0.0)
+                x += dx
+                if 0.0 < x:
+                    x = 0.0
                 if abs(dx) <= 1e-13 * abs(x):
                     break
-        v_new = self._leak_at(v, v_eq, x)[1]
+        v_new = leak_at(v, v_eq, x)[1]
         # Rounding must not carry the voltage past the threshold.
-        return span, (min(v_new, thr) if w > 0.0 else max(v_new, thr))
+        if w > 0.0:
+            return span, (thr if thr < v_new else v_new)
+        return span, (thr if thr > v_new else v_new)
 
     def _leak_at(self, v, v_eq, x):
         """(t, V) on a leaky segment, C·V·dV/dt = p - I·V from ``v``, with
@@ -600,9 +614,10 @@ class _NodeSim:
                 f"node {config.node_id}: supercap.capacitance_f {phys.c} F recharges from "
                 f"v_cutoff to v_on in under {t_recharge} s at {lux_max} lux"
             )
-        # The external events inside [0, duration), in time order, then a sentinel.
+        # The external events inside [0, duration), in time order, then the
+        # end of the run as a sentinel: no pending event lies past the end.
         ext = events.times_s.tolist() if events is not None else []
-        self.ext_t = [t for t in ext if 0.0 <= t < self.duration] + [math.inf]
+        self.ext_t = [t for t in ext if 0.0 <= t < self.duration] + [self.duration]
         self.log = NodeLog(
             node_id=config.node_id,
             mode=config.mode,
@@ -617,15 +632,16 @@ class _NodeSim:
         ``emit(t, v, lux, qos, action, packets)`` as it is made.  A run without
         a sink skips the wakeups that provably repeat (``replay_period``).
 
-        The node's state, the held events and the last notification time
-        included, lives in locals here and nowhere else.  Every event is
+        The node's state, the held events, the last notification time and
+        the packets sent included, lives in locals here and nowhere else;
+        the packets are written to the log once, at the end.  Every event is
         dispatched inline, and a skip is decided and booked in the gate's
         branch."""
         log, lux = self.log, self.lux
         duration, phys = self.duration, self.phys
         advance, pay, v_cutoff, p_per_lux = phys.advance, phys.pay, phys.v_cutoff, phys.p_per_lux
         replay_period, v_rated, i_leak = phys.replay_period, phys.v_rated, phys.i_leak
-        led, histogram, book = log.ledger, log.qos_histogram, self._book_packets
+        led, histogram = log.ledger, log.qos_histogram
         table, intervals, e_wakeup, pinned = self.table, self.intervals, self.e_wakeup, self.pinned_qos
         e_event, holdoffs = self.e_event, self.holdoffs
         sends = self.mode is not ApplicationMode.EVENT_DETECTION
@@ -634,6 +650,8 @@ class _NodeSim:
         i_sample = i_ext = 0
         t_sample, t_ext = sample_t[0], ext_t[0]
         held, last_notification = [], -math.inf
+        # The packets sent, and the times of the first and the last of them.
+        sent, first_sent, last_sent = 0, 0.0, 0.0
         # While ``fixed``, the controller keeps its state: pinned, or left at
         # its fixed point for this light by a step, with no reset since.  A
         # wakeup before ``t_refill`` then takes that state with no step, and
@@ -666,17 +684,18 @@ class _NodeSim:
             t_next = t_event if t_event <= next_wake else next_wake
             if t_sample <= t_next:
                 t_next = t_sample
-            t_stop = t_next if t_next < duration else duration
-            crossing = None
-            if now < t_stop:
-                v, span, crossing = advance(v, alive, p_panel, t_stop - now, led)
-                # Without a crossing the whole stretch ran: now + span can miss t_stop.
-                now = t_stop if crossing is None else now + span
+            # t_next is at most the end of the run, the last entry of ext_t.
+            if now < t_next:
+                v, span, crossing = advance(v, alive, p_panel, t_next - now, led)
                 steps += 1
-            # A crossing becomes the pending one, at the crossing time; look again.
-            if crossing is not None:
-                t_cross = now
-            elif t_next >= duration:
+                if crossing is not None:
+                    # The crossing becomes the pending one, at its time; look again.
+                    now += span
+                    t_cross = now
+                    continue
+                # The whole stretch ran: now + span can miss t_next.
+                now = t_next
+            if t_next >= duration:
                 break
             elif t_sample == t_next:
                 lux = sample_v[i_sample]
@@ -721,11 +740,17 @@ class _NodeSim:
                     elif t - last_notification < holdoffs[qos - 1]:
                         held.append(t)
                     else:
-                        book(1, t, t)
-                        packets = 1
+                        if not sent:
+                            first_sent = t
+                        sent += 1
+                        last_sent, packets = t, 1
                         log.notifications_emitted += 1
-                        log.notification_latencies_s.append(0.0)
-                        log.notification_latencies_s.extend([t - t_held for t_held in held])
+                        # A loop, not a comprehension, which would make t a
+                        # cell variable, read and written slower in every branch.
+                        latencies = log.notification_latencies_s
+                        latencies.append(0.0)
+                        for t_held in held:
+                            latencies.append(t - t_held)
                         held, last_notification = [], t
                     action = "event"
                 if emit is not None:
@@ -741,7 +766,7 @@ class _NodeSim:
                     # horizon, so the time a skip books is a few of its ulps
                     # from the real one (see replay_period).
                     if skips and (v == v_rated or not i_leak):
-                        horizon = min(t_ext, t_refill, duration)
+                        horizon = min(t_ext, t_refill)  # t_ext <= duration
                         if anchor + (n + 1) * interval <= horizon:
                             cap, one = replay_period(v, p_panel, e_wakeup, interval)
                             k, t_last, t_next = _wake_times(anchor, n, interval, horizon, cap)
@@ -751,7 +776,10 @@ class _NodeSim:
                                     v = math.sqrt(v * v + 2.0 * k * one.net_stored_j() / phys.c)
                                 histogram[qos] += k
                                 if sends:
-                                    book(k, t, t_last)
+                                    if not sent:
+                                        first_sent = t
+                                    sent += k
+                                    last_sent = t_last
                                 n += k
                                 now = next_wake = t_next
                                 # The closed-form voltage rounds the stored
@@ -770,22 +798,17 @@ class _NodeSim:
                     next_wake, t_cross = math.inf, t
                 else:
                     if sends:
-                        book(1, t, t)
-                        emitted = 1
+                        if not sent:
+                            first_sent = t
+                        sent += 1
+                        last_sent, emitted = t, 1
                     n += 1
                     next_wake = anchor + n * interval
                 if emit is not None:
                     emit(t, v, lux, qos, "wakeup", emitted)
         log.events_unnotified = len(held)
+        log.packets_emitted, log.first_packet_s, log.last_packet_s = sent, first_sent, last_sent
         return self._finalize(steps, v, alive, died_at)
-
-    def _book_packets(self, k, t_first, t_last) -> None:
-        """Books ``k`` packets sent from ``t_first`` to ``t_last``."""
-        log = self.log
-        if not log.packets_emitted:
-            log.first_packet_s = t_first
-        log.packets_emitted += k
-        log.last_packet_s = t_last
 
     def _finalize(self, steps, v, alive, died_at) -> NodeLog:
         log = self.log
@@ -820,8 +843,8 @@ def run_node(
     (config, traces, duration, detail).
 
     ``detail`` and ``log_path`` choose the sink the run emits its records
-    to.  With ``log_path`` (``detail`` only), each record is written to that
-    file as the run makes it, as CSV with the header
+    to.  With ``log_path`` (``detail`` only), the records are written to
+    that file as the run makes them, in chunks, as CSV with the header
     ``time_s,node_id,voltage_v,lux,qos,action,packets``, and the returned
     log keeps none; the file is made once the inputs are
     checked, and removed again if the run fails.  With ``detail`` alone, the
@@ -845,10 +868,17 @@ def run_node(
     fh = _open_log(path)
     try:
         with fh:
-            return sim.run(_log_writer(fh, config.node_id))
+            record, flush = _log_writer(fh, config.node_id)
+            log = sim.run(record)
+            flush()
+            return log
     except BaseException:
         path.unlink(missing_ok=True)
         raise
+
+
+# Records per write to a node log's file.
+_LOG_CHUNK = 1024
 
 
 def _open_log(path):
@@ -856,27 +886,44 @@ def _open_log(path):
 
 
 def _log_writer(fh, node_id):
-    """Writes a node log's CSV header to ``fh`` and returns the function
-    that writes one record, ``(time_s, voltage_v, lux, qos, action,
-    packets)``: the one layout of a node log."""
+    """Writes a node log's CSV header to ``fh`` and returns ``(record,
+    flush)``: ``record`` formats one record, ``(time_s, voltage_v, lux, qos,
+    action, packets)``, in the one layout of a node log, and ``flush`` writes
+    the records not yet written.  Records are written in chunks of
+    ``_LOG_CHUNK`` lines."""
     # Only node_id can need quoting; csv.writer quotes it once, and each
     # record is then formatted as the writer would format it.
     quoted = io.StringIO()
     csv.writer(quoted).writerow([node_id])
-    node_id = quoted.getvalue()[:-2]
+    id_field = f",{quoted.getvalue()[:-2]},"
     write = fh.write
     write("time_s,node_id,voltage_v,lux,qos,action,packets\r\n")
     # lux is formatted once per float object, and so once per light sample;
     # by identity, as -0.0 == 0.0, and held so that its id is not reused.
-    last_lux = lux_out = None
+    # The integers qos and packets, and the action, are formatted once per
+    # combination.
+    last_lux = lux_field = None
+    tails = {}
+    lines = []
+    add = lines.append
 
     def record(t, v, lux, qos, action, packets):
-        nonlocal last_lux, lux_out
+        nonlocal last_lux, lux_field
         if lux is not last_lux:
-            last_lux, lux_out = lux, repr(lux)
-        write(f"{t!r},{node_id},{v!r},{lux_out},{qos},{action},{packets}\r\n")
+            last_lux, lux_field = lux, f",{lux!r}"
+        try:
+            tail = tails[qos, action, packets]
+        except KeyError:
+            tail = tails[qos, action, packets] = f",{qos},{action},{packets}\r\n"
+        add(f"{t!r}{id_field}{v!r}{lux_field}{tail}")
+        if len(lines) == _LOG_CHUNK:
+            flush()
 
-    return record
+    def flush():
+        write("".join(lines))
+        lines.clear()
+
+    return record, flush
 
 
 def ledger_summary(log: NodeLog) -> dict:
