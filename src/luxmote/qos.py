@@ -165,12 +165,7 @@ def trend(buffer) -> float:
 
     The controller only consumes the sign: negative means falling.
     """
-    try:
-        y0, y1, y2, y3, y4 = buffer
-    except ValueError:
-        raise ValueError(
-            f"trend window must have {HISTORY_LEN} entries, got {len(buffer)}"
-        ) from None
+    y0, y1, y2, y3, y4 = buffer  # another length raises ValueError
     mean = sum(buffer) / HISTORY_LEN
     # The numerator sum over i of (i - 2) * (y_i - mean), added in index
     # order; the weights ±1 are left out, as multiplying by 1.0 is exact.
@@ -259,9 +254,8 @@ def step(
     volt_buf = (v1, v2, v3, v4, volt)
 
     # Each rule adds -1 or +1 and the sum is clamped, so a rule whose two
-    # values clamp to the same state is not evaluated.  The readings and
-    # trends are compared with float zeros, which the interpreter compares
-    # faster than an int, with the same result.
+    # values clamp to the same state is not evaluated.  Floats are compared
+    # with 0.0, not 0: the same result, on the interpreter's faster path.
     if at_max:
         next_qos += 1  # the voltage rule, whatever the trend
         if next_qos < 8:
