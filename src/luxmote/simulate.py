@@ -900,8 +900,8 @@ def _log_writer(fh, node_id):
     write("time_s,node_id,voltage_v,lux,qos,action,packets\r\n")
     # lux is formatted once per float object, and so once per light sample;
     # by identity, as -0.0 == 0.0, and held so that its id is not reused.
-    # The integers qos and packets, and the action, are formatted once per
-    # combination.
+    # The tail, the integers qos and packets and the action string, is
+    # formatted once per combination: equal ints and strs format alike.
     last_lux = lux_field = None
     tails = {}
     lines = []
